@@ -39,25 +39,40 @@ random_signal(std::size_t n, std::uint64_t seed)
     return v;
 }
 
+template <bool Inverse>
 void
-BM_FftForward(benchmark::State &state)
+BM_Fft(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
     fft::Fft plan(n);
     const CVec in = random_signal(n, n);
     CVec out(n);
     for (auto _ : state) {
-        plan.forward(in.data(), out.data());
+        if constexpr (Inverse)
+            plan.inverse(in.data(), out.data());
+        else
+            plan.forward(in.data(), out.data());
         benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(n));
 }
-// 5-smooth sizes, a prime-factor size (direct DFT), a Bluestein size,
-// and powers of two (the pure radix-4/radix-2 butterfly path),
-// covering the library's code paths.
-BENCHMARK(BM_FftForward)->Arg(12)->Arg(144)->Arg(300)->Arg(1200)
-    ->Arg(492)->Arg(804)->Arg(256)->Arg(1024);
+
+// One size or more per code path: 5-smooth sizes (12, 144, 300, 1200),
+// powers of two (the pure radix-4/radix-2 butterflies), direct-DFT
+// leaves for primes 7..61 (84 = 12*7, 492 = 12*41, 708 = 12*59,
+// 732 = 12*61), the runtime-radix combine (924 = 12*7*11) and
+// Bluestein (804 = 12*67, 1164 = 12*97).
+void
+fft_sizes(benchmark::internal::Benchmark *b)
+{
+    for (int n : {12, 144, 300, 1200, 256, 1024, 84, 492, 708, 732, 924,
+                  804, 1164})
+        b->Arg(n);
+}
+BENCHMARK_TEMPLATE(BM_Fft, false)->Name("BM_FftForward")->Apply(fft_sizes);
+BENCHMARK_TEMPLATE(BM_Fft, true)->Name("BM_FftInverse")->Apply(fft_sizes);
 
 void
 BM_ChannelEstimate(benchmark::State &state)

@@ -74,6 +74,20 @@ LTE_MAC=pf LTE_MAC_IO=offload ./build/tests/test_mac
 echo "==> city-scale fleet smoke"
 ./build/bench/city_scale --smoke
 
+# Pinned-digest leg: perfbench/gates.json pins the fig6 and decode
+# digests of the default (SIMD) build on two seeds, so a rounding
+# change in any kernel fails here, not only in the benchmark.  The
+# shortest run the driver accepts still does its minimum repetitions.
+if [[ "${LTE_SIMD}" == "ON" ]]; then
+    for workload in fig6_ramp decode_2cell; do
+        for seed in 2012 7; do
+            echo "==> perfbench digest gate (${workload}, seed ${seed})"
+            python3 perfbench/run.py --workload "${workload}" \
+                --seed "${seed}" --seconds 0.001 --trace 0
+        done
+    done
+fi
+
 run_preset asan
 # The tsan test preset filters to the concurrency/runtime suites (see
 # CMakePresets.json): pool interleavings, trace-ring export races, the

@@ -16,6 +16,10 @@ namespace {
  *  a bigger prime factor go through Bluestein. */
 constexpr std::size_t kMaxDirectPrime = 61;
 
+/** Smallest prime whose direct-DFT leaf reads a precomputed leaf
+ *  matrix; the 2-, 3- and 5-point leaves are a handful of MACs. */
+constexpr std::size_t kMinLeafPrime = 7;
+
 /** @return the smallest prime factor of n (n >= 2). */
 std::size_t
 smallest_factor(std::size_t n)
@@ -99,6 +103,14 @@ struct Fft::Impl
         return w;
     }
 
+    /** Direct DFT of the prime leaf_p through the leaf matrix: the
+     *  vector build computes kLanes output bins at a time, each
+     *  accumulated over j in the same order as the scalar tail.  Kept
+     *  out of line so its code does not bloat recurse(). */
+    template <bool Inverse>
+    [[gnu::noinline]] void
+    leaf_dft(const cf32 *in, std::size_t in_stride, cf32 *out) const;
+
 #if defined(LTE_SIMD_ENABLED)
     /** Vectorized radix-2 combine (same arithmetic as the scalar fast
      *  path, kLanes butterflies at a time plus a scalar tail). */
@@ -112,11 +124,24 @@ struct Fft::Impl
     template <bool Inverse>
     void combine4(cf32 *out, std::size_t m, std::size_t root_stride) const;
 
-    /** Vectorized small-odd-radix combine (the generic formula with
-     *  the W_p constants broadcast); used for p = 3 and 5, which the
-     *  odd-factor-first ordering places at wide columns. */
+    /** Vectorized odd-radix combine (the generic formula with the W_p
+     *  constants broadcast).  P is the radix when it is known at
+     *  compile time (3 and 5, which the odd-factor-first ordering
+     *  places at wide columns) or 0 for a runtime radix p. */
     template <std::size_t P, bool Inverse>
-    void combinep(cf32 *out, std::size_t m, std::size_t root_stride) const;
+    void combinep(cf32 *out, std::size_t p, std::size_t m,
+                  std::size_t root_stride) const;
+
+    /** combinep<0> for a prime 5 < p <= kMaxDirectPrime that is not the
+     *  leaf.  Kept out of line: inlined into recurse() it slows the
+     *  2/3/5-smooth sizes, which never call it. */
+    template <bool Inverse>
+    [[gnu::noinline]] void
+    combine_odd(cf32 *out, std::size_t p, std::size_t m,
+                std::size_t root_stride) const
+    {
+        combinep<0, Inverse>(out, p, m, root_stride);
+    }
 #endif
 
     // --- Bluestein ---
@@ -129,6 +154,15 @@ struct Fft::Impl
     /** exp(-2*pi*i*k/n) for k in [0, n) (forward direction). */
     std::vector<cf32> roots;
 
+    /** Leaf matrix of the largest prime factor leaf_p when
+     *  kMinLeafPrime <= leaf_p <= kMaxDirectPrime, else empty (leaf_p
+     *  0).  Both factor orders divide primes above 5 out smallest
+     *  first, so such a largest prime is always the direct-DFT leaf.
+     *  leaf[j*leaf_p + k] = W^(j*k) = roots[(j*k mod leaf_p) *
+     *  (n/leaf_p)], the exact twiddles the leaf would index. */
+    std::size_t leaf_p = 0;
+    std::vector<cf32> leaf;
+
     // Bluestein state (empty unless use_bluestein).
     std::size_t conv_n = 0;              ///< power-of-two convolution size
     std::unique_ptr<Fft> conv_fft;       ///< plan of size conv_n
@@ -140,7 +174,8 @@ Fft::Impl::Impl(std::size_t size)
     : n(size)
 {
     LTE_CHECK(n >= 1, "FFT size must be >= 1");
-    use_bluestein = largest_prime_factor(n) > kMaxDirectPrime;
+    const std::size_t largest = largest_prime_factor(n);
+    use_bluestein = largest > kMaxDirectPrime;
 
     roots.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
@@ -149,6 +184,16 @@ Fft::Impl::Impl(std::size_t size)
             static_cast<double>(n);
         roots[k] = cf32(static_cast<float>(std::cos(angle)),
                         static_cast<float>(std::sin(angle)));
+    }
+
+    if (largest >= kMinLeafPrime && !use_bluestein) {
+        leaf_p = largest;
+        leaf.resize(leaf_p * leaf_p);
+        const std::size_t stride = n / leaf_p;
+        for (std::size_t j = 0; j < leaf_p; ++j) {
+            for (std::size_t k = 0; k < leaf_p; ++k)
+                leaf[j * leaf_p + k] = roots[((j * k) % leaf_p) * stride];
+        }
     }
 
     if (use_bluestein) {
@@ -204,9 +249,10 @@ Fft::Impl::recurse(const cf32 *in, std::size_t in_stride, cf32 *out,
         while (odd % 2 == 0)
             odd /= 2;
         const std::size_t po = smallest_factor(odd);
-        // Only 3 and 5 have vector combines; a larger prime factor is
-        // cheapest as a direct-DFT leaf, which the original
-        // smallest-factor-first order produces.
+        // Past 3 and 5 the original smallest-factor-first order takes
+        // over, which leaves the largest prime as the direct-DFT leaf.
+        // The order fixes the rounding of every output, so it stays
+        // as is even though radix p > 5 combines vectorize too.
         p = po <= 5 ? po : smallest_factor(len);
     }
 #else
@@ -215,7 +261,11 @@ Fft::Impl::recurse(const cf32 *in, std::size_t in_stride, cf32 *out,
     const std::size_t m = len / p;
 
     if (p == len) {
-        // Prime base case: direct DFT using the master root table.
+        if (len == leaf_p) {
+            leaf_dft<Inverse>(in, in_stride, out);
+            return;
+        }
+        // Small prime base case: direct DFT using the master root table.
         // W_len^(jk) == roots[(j*k mod len) * root_stride].
         for (std::size_t k = 0; k < len; ++k) {
             cf32 acc(0.0f, 0.0f);
@@ -243,14 +293,12 @@ Fft::Impl::recurse(const cf32 *in, std::size_t in_stride, cf32 *out,
         combine2<Inverse>(out, m, root_stride);
         return;
     }
-    if (p == 3) {
-        combinep<3, Inverse>(out, m, root_stride);
-        return;
-    }
-    if (p == 5) {
-        combinep<5, Inverse>(out, m, root_stride);
-        return;
-    }
+    if (p == 3)
+        combinep<3, Inverse>(out, p, m, root_stride);
+    else if (p == 5)
+        combinep<5, Inverse>(out, p, m, root_stride);
+    else
+        combine_odd<Inverse>(out, p, m, root_stride);
 #else
     if (p == 2) {
         // Radix-2 fast path: the combine below collapses to one
@@ -268,7 +316,6 @@ Fft::Impl::recurse(const cf32 *in, std::size_t in_stride, cf32 *out,
         }
         return;
     }
-#endif
 
     // Combine: X[k + r*m] = sum_q W_len^(q*k) * W_p^(q*r) * Y_q[k].
     // All root indices stay below n by construction: q*k*root_stride
@@ -295,6 +342,40 @@ Fft::Impl::recurse(const cf32 *in, std::size_t in_stride, cf32 *out,
             }
             out[k + r * m] = acc;
         }
+    }
+#endif
+}
+
+template <bool Inverse>
+void
+Fft::Impl::leaf_dft(const cf32 *in, std::size_t in_stride, cf32 *out) const
+{
+    // X[k] = sum_j x[j] * W^(j*k), each bin accumulated from zero in
+    // j order: the additions of the modulo-indexed base case, in the
+    // same order, on the same twiddles, so the outputs match it bit for
+    // bit.  The vector blocks hold kLanes consecutive bins.
+    const std::size_t p = leaf_p;
+    const cf32 *w = leaf.data();
+    std::size_t k = 0;
+#if defined(LTE_SIMD_ENABLED)
+    for (; k + simd::kLanes <= p; k += simd::kLanes) {
+        simd::cvf acc = simd::cvf::zero();
+        for (std::size_t j = 0; j < p; ++j) {
+            simd::cvf wj = simd::cload(w + j * p + k);
+            if constexpr (Inverse)
+                wj = simd::cconj(wj);
+            acc = acc + simd::cmul(simd::cvf::set1(in[j * in_stride]), wj);
+        }
+        simd::cstore(out + k, acc);
+    }
+#endif
+    for (; k < p; ++k) {
+        cf32 acc(0.0f, 0.0f);
+        for (std::size_t j = 0; j < p; ++j) {
+            const cf32 wj = w[j * p + k];
+            acc += in[j * in_stride] * (Inverse ? std::conj(wj) : wj);
+        }
+        out[k] = acc;
     }
 }
 
@@ -394,24 +475,28 @@ Fft::Impl::combine4(cf32 *out, std::size_t m, std::size_t root_stride) const
 
 template <std::size_t P, bool Inverse>
 void
-Fft::Impl::combinep(cf32 *out, std::size_t m, std::size_t root_stride) const
+Fft::Impl::combinep(cf32 *out, std::size_t p, std::size_t m,
+                    std::size_t root_stride) const
 {
-    // The generic combine with p known at compile time: the inner W_p
-    // constants W_p^(q*r) = roots[((q*r mod P) * m * root_stride)] are
-    // broadcast once, and each block evaluates
+    // The generic combine vectorized across the column index k: the
+    // inner W_p constants W_p^(q*r) = roots[((q*r mod p) * m *
+    // root_stride)] are broadcast once, and each block evaluates
     //   X[k + r*m] = sum_q W_len^(q*k) * W_p^(q*r) * Y_q[k]
-    // in the same accumulation order as the scalar loop.  Twiddle
-    // indices stay below n as in the generic combine.
-    simd::cvf wp[P];
-    for (std::size_t e = 0; e < P; ++e)
+    // in the same accumulation order as the scalar loop.  The largest
+    // twiddle index is (p-1)*(m-1)*root_stride < len*root_stride = n.
+    constexpr std::size_t kMaxP = P != 0 ? P : kMaxDirectPrime;
+    if constexpr (P != 0)
+        p = P; // a compile-time radix lets the q/r loops unroll
+    simd::cvf wp[kMaxP];
+    for (std::size_t e = 0; e < p; ++e)
         wp[e] = simd::cvf::set1(root<Inverse>(e * m * root_stride));
 
     const cf32 *rt = roots.data();
     std::size_t k = 0;
     for (; k + simd::kLanes <= m; k += simd::kLanes) {
-        simd::cvf t[P];
+        simd::cvf t[kMaxP];
         t[0] = simd::cload(out + k);
-        for (std::size_t q = 1; q < P; ++q) {
+        for (std::size_t q = 1; q < p; ++q) {
             simd::cvf w =
                 q * root_stride == 1
                     ? simd::cload(rt + k)
@@ -422,16 +507,16 @@ Fft::Impl::combinep(cf32 *out, std::size_t m, std::size_t root_stride) const
             t[q] = simd::cmul(simd::cload(out + q * m + k), w);
         }
         simd::cvf acc0 = t[0];
-        for (std::size_t q = 1; q < P; ++q)
+        for (std::size_t q = 1; q < p; ++q)
             acc0 = acc0 + t[q];
         simd::cstore(out + k, acc0);
-        for (std::size_t r = 1; r < P; ++r) {
+        for (std::size_t r = 1; r < p; ++r) {
             simd::cvf acc = t[0];
-            std::size_t exp = 0; // (q * r) mod P
-            for (std::size_t q = 1; q < P; ++q) {
+            std::size_t exp = 0; // (q * r) mod p
+            for (std::size_t q = 1; q < p; ++q) {
                 exp += r;
-                if (exp >= P)
-                    exp -= P;
+                if (exp >= p)
+                    exp -= p;
                 acc = acc + simd::cmul(t[q], wp[exp]);
             }
             simd::cstore(out + r * m + k, acc);
@@ -439,21 +524,21 @@ Fft::Impl::combinep(cf32 *out, std::size_t m, std::size_t root_stride) const
     }
     std::size_t base = k * root_stride;
     for (; k < m; ++k, base += root_stride) {
-        cf32 t[P];
+        cf32 t[kMaxP];
         t[0] = out[k];
-        for (std::size_t q = 1; q < P; ++q)
+        for (std::size_t q = 1; q < p; ++q)
             t[q] = out[q * m + k] * root<Inverse>(q * base);
         cf32 acc0 = t[0];
-        for (std::size_t q = 1; q < P; ++q)
+        for (std::size_t q = 1; q < p; ++q)
             acc0 += t[q];
         out[k] = acc0;
-        for (std::size_t r = 1; r < P; ++r) {
+        for (std::size_t r = 1; r < p; ++r) {
             cf32 acc = t[0];
-            std::size_t exp = 0; // (q * r) mod P
-            for (std::size_t q = 1; q < P; ++q) {
+            std::size_t exp = 0; // (q * r) mod p
+            for (std::size_t q = 1; q < p; ++q) {
                 exp += r;
-                if (exp >= P)
-                    exp -= P;
+                if (exp >= p)
+                    exp -= p;
                 acc += t[q] * root<Inverse>(exp * m * root_stride);
             }
             out[k + r * m] = acc;

@@ -22,10 +22,18 @@ namespace lte::fft {
 /**
  * A planned complex FFT of a fixed size.
  *
- * The plan precomputes twiddle tables (and, for Bluestein sizes, the
- * chirp sequence and its transform).  forward() computes the
- * unnormalised DFT; inverse() applies the 1/N scale so that
+ * The plan precomputes twiddle tables: the n roots of unity, a leaf
+ * matrix W[j*p + k] = W_p^(j*k) when the largest prime factor p is
+ * 7..61 (the direct-DFT leaf), and, for Bluestein sizes, the chirp
+ * sequence and its transform.  forward() computes the unnormalised
+ * DFT; inverse() applies the 1/N scale so that
  * inverse(forward(x)) == x.
+ *
+ * In SIMD builds every combine, including radix p > 5, and the prime
+ * leaf vectorize across the output index.  The vector code does the
+ * scalar loops' arithmetic lane for lane: the same factor order, the
+ * same per-output accumulation order and no FMA, so outputs are bit
+ * for bit those of the scalar formulation in the same factor order.
  *
  * Plans are immutable after construction, and both transform methods
  * are const and safe to call concurrently from multiple threads.

@@ -15,7 +15,6 @@ span_category(SpanKind kind)
       case SpanKind::kChanEst:
       case SpanKind::kWeights:
       case SpanKind::kDemod:
-      case SpanKind::kTail:
       case SpanKind::kTailCb:
       case SpanKind::kTailReduce:
       case SpanKind::kDecodeCb:

@@ -13,7 +13,6 @@ span_kind_name(SpanKind kind)
       case SpanKind::kChanEst: return "chanest";
       case SpanKind::kWeights: return "weights";
       case SpanKind::kDemod: return "demod";
-      case SpanKind::kTail: return "tail";
       case SpanKind::kUser: return "user";
       case SpanKind::kSteal: return "steal";
       case SpanKind::kNap: return "nap";

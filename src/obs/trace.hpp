@@ -40,7 +40,6 @@ enum class SpanKind : std::uint8_t
     kChanEst,  ///< one channel-estimation task (antenna x layer)
     kWeights,  ///< combiner-weight join (a continuation task)
     kDemod,    ///< one demodulation task (data symbol x layer)
-    kTail,     ///< legacy whole-user tail (descramble..CRC, serial)
     kUser,     ///< a whole user's chain (serial engine)
     kSteal,    ///< instant: a task was stolen (arg = victim worker)
     kNap,      ///< proactively deactivated worker sleeping (Sec. V-B)
@@ -57,7 +56,7 @@ enum class SpanKind : std::uint8_t
 };
 
 /** Number of distinct span kinds (for fixed-size per-kind tallies). */
-inline constexpr std::size_t kSpanKindCount = 17;
+inline constexpr std::size_t kSpanKindCount = 16;
 
 /** Short stable name used in exports ("chanest", "demod", ...). */
 const char *span_kind_name(SpanKind kind);

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "fft/dft_ref.hpp"
 #include "fft/fft.hpp"
+#include "simd/simd.hpp"
 
 namespace lte::fft {
 namespace {
@@ -208,6 +209,47 @@ TEST(Fft, OpCountRoughlyNLogN)
         EXPECT_LT(ours, 8.0 * textbook);
     }
 }
+
+/** FNV-1a over the raw bytes of @p v, continuing from @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const CVec &v)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(v.data());
+    for (std::size_t i = 0; i < v.size() * sizeof(cf32); ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+#if !defined(__FMA__)
+// Contracted multiply-adds (native builds) round differently, so the
+// pinned digests hold only for the default portable builds.
+TEST(FftBitExact, AllocationSizesMatchSeedDigest)
+{
+    // The per-slot SC-FDMA sizes 12*q, q = 1..100, cover every code
+    // path: 2/3/5-smooth butterflies, direct-DFT leaves for primes
+    // 7..61, radix-p > 5 combines (q = 77, 91) and Bluestein (q with a
+    // prime factor > 61).  The digests were recorded before the
+    // odd-prime paths were vectorized; any change that moves one output
+    // bit trips them.  SIMD and scalar builds use different factor
+    // orders, so each has its own digest.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t q = 1; q <= 100; ++q) {
+        const std::size_t n = 12 * q;
+        const CVec x = random_signal(n, 500 + n);
+        CVec out(n);
+        Fft plan(n);
+        plan.forward(x.data(), out.data());
+        h = fnv1a(h, out);
+        plan.inverse(x.data(), out.data());
+        h = fnv1a(h, out);
+    }
+    const std::uint64_t expected =
+        simd::enabled() ? 0x0240e635f53dd01eull : 0xbc8b851a6af95b53ull;
+    EXPECT_EQ(h, expected) << std::hex << "digest 0x" << h;
+}
+#endif
 
 TEST(FftCache, ReturnsSamePlanForSameSize)
 {

@@ -244,8 +244,13 @@ TEST(FftSimdParity, MatchesReferenceOnButterflySizes)
 {
     // Powers of two exercise the radix-4 (+ leftover radix-2) path;
     // 4*odd and 2*odd sizes exercise the mixed selection logic.
-    const std::size_t sizes[] = {4,  8,  12,  16,  20,  64,
-                                 96, 256, 300, 600, 1024, 1200};
+    // 12*q with a prime q in 7..61 exercises the vector direct-DFT
+    // leaf and its scalar tail (84 = 12*7 is all tail on 8 lanes), and
+    // 924 = 12*7*11, 1092 = 12*7*13 the runtime-radix combine (radix
+    // 7 above an 11- or 13-point leaf).
+    const std::size_t sizes[] = {4,   8,   12,  16,  20,  64,  96,
+                                 256, 300, 600, 1024, 1200, 84, 132,
+                                 156, 228, 708, 732, 924, 1092};
     for (std::size_t n : sizes) {
         const CVec x = random_symbols(n, 9000 + n);
         const CVec ref = fft::dft_reference(x);
@@ -259,10 +264,19 @@ TEST(FftSimdParity, MatchesReferenceOnButterflySizes)
                 << "n=" << n << " k=" << k;
         }
 
-        // Round trip through the inverse (radix-4 with conjugated
-        // twiddles and the vectorized 1/n scale).
-        CVec back(n);
-        plan.inverse(out.data(), back.data());
+        // The inverse transform on its own (conjugated twiddles and
+        // leaf matrix, vectorized 1/n scale) against the reference.
+        const CVec iref = fft::idft_reference(x);
+        plan.inverse(x.data(), out.data());
+        for (std::size_t k = 0; k < n; ++k) {
+            EXPECT_LT(std::abs(out[k] - iref[k]), tol)
+                << "inverse n=" << n << " k=" << k;
+        }
+
+        // Round trip through the inverse.
+        CVec freq(n), back(n);
+        plan.forward(x.data(), freq.data());
+        plan.inverse(freq.data(), back.data());
         for (std::size_t k = 0; k < n; ++k)
             EXPECT_LT(std::abs(back[k] - x[k]), tol) << "n=" << n;
     }
