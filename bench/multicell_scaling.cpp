@@ -28,7 +28,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "runtime/multicell.hpp"
+#include "runtime/engine.hpp"
 #include "workload/steady_model.hpp"
 
 namespace {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Observability dump tool: runs the live work-stealing engine with
+ * Observability dump tool: runs the live engine on its worker pool with
  * tracing enabled for 100 subframes and writes
  *
  *   obs_trace.json      per-worker span timeline (chrome://tracing)

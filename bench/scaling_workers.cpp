@@ -50,10 +50,10 @@ main(int argc, char **argv)
         std::size_t workers;
     };
     const Row rows[] = {{runtime::EngineKind::kSerial, 1},
-                        {runtime::EngineKind::kWorkStealing, 1},
-                        {runtime::EngineKind::kWorkStealing, 2},
-                        {runtime::EngineKind::kWorkStealing, 4},
-                        {runtime::EngineKind::kWorkStealing, 8}};
+                        {runtime::EngineKind::kStreaming, 1},
+                        {runtime::EngineKind::kStreaming, 2},
+                        {runtime::EngineKind::kStreaming, 4},
+                        {runtime::EngineKind::kStreaming, 8}};
     for (const Row &row : rows) {
         runtime::EngineConfig cfg;
         cfg.kind = row.kind;

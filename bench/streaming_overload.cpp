@@ -24,9 +24,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "runtime/admission.hpp"
+#include "phy/op_model.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/multicell.hpp"
 #include "sim/machine.hpp"
 #include "workload/parameter_model.hpp"
 #include "workload/steady_model.hpp"
@@ -266,8 +265,9 @@ run_heavy_sim_comparison(bool full)
     cfg.delta_s = 0.001; // standard TTI
     // Pin utilisation at ~60% of machine capacity so the comparison
     // measures schedule shape, not queueing collapse.
-    const std::uint64_t ops =
-        runtime::admission::subframe_ops(sf, /*n_antennas=*/4);
+    std::uint64_t ops = 0;
+    for (const auto &user : sf.users)
+        ops += phy::user_task_costs(user, /*n_antennas=*/4).total();
     cfg.cycles_per_op = 0.6 * static_cast<double>(cfg.n_workers) *
                         cfg.delta_s * cfg.clock_hz /
                         static_cast<double>(ops);

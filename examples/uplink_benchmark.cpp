@@ -34,7 +34,7 @@ main(int argc, char **argv)
 
     // Both engines share one configuration; only `kind` differs.
     runtime::EngineConfig cfg;
-    cfg.kind = runtime::EngineKind::kWorkStealing;
+    cfg.kind = runtime::EngineKind::kStreaming;
     cfg.pool.n_workers = workers;
     cfg.input.pool_size = 10; // the paper's default input-data pool
 

@@ -91,8 +91,9 @@ fi
 run_preset asan
 # The tsan test preset filters to the concurrency/runtime suites (see
 # CMakePresets.json): pool interleavings, trace-ring export races, the
-# serial-vs-parallel validation and the streaming-engine suites under
-# ThreadSanitizer.
+# serial-vs-parallel validation, the engine suites and the lossless
+# (deadline_ms = 0) dispatch-core suites EngineParity, FlowControl and
+# DeltaPacing under ThreadSanitizer.
 run_preset tsan
 
 # Streaming overload soak: the admission/shed accounting must balance

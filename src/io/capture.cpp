@@ -185,6 +185,11 @@ CaptureReader::skip_frame()
         std::uint32_t n_sc = 0;
         if (!get(in_, n_sc))
             fail(path_, "truncated symbol header");
+        // The same bound read_into enforces: a corrupt width would
+        // otherwise seek silently past the frame and misalign every
+        // later read of a looped replay.
+        if (n_sc > kMaxPrbPerSubframe * kScPerPrb)
+            fail(path_, "symbol width out of range");
         in_.seekg(static_cast<std::streamoff>(n_sc) * sizeof(cf32),
                   std::ios::cur);
     }

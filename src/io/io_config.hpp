@@ -29,7 +29,7 @@ enum class SourceKind : std::uint8_t
 
 struct IoConfig
 {
-    /** Off by default: engines synthesize input inline as before. */
+    /** Off by default: the dispatch thread pulls input inline. */
     bool enabled = false;
 
     SourceKind source = SourceKind::kGenerator;
@@ -50,7 +50,8 @@ struct IoConfig
      */
     double jitter_ms = 0.0;
 
-    /** Seed of the jitter stream (independent of the signal seed). */
+    /** Seed of the jitter stream (independent of the signal seed);
+     *  lane c draws from cell_stream_seed(jitter_seed, cell id). */
     std::uint64_t jitter_seed = 1;
 
     /** Capture file to replay (source == kReplay). */

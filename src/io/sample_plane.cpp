@@ -68,115 +68,6 @@ SampleTransport::release(IqFrame *frame)
     LTE_ASSERT(ok, "free ring overflow");
 }
 
-SampleFeed::SampleFeed(SampleTransport &transport, SampleSource &source,
-                       FeedConfig config)
-    : transport_(transport), source_(source), config_(std::move(config))
-{
-    if (!config_.now_ns)
-        config_.now_ns = steady_now_ns;
-}
-
-SampleFeed::~SampleFeed() { stop(); }
-
-void
-SampleFeed::start(std::uint64_t n_subframes)
-{
-    LTE_CHECK(!thread_.joinable(), "feed already started");
-    stop_.store(false, std::memory_order_relaxed);
-    finished_.store(false, std::memory_order_relaxed);
-    thread_ = std::thread([this, n_subframes] { run(n_subframes); });
-}
-
-void
-SampleFeed::stop()
-{
-    stop_.store(true, std::memory_order_release);
-    if (thread_.joinable())
-        thread_.join();
-}
-
-void
-SampleFeed::run(std::uint64_t n_subframes)
-{
-    Rng jitter_rng(config_.jitter_seed);
-    const double delta_ns = config_.delta_ms * 1e6;
-    const double jitter_amp_ns = config_.jitter_ms * 1e6;
-    const std::uint64_t t0 = config_.now_ns();
-
-    for (std::uint64_t k = 0; k < n_subframes; ++k) {
-        if (stop_.load(std::memory_order_acquire))
-            return;
-
-        std::uint64_t scheduled = t0;
-        if (delta_ns > 0.0) {
-            double offset = delta_ns * static_cast<double>(k);
-            if (jitter_amp_ns > 0.0)
-                offset += jitter_rng.next_double() * jitter_amp_ns;
-            scheduled = t0 + static_cast<std::uint64_t>(offset);
-            // Sleep toward the tick, then yield-spin the last stretch
-            // (OS sleep granularity is far coarser than a TTI slice).
-            while (!stop_.load(std::memory_order_acquire)) {
-                const std::uint64_t now = config_.now_ns();
-                if (now >= scheduled)
-                    break;
-                const std::uint64_t wait = scheduled - now;
-                if (wait > 200'000)
-                    std::this_thread::sleep_for(
-                        std::chrono::nanoseconds(wait - 100'000));
-                else
-                    std::this_thread::yield();
-            }
-            if (stop_.load(std::memory_order_acquire))
-                return;
-        }
-
-        IqFrame *frame = transport_.try_acquire_free();
-        if (frame == nullptr) {
-            if (config_.lossless) {
-                // Backpressure: the receiver is behind and nothing may
-                // be dropped, so the whole feed stalls until it
-                // recycles a frame.
-                while (frame == nullptr &&
-                       !stop_.load(std::memory_order_acquire)) {
-                    std::this_thread::yield();
-                    frame = transport_.try_acquire_free();
-                }
-                if (frame == nullptr)
-                    return;
-            } else {
-                // The fronthaul does not wait: this tick's samples are
-                // gone.  The source still advances so delivered frames
-                // keep their place in the stream.
-                stats_.lost.fetch_add(1, std::memory_order_relaxed);
-                source_.skip();
-                continue;
-            }
-        }
-
-        if (!source_.produce(*frame)) {
-            // Stream exhausted (finite replay): the frame in hand is
-            // parked — release() belongs to the consumer thread and
-            // nothing will be produced into it anyway.
-            break;
-        }
-
-        frame->seq = k;
-        frame->t_arrival_ns = config_.now_ns();
-        if (delta_ns > 0.0 &&
-            frame->t_arrival_ns >
-                scheduled + static_cast<std::uint64_t>(delta_ns))
-            stats_.late.fetch_add(1, std::memory_order_relaxed);
-
-        if (config_.recorder != nullptr)
-            config_.recorder->write(*frame);
-
-        transport_.publish_ready(frame);
-        stats_.produced.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    finished_.store(true, std::memory_order_release);
-}
-
 MultiSampleFeed::MultiSampleFeed(std::vector<FeedLane> lanes,
                                  FeedConfig config)
     : lanes_(std::move(lanes)), config_(std::move(config)),
@@ -239,8 +130,7 @@ MultiSampleFeed::run(std::uint64_t n_subframes)
 
         // Draw every lane's delivery time for this tick, then visit
         // lanes in delivery order so one pacing loop serves them all.
-        // Each lane consumes exactly one jitter draw per tick (the
-        // same stream a dedicated SampleFeed would have drawn).
+        // Each lane consumes exactly one jitter draw per tick.
         for (std::size_t i = 0; i < n_lanes; ++i) {
             double offset = delta_ns * static_cast<double>(k);
             if (delta_ns > 0.0 && jitter_amp_ns > 0.0)

@@ -64,10 +64,11 @@ const char *span_kind_name(SpanKind kind);
 /**
  * Cell tagging for span arguments: the serving cell rides in the top
  * 16 bits of the 64-bit payload, leaving 48 bits for the original
- * value (user id, task index, subframe index).  Single-cell engines
- * record untagged args (cell field 0), so existing traces and their
- * consumers are unchanged; the multi-cell engine tags its dispatch /
- * shed / subframe events so one shared trace can be split by cell.
+ * value (user id, task index, subframe index).  Cell 1 records
+ * untagged args (cell field 0), so single-cell traces and their
+ * consumers are unchanged; every other cell tags the engine's
+ * dispatch / shed / subframe / io events and the MAC's grants, so one
+ * shared trace can be split by cell.
  */
 inline constexpr std::uint64_t
 make_cell_arg(std::uint32_t cell_id, std::uint64_t value)

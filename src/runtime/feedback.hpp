@@ -7,12 +7,12 @@
  * CRC (ACK/NACK for HARQ), the measured EVM (channel quality for
  * CQI→MCS adaptation), whether the decode ran degraded, and which
  * subframes never completed at all because the admission controller
- * shed them.  Engines already have exactly one completion site and
- * one shed site per flavour; this interface lets a sink observe both
- * without the runtime depending on the MAC layer (src/mac links
- * lte_runtime, not the other way around).
+ * shed them.  The engine has exactly one completion site and one shed
+ * site; this interface lets a sink observe both without the runtime
+ * depending on the MAC layer (src/mac links lte_runtime, not the other
+ * way around).
  *
- * Threading: every engine invokes the sink from its dispatch thread
+ * Threading: the engine invokes the sink from its dispatch thread
  * (the thread running run()/process_subframe()).  In offloaded-io
  * runs the *grant producer* is a different thread (the sample feed
  * draws parameters on the producer thread), so a sink that also

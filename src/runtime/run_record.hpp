@@ -51,9 +51,7 @@ struct SubframeOutcome
 /** Full run record: outcomes plus aggregate execution statistics. */
 struct RunRecord
 {
-    /** Serving cell when the record covers exactly one cell (the
-     *  engines' run(); per-cell lanes of a multi-cell run); 0 marks a
-     *  multi-cell aggregate. */
+    /** Serving cell (one record per engine lane). */
     std::uint32_t cell_id = 1;
     std::vector<SubframeOutcome> subframes;
 

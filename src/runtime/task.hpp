@@ -52,16 +52,6 @@ struct UserWork
     {
     }
 
-    /** Legacy convenience: construct and bind in one step. */
-    UserWork(const phy::UserParams &params,
-             const phy::ReceiverConfig &config,
-             const phy::UserSignal *signal, SubframeJob *parent,
-             std::size_t result_slot)
-        : UserWork(config)
-    {
-        reset(params, signal, parent, result_slot);
-    }
-
     /**
      * (Re)bind to a user's subframe.  Allocation-free once the
      * processor's workspace has grown past its high-water mark.
@@ -110,9 +100,6 @@ struct UserWork
     /** Analytical flop counts, for deterministic activity accounting. */
     phy::UserTaskCosts costs{};
     SubframeJob *parent = nullptr;
-    /** Serving cell of the parent job (copied at prepare() so worker
-     *  threads can tag their spans without touching the job). */
-    std::uint32_t cell_id = 1;
     std::size_t result_slot = 0;
     std::atomic<std::int32_t> chanest_remaining{0};
     std::atomic<std::int32_t> demod_remaining{0};
@@ -160,11 +147,9 @@ struct Task
 struct SubframeJob
 {
     phy::SubframeParams params;
-    /** Serving cell (mirrors params.cell_id; 1 for single-cell runs). */
-    std::uint32_t cell_id = 1;
-    /** Global admission order stamped by the multi-cell engine: the
-     *  position in the shared in-flight window, used to find the
-     *  globally oldest executing job across the per-cell lanes. */
+    /** Global admission order stamped by the engine: the position in
+     *  the shared in-flight window, used to find the globally oldest
+     *  executing job across the lanes. */
     std::uint64_t admit_seq = 0;
     /** Pooled per-user work states; only the first n_users are live. */
     std::vector<std::unique_ptr<UserWork>> users;
@@ -175,16 +160,14 @@ struct SubframeJob
     /** Observability (set by the engine when obs is on): arrival and
      *  dispatch timestamps relative to the engine's clock epoch and
      *  the estimator's Eq. 4 output for this subframe (-1 if none).
-     *  For lock-step engines arrival == dispatch; the streaming
-     *  engine stamps arrival at the TTI tick and dispatch at pool
-     *  admission, so the gap is admission-queue wait. */
+     *  Arrival is the TTI tick (or the producer's publish stamp) and
+     *  dispatch is admission into the in-flight window, so the gap is
+     *  admission-queue wait. */
     std::uint64_t t_arrival_ns = 0;
     std::uint64_t t_dispatch_ns = 0;
     double est_activity = -1.0;
     /** Shed ladder level the job runs at (see phy::DegradeLevel). */
     phy::DegradeLevel degrade_level = phy::DegradeLevel::kNone;
-    /** Processed with a degraded receive chain (any ladder level). */
-    bool degraded = false;
     /**
      * Sample-plane frame whose signals this job reads (null on the
      * inline-synthesis path).  The engine recycles it to the
@@ -210,10 +193,8 @@ struct SubframeJob
             const phy::ReceiverConfig &receiver)
     {
         params = subframe;
-        cell_id = subframe.cell_id;
         n_users = subframe.users.size();
         degrade_level = phy::DegradeLevel::kNone;
-        degraded = false;
         io_frame = nullptr;
         decode_sample_rate = receiver.decode_sample_rate;
         real_turbo = receiver.use_real_turbo;
@@ -222,8 +203,21 @@ struct SubframeJob
         results.resize(n_users);
         for (std::size_t u = 0; u < n_users; ++u) {
             users[u]->reset(subframe.users[u], signals[u], this, u);
-            users[u]->cell_id = subframe.cell_id;
         }
+    }
+
+    /** Publish user @p slot's scalar outcome; the decoded bits stay
+     *  in the processor's reused storage (no payload copy). */
+    void
+    set_result(std::size_t slot, const phy::UserResult &result)
+    {
+        UserOutcome &out = results[slot];
+        out.user_id = result.user_id;
+        out.checksum = result.checksum;
+        out.crc_ok = result.crc_ok;
+        out.crc_modelled = result.crc_modelled;
+        out.evm_rms = result.evm_rms;
+        out.decode_iterations = result.decode_iterations;
     }
 
     /**
@@ -237,7 +231,6 @@ struct SubframeJob
     set_degrade(phy::DegradeLevel level)
     {
         degrade_level = level;
-        degraded = level != phy::DegradeLevel::kNone;
         for (std::size_t u = 0; u < n_users; ++u) {
             phy::DegradeLevel user_level = level;
             // Bypass sampling: in real-turbo runs a deterministic
@@ -271,14 +264,6 @@ struct SubframeJob
         z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
         z = z ^ (z >> 31);
         return static_cast<double>(z >> 11) * 0x1.0p-53;
-    }
-
-    /** Legacy boolean shed action: straight to the full bypass. */
-    void
-    set_degraded(bool value)
-    {
-        set_degrade(value ? phy::DegradeLevel::kBypass
-                          : phy::DegradeLevel::kNone);
     }
 };
 

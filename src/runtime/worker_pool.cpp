@@ -305,13 +305,7 @@ WorkerPool::finish_user(std::size_t wid, UserWork *work)
     // Only the scalar outcome leaves the worker; the decoded bits stay
     // in the processor's reused storage (no payload copy, no alloc).
     const phy::UserResult &result = work->proc.finish_reduce();
-    UserOutcome &out = work->parent->results[work->result_slot];
-    out.user_id = result.user_id;
-    out.checksum = result.checksum;
-    out.crc_ok = result.crc_ok;
-    out.crc_modelled = result.crc_modelled;
-    out.evm_rms = result.evm_rms;
-    out.decode_iterations = result.decode_iterations;
+    work->parent->set_result(work->result_slot, result);
     const auto end = std::chrono::steady_clock::now();
     account(wid, start, end, work->costs.tail_reduce);
     trace(wid, obs::SpanKind::kTailReduce, start, end, result.user_id);

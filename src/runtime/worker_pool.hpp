@@ -104,12 +104,8 @@ class WorkerPool
     /** Block until every submitted job has completed. */
     void wait_idle();
 
-    /**
-     * Block until @p job (previously submit()ted) has completed.
-     * Unlike wait_idle() this is per-job: other subframes may still be
-     * in flight — the streaming engine's replacement for the global
-     * barrier.
-     */
+    /** Block until @p job (previously submit()ted) has completed;
+     *  unlike wait_idle(), other subframes may still be in flight. */
     void wait_job(const SubframeJob &job);
 
     /**

@@ -28,7 +28,6 @@
 #include "mac/scheduler.hpp"
 #include "obs/trace.hpp"
 #include "runtime/engine.hpp"
-#include "runtime/multicell.hpp"
 
 namespace {
 
@@ -253,7 +252,7 @@ TEST(AllocFree, SerialEngineSteadyStateDoesNotAllocate)
 
 TEST(AllocFree, WorkStealingEngineSteadyStateDoesNotAllocate)
 {
-    expect_zero_alloc_steady_state(EngineKind::kWorkStealing);
+    expect_zero_alloc_steady_state(EngineKind::kStreaming);
 }
 
 TEST(AllocFree, SerialEngineTracingEnabledDoesNotAllocate)
@@ -266,7 +265,7 @@ TEST(AllocFree, SerialEngineTracingEnabledDoesNotAllocate)
 
 TEST(AllocFree, WorkStealingEngineTracingEnabledDoesNotAllocate)
 {
-    expect_zero_alloc_steady_state(EngineKind::kWorkStealing, true);
+    expect_zero_alloc_steady_state(EngineKind::kStreaming, true);
 }
 
 TEST(AllocFree, RealTurboSerialSteadyStateDoesNotAllocate)
@@ -280,7 +279,7 @@ TEST(AllocFree, RealTurboWorkStealingSteadyStateDoesNotAllocate)
 {
     // Regression: turbo_decode used to allocate its trellis state per
     // call, breaking the invariant the moment use_real_turbo was on.
-    expect_zero_alloc_steady_state(EngineKind::kWorkStealing,
+    expect_zero_alloc_steady_state(EngineKind::kStreaming,
                                    /*tracing=*/false,
                                    /*real_turbo=*/true);
 }
@@ -422,7 +421,7 @@ expect_zero_alloc_sample_plane(bool tracing)
     InPlaceSource source;
     io::FeedConfig cfg;
     cfg.lossless = true;
-    io::SampleFeed feed(transport, source, cfg);
+    io::MultiSampleFeed feed({{&transport, &source}}, cfg);
 
     obs::ObsConfig obs_cfg;
     obs_cfg.enabled = true;
@@ -574,7 +573,7 @@ TEST(AllocFree, MacClosedLoopSerialSteadyStateDoesNotAllocate)
 
 TEST(AllocFree, MacClosedLoopWorkStealingSteadyStateDoesNotAllocate)
 {
-    expect_zero_alloc_mac_closed_loop(EngineKind::kWorkStealing);
+    expect_zero_alloc_mac_closed_loop(EngineKind::kStreaming);
 }
 
 TEST(AllocFree, CounterSeesAllocations)

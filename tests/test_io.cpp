@@ -25,8 +25,6 @@
 #include "io/spsc_ring.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/input_generator.hpp"
-#include "runtime/multicell.hpp"
-#include "runtime/sample_source.hpp"
 #include "workload/paper_model.hpp"
 
 namespace lte::io {
@@ -366,6 +364,54 @@ TEST(IoCapture, RejectsMissingAndCorruptFiles)
         out << "NOTLTEIQ-garbage-header";
     }
     EXPECT_THROW(CaptureReader(file.path), std::runtime_error);
+
+    // Two one-user frames whose second frame ends in a symbol header
+    // one subcarrier wider than any subframe can carry.  Skipping must
+    // reject the width exactly as reading does, instead of seeking
+    // past it and silently misaligning a looped replay.
+    TempCapture wide("io_wide_symbol.iq");
+    runtime::InputGenerator input(generator_config());
+    phy::SubframeParams params;
+    params.users.push_back(
+        phy::UserParams{.id = 0, .prb = 6, .layers = 1,
+                        .mod = Modulation::kQpsk});
+    std::size_t n_sc = 0; // width of the file's last symbol
+    {
+        CaptureWriter writer(wide.path, input.config().n_antennas);
+        IqFrame frame;
+        for (std::uint64_t i = 0; i < 2; ++i) {
+            params.subframe_index = i;
+            frame.params = params;
+            input.signals_for(params, frame.signals);
+            writer.write(frame);
+        }
+        n_sc = frame.signals[0]->antennas.back().slots.back().back().size();
+    }
+    {
+        // The file ends with the last symbol's header and samples.
+        std::fstream patch(wide.path,
+                           std::ios::in | std::ios::out | std::ios::binary);
+        patch.seekg(0, std::ios::end);
+        const std::streamoff header =
+            static_cast<std::streamoff>(patch.tellg()) -
+            static_cast<std::streamoff>(n_sc * sizeof(cf32) +
+                                        sizeof(std::uint32_t));
+        std::uint32_t width = 0;
+        patch.seekg(header);
+        patch.read(reinterpret_cast<char *>(&width), sizeof width);
+        ASSERT_EQ(width, n_sc);
+        width =
+            static_cast<std::uint32_t>(kMaxPrbPerSubframe * kScPerPrb + 1);
+        patch.seekp(header);
+        patch.write(reinterpret_cast<const char *>(&width), sizeof width);
+    }
+    ReplaySource replay(wide.path, /*loop=*/true);
+    EXPECT_NO_THROW(replay.skip());
+    EXPECT_THROW(replay.skip(), std::runtime_error);
+    CaptureReader reader(wide.path);
+    IqFrame frame;
+    EXPECT_TRUE(reader.read_into(frame));
+    EXPECT_THROW(reader.read_into(frame), std::runtime_error);
 }
 
 // ------------------------------------------------------------- feed
@@ -390,7 +436,7 @@ TEST(IoFeed, LosslessFeedDeliversEveryTickInOrder)
     CountingSource source;
     FeedConfig cfg;
     cfg.lossless = true; // block on pool exhaustion, lose nothing
-    SampleFeed feed(transport, source, cfg);
+    MultiSampleFeed feed({{&transport, &source}}, cfg);
 
     const std::uint64_t n = 200;
     feed.start(n);

@@ -616,7 +616,7 @@ TEST(MacPinned, PinnedGrantsAreBitIdenticalToSeedEngines)
     const std::size_t n = 25;
 
     runtime::EngineConfig ref_cfg;
-    ref_cfg.kind = runtime::EngineKind::kWorkStealing;
+    ref_cfg.kind = runtime::EngineKind::kStreaming;
     ref_cfg.pool.n_workers = 4;
     ref_cfg.input.pool_size = 4;
     ref_cfg.input.seed = 77;

@@ -18,7 +18,7 @@
 
 #include "common/rng.hpp"
 #include "mgmt/core_allocator.hpp"
-#include "runtime/multicell.hpp"
+#include "runtime/engine.hpp"
 #include "workload/paper_model.hpp"
 #include "workload/steady_model.hpp"
 

@@ -411,8 +411,7 @@ TEST(ObsIntegration, MetricsWithoutTracingStillCount)
     user.layers = 2;
     user.mod = Modulation::k16Qam;
     for (EngineKind kind :
-         {EngineKind::kSerial, EngineKind::kWorkStealing,
-          EngineKind::kStreaming}) {
+         {EngineKind::kSerial, EngineKind::kStreaming}) {
         EngineConfig cfg;
         cfg.kind = kind;
         cfg.pool.n_workers = 2;

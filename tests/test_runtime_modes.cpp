@@ -3,11 +3,11 @@
  * Runtime mode tests beyond the core validation suite: DELTA-paced
  * dispatch timing, realistic-signal mode (every CRC green through the
  * parallel pipeline), input-pool semantics, flow control, and
- * engine-parity checks through the unified Engine interface.
+ * engine-parity checks between the serial and pooled engine kinds.
  */
 #include <gtest/gtest.h>
 
-#include "runtime/benchmark.hpp"
+#include "runtime/engine.hpp"
 #include "workload/paper_model.hpp"
 #include "workload/steady_model.hpp"
 
@@ -29,26 +29,26 @@ TEST(DeltaPacing, DispatchRateIsHonoured)
 {
     // 20 subframes at DELTA = 5 ms must take at least ~95 ms even
     // though the work itself is tiny.
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.pool.n_workers = 2;
     cfg.delta_ms = 5.0;
     cfg.input.pool_size = 2;
-    UplinkBenchmark bench(cfg);
+    auto bench = make_engine(cfg);
     workload::SteadyModel model(small_user());
-    const RunRecord record = bench.run(model, 20);
+    const RunRecord record = bench->run(model, 20);
     EXPECT_EQ(record.subframes.size(), 20u);
     EXPECT_GT(record.wall_seconds, 0.09);
 }
 
 TEST(RealisticMode, AllCrcsPassThroughParallelPipeline)
 {
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.pool.n_workers = 3;
     cfg.input.realistic = true;
     cfg.input.snr_db = 30.0;
-    UplinkBenchmark bench(cfg);
+    auto bench = make_engine(cfg);
     workload::SteadyModel model(small_user());
-    const RunRecord record = bench.run(model, 12);
+    const RunRecord record = bench->run(model, 12);
     EXPECT_DOUBLE_EQ(record.crc_pass_rate(), 1.0);
 }
 
@@ -110,12 +110,12 @@ TEST(FlowControl, MaxInFlightRespected)
 {
     // max_in_flight = 1 serialises subframes; the run must still
     // complete and produce every result.
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.pool.n_workers = 2;
     cfg.max_in_flight = 1;
-    UplinkBenchmark bench(cfg);
+    auto bench = make_engine(cfg);
     workload::SteadyModel model(small_user());
-    const RunRecord record = bench.run(model, 10);
+    const RunRecord record = bench->run(model, 10);
     EXPECT_EQ(record.subframes.size(), 10u);
     for (const auto &sf : record.subframes)
         EXPECT_EQ(sf.users.size(), 1u);
@@ -159,7 +159,7 @@ TEST(EngineParity, SerialAndWorkStealingAreBitIdentical)
     const RunRecord ref = serial->run(serial_model, n);
 
     auto parallel =
-        make_engine(parity_config(EngineKind::kWorkStealing));
+        make_engine(parity_config(EngineKind::kStreaming));
     workload::PaperModel parallel_model(randomized_model_config());
     const RunRecord record = parallel->run(parallel_model, n);
 
@@ -175,7 +175,7 @@ TEST(EngineParity, ProcessSubframeMatchesAcrossEngines)
     // including CRC outcomes, over a randomized sequence.
     auto serial = make_engine(parity_config(EngineKind::kSerial));
     auto parallel =
-        make_engine(parity_config(EngineKind::kWorkStealing));
+        make_engine(parity_config(EngineKind::kStreaming));
 
     workload::PaperModel model(randomized_model_config());
     std::size_t users_seen = 0;
@@ -202,25 +202,24 @@ TEST(EngineFactory, MakesTheRequestedKind)
     cfg.kind = EngineKind::kSerial;
     EXPECT_STREQ(make_engine(cfg)->name(), "serial");
     EXPECT_EQ(make_engine(cfg)->worker_pool(), nullptr);
-    cfg.kind = EngineKind::kWorkStealing;
+    cfg.kind = EngineKind::kStreaming;
     cfg.pool.n_workers = 2;
     auto ws = make_engine(cfg);
-    EXPECT_STREQ(ws->name(), "work-stealing");
+    EXPECT_STREQ(ws->name(), "streaming");
     ASSERT_NE(ws->worker_pool(), nullptr);
     EXPECT_EQ(ws->worker_pool()->n_workers(), 2u);
     EXPECT_STREQ(engine_kind_name(EngineKind::kSerial), "serial");
-    EXPECT_STREQ(engine_kind_name(EngineKind::kWorkStealing),
-                 "work-stealing");
+    EXPECT_STREQ(engine_kind_name(EngineKind::kStreaming), "streaming");
 }
 
 TEST(Config, RejectsInvalidBenchmarkConfig)
 {
-    UplinkBenchmarkConfig cfg;
+    EngineConfig cfg;
     cfg.max_in_flight = 0;
-    EXPECT_THROW(UplinkBenchmark bench(cfg), std::invalid_argument);
+    EXPECT_THROW(make_engine(cfg), std::invalid_argument);
     cfg = {};
     cfg.delta_ms = -1.0;
-    EXPECT_THROW(UplinkBenchmark bench(cfg), std::invalid_argument);
+    EXPECT_THROW(make_engine(cfg), std::invalid_argument);
 }
 
 } // namespace

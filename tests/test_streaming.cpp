@@ -1,7 +1,8 @@
 /**
  * @file
- * Streaming-engine tests: lossless parity with the lock-step engines,
- * admission accounting under overload (shed + completed == submitted),
+ * Streaming-engine tests: lossless parity with the serial reference,
+ * admission accounting under overload (shed + completed == submitted,
+ * per lane at one and two cells),
  * shed-policy behaviour, degraded-chain fallback and deadline-bounded
  * latency.  Suite names start with "Streaming" so the tsan preset's
  * test filter picks them up (multiple subframes genuinely execute
@@ -93,14 +94,14 @@ as_streaming(const Engine &engine)
 
 TEST(StreamingParity, LosslessSerialisedRunMatchesWorkStealing)
 {
-    // max_in_flight = 1 and an infinite deadline: the streaming engine
+    // max_in_flight = 1 and an infinite deadline: the engine
     // degenerates to lock-step processing with backpressure, so its
-    // output must be bit-identical to the work-stealing engine over
-    // the same randomized model stream (paper Sec. IV-D, extended to
-    // the streaming pipeline).
+    // output must be bit-identical to the default pipelined engine
+    // over the same randomized model stream (paper Sec. IV-D,
+    // extended to the streaming pipeline).
     const std::size_t n = 25;
 
-    auto reference = make_engine(parity_config(EngineKind::kWorkStealing));
+    auto reference = make_engine(parity_config(EngineKind::kStreaming));
     workload::PaperModel ref_model(randomized_model_config());
     const RunRecord ref = reference->run(ref_model, n);
 
@@ -202,39 +203,79 @@ TEST(StreamingConfig, RejectsInvalidStreamingConfig)
 TEST(StreamingOverload, AccountingBalancesUnderEveryPolicy)
 {
     // The load-shedding soak: offered load far beyond capacity; every
-    // arrival must be accounted for exactly once.
+    // arrival must be accounted for exactly once, on every lane.
     const std::size_t n = 60;
-    for (ShedPolicy policy :
-         {ShedPolicy::kDropNewest, ShedPolicy::kDropOldest,
-          ShedPolicy::kDegrade}) {
-        EngineConfig cfg = overload_config(policy);
-        cfg.obs.metrics_enabled = true;
-        auto engine = make_engine(cfg);
-        workload::SteadyModel model(heavy_user());
-        const RunRecord record = engine->run(model, n);
+    for (const std::size_t cells : {1u, 2u}) {
+        for (ShedPolicy policy :
+             {ShedPolicy::kDropNewest, ShedPolicy::kDropOldest,
+              ShedPolicy::kDegrade}) {
+            MultiCellConfig cfg;
+            cfg.n_cells = cells;
+            cfg.engine = overload_config(policy);
+            cfg.engine.obs.metrics_enabled = true;
+            MultiCellEngine engine(cfg);
+            std::vector<workload::SteadyModel> models(
+                cells, workload::SteadyModel(heavy_user()));
+            std::vector<workload::ParameterModel *> ptrs;
+            for (auto &model : models)
+                ptrs.push_back(&model);
+            const MultiCellRunRecord record = engine.run(ptrs, n);
+            const std::string ctx = std::string(shed_policy_name(policy)) +
+                                    ", " + std::to_string(cells) +
+                                    " cell(s)";
 
-        const auto &stats = as_streaming(*engine).shed_stats();
-        EXPECT_EQ(stats.submitted, n) << shed_policy_name(policy);
-        EXPECT_EQ(stats.shed + stats.completed, stats.submitted)
-            << shed_policy_name(policy);
-        EXPECT_EQ(stats.shed_queue_full + stats.shed_expired, stats.shed)
-            << shed_policy_name(policy);
-        EXPECT_GT(stats.shed, 0u)
-            << shed_policy_name(policy)
-            << ": 20x overload should force shedding";
-        EXPECT_GT(stats.completed, 0u) << shed_policy_name(policy);
-        EXPECT_EQ(record.subframes.size(), stats.completed)
-            << shed_policy_name(policy);
+            // The same invariant must be visible through the metrics
+            // registry (metrics without tracing — the accounting
+            // bugfix), per cell and in aggregate.
+            ASSERT_EQ(engine.tracer(), nullptr);
+            ASSERT_NE(engine.metrics(), nullptr);
+            auto &m = *engine.metrics();
+            ShedStats total;
+            for (std::size_t c = 0; c < cells; ++c) {
+                const ShedStats &stats = engine.shed_stats(c);
+                EXPECT_EQ(stats.submitted, n) << ctx;
+                EXPECT_EQ(stats.shed + stats.completed, stats.submitted)
+                    << ctx;
+                EXPECT_EQ(stats.shed_queue_full + stats.shed_expired,
+                          stats.shed)
+                    << ctx;
+                EXPECT_GT(stats.shed, 0u)
+                    << ctx << ": 20x overload should force shedding";
+                EXPECT_EQ(record.cells[c].subframes.size(), stats.completed)
+                    << ctx;
 
-        // The same invariant must be visible through the metrics
-        // registry (metrics without tracing — the accounting bugfix).
-        ASSERT_EQ(engine->tracer(), nullptr);
-        ASSERT_NE(engine->metrics(), nullptr);
-        auto &m = *engine->metrics();
-        EXPECT_EQ(m.counter("engine.submitted").value(), stats.submitted);
-        EXPECT_EQ(m.counter("engine.shed").value(), stats.shed);
-        EXPECT_EQ(m.counter("engine.completed").value(), stats.completed);
-        EXPECT_EQ(m.counter("engine.degraded").value(), stats.degraded);
+                const std::string cell =
+                    "engine.cell" + std::to_string(engine.cell_id(c));
+                EXPECT_EQ(m.counter(cell + ".submitted").value(),
+                          stats.submitted)
+                    << ctx;
+                EXPECT_EQ(m.counter(cell + ".shed").value(), stats.shed)
+                    << ctx;
+                EXPECT_EQ(m.counter(cell + ".completed").value(),
+                          stats.completed)
+                    << ctx;
+                EXPECT_EQ(m.counter(cell + ".degraded").value(),
+                          stats.degraded)
+                    << ctx;
+                total.submitted += stats.submitted;
+                total.shed += stats.shed;
+                total.completed += stats.completed;
+                total.degraded += stats.degraded;
+            }
+            // A lane can starve when every admission opportunity finds
+            // its queue head expired (slow sanitizer builds), so only
+            // the run as a whole must complete work.
+            EXPECT_GT(total.completed, 0u) << ctx;
+            EXPECT_EQ(m.counter("engine.submitted").value(),
+                      total.submitted)
+                << ctx;
+            EXPECT_EQ(m.counter("engine.shed").value(), total.shed) << ctx;
+            EXPECT_EQ(m.counter("engine.completed").value(),
+                      total.completed)
+                << ctx;
+            EXPECT_EQ(m.counter("engine.degraded").value(), total.degraded)
+                << ctx;
+        }
     }
 }
 

@@ -147,7 +147,7 @@ TEST(TaskGraph, DigestParityWithSerialAcrossLayersAndAntennas)
         auto serial = make_engine(
             graph_config(EngineKind::kSerial, 1, n_antennas));
         auto ws = make_engine(
-            graph_config(EngineKind::kWorkStealing, n_workers,
+            graph_config(EngineKind::kStreaming, n_workers,
                          n_antennas));
         auto streaming = make_engine(
             graph_config(EngineKind::kStreaming, n_workers,
@@ -173,7 +173,7 @@ TEST(TaskGraph, SingleWorkerCompletesMaximalTailFanOut)
     // The 200-PRB 4-layer user seeds 48 tail tasks from one final
     // demod decrement, the largest burst the graph can produce.
     auto serial = make_engine(graph_config(EngineKind::kSerial, 1, 4));
-    auto one = make_engine(graph_config(EngineKind::kWorkStealing, 1, 4));
+    auto one = make_engine(graph_config(EngineKind::kStreaming, 1, 4));
     const phy::SubframeParams sf = graph_subframe(0);
     const SubframeOutcome ref = serial->process_subframe(sf);
     expect_user_parity(ref, one->process_subframe(sf), "one-worker");
@@ -186,7 +186,7 @@ TEST(TaskGraph, ContinuationSoakStableUnderStealing)
     // publish and enqueue continuations.  The digest must never move.
     const std::size_t n_workers = workers_from_env();
     auto serial = make_engine(graph_config(EngineKind::kSerial, 1, 4));
-    auto ws = make_engine(graph_config(EngineKind::kWorkStealing,
+    auto ws = make_engine(graph_config(EngineKind::kStreaming,
                                        n_workers, 4, /*tracing=*/true));
     const phy::SubframeParams sf = graph_subframe(1);
     for (int iter = 0; iter < 40; ++iter) {
@@ -204,7 +204,7 @@ TEST(TaskGraph, ContinuationSoakStableUnderStealing)
 TEST(TaskGraph, TailSpansAreTraced)
 {
     auto ws = make_engine(
-        graph_config(EngineKind::kWorkStealing, 3, 4, /*tracing=*/true));
+        graph_config(EngineKind::kStreaming, 3, 4, /*tracing=*/true));
     ws->process_subframe(graph_subframe(2));
     ASSERT_NE(ws->tracer(), nullptr);
     std::size_t tail_cb = 0, tail_reduce = 0;
@@ -232,7 +232,7 @@ TEST(TaskGraph, RealTurboDigestParityWithSerial)
     const std::size_t n_workers = workers_from_env();
     auto serial = make_engine(real_turbo_config(EngineKind::kSerial, 1));
     auto ws = make_engine(
-        real_turbo_config(EngineKind::kWorkStealing, n_workers));
+        real_turbo_config(EngineKind::kStreaming, n_workers));
     auto streaming = make_engine(
         real_turbo_config(EngineKind::kStreaming, n_workers));
     for (std::uint64_t i = 0; i < 2; ++i) {
@@ -261,7 +261,7 @@ TEST(TaskGraph, DecodeSpansFanOutAcrossWorkers)
     // worker that ran the last tail codeblock.  The 200-PRB 4-layer
     // 64QAM monster segments into 19 turbo code blocks.
     auto ws = make_engine(
-        real_turbo_config(EngineKind::kWorkStealing, 4, /*tracing=*/true));
+        real_turbo_config(EngineKind::kStreaming, 4, /*tracing=*/true));
     phy::SubframeParams sf;
     phy::UserParams user;
     user.id = 0;
