@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the DSP kernels the receive
  * chain is built from: FFT plans across size classes, channel
  * estimation, MMSE combiner weights, antenna combining, soft
- * demapping, interleaving, CRC, and the turbo codec extension.
+ * demapping, interleaving, CRC, soft descrambling, the per-user tail
+ * tasks, and the turbo codec extension.
  */
 #include <benchmark/benchmark.h>
 
@@ -323,6 +324,62 @@ BM_GoldSequence(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()) * 14400);
 }
 BENCHMARK(BM_GoldSequence);
+
+/** Soft descrambling of one tail codeblock's slice (6144 LLRs) at a
+ *  nonzero codeword offset, so the Gold jump is part of the cost. */
+void
+BM_DescrambleSoft(benchmark::State &state)
+{
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const std::size_t offset = 2 * n;
+    Rng rng(13);
+    std::vector<Llr> llrs(n);
+    for (auto &v : llrs)
+        v = static_cast<float>(rng.next_gaussian());
+    const std::uint32_t init = phy::scrambling_init(3);
+    for (auto _ : state) {
+        phy::descramble_soft_inplace(llrs, init, offset);
+        benchmark::DoNotOptimize(llrs.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_DescrambleSoft)->Arg(6144);
+
+/**
+ * Every tail task of one 50-PRB single-layer user (600 subcarriers x
+ * 12 data symbols): deinterleave, soft demap, EVM, descramble and
+ * harden, per modulation.  Items are LLRs.
+ */
+void
+BM_TailTask(benchmark::State &state)
+{
+    phy::UserParams params;
+    params.prb = 50;
+    params.layers = 1;
+    params.mod = static_cast<Modulation>(state.range(0));
+    const phy::ReceiverConfig cfg;
+    Rng rng(17);
+    const auto signal = channel::random_user_signal(params, cfg.n_antennas,
+                                                    rng);
+    phy::UserProcessor proc(cfg);
+    proc.bind(params, &signal);
+    for (std::size_t t = 0; t < proc.n_chanest_tasks(); ++t)
+        proc.run_chanest_task(t);
+    proc.compute_weights();
+    for (std::size_t t = 0; t < proc.n_demod_tasks(); ++t)
+        proc.run_demod_task(t);
+    for (auto _ : state) {
+        for (std::size_t t = 0; t < proc.n_tail_tasks(); ++t)
+            proc.run_tail_task(t);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(phy::capacity_bits(params)));
+}
+BENCHMARK(BM_TailTask)->Arg(0)->Arg(1)->Arg(2);
 
 void
 BM_ScFdmaModulate(benchmark::State &state)

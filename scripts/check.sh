@@ -32,11 +32,12 @@ run_preset release
 echo "==> release real-turbo leg (LTE_REAL_TURBO=1)"
 LTE_REAL_TURBO=1 ./build/tests/test_task_graph
 
-# Turbo micro-bench smoke: prove the decode benches (both twins) run;
-# real measurements use longer repetitions (see README).
-echo "==> turbo micro-bench smoke"
+# Micro-bench smoke: prove the decode benches (both twins) and the
+# bit back-end benches (soft descrambling, per-user tail tasks, CRC-24)
+# run; real measurements use longer repetitions (see README).
+echo "==> turbo and bit back-end micro-bench smoke"
 ./build/bench/kernels_micro \
-    --benchmark_filter='TurboDecode(Simd|Scalar)' \
+    --benchmark_filter='TurboDecode(Simd|Scalar)|Descramble|TailTask|Crc24' \
     --benchmark_min_time=0.05
 
 # Multi-cell sweep: the cell-count-bearing suites honour LTE_CELLS, so

@@ -2,8 +2,10 @@
  * @file
  * Cyclic redundancy checks used by LTE transport-channel processing
  * (3GPP TS 36.212 Sec. 5.1.1): CRC-24A for transport blocks and
- * CRC-24B for code blocks.  Bit-oriented implementation matching the
- * spec's polynomial division over GF(2).
+ * CRC-24B for code blocks, computing the spec's MSB-first polynomial
+ * division over GF(2).  CRC-24A and CRC-24B advance a byte per step
+ * through static 256-entry tables; any other polynomial takes the
+ * bit-serial reference path.
  */
 #ifndef LTE_PHY_CRC_HPP
 #define LTE_PHY_CRC_HPP
@@ -27,6 +29,7 @@ inline constexpr std::uint32_t kCrc24BPoly = 0x800063;
  * Compute a 24-bit CRC over a bit sequence (one bit per byte, values
  * 0/1), MSB-first, zero initial state, as specified by TS 36.212.
  * Takes a view, so vectors and workspace spans both work heap-free.
+ * Throws std::invalid_argument if any entry is not 0 or 1.
  */
 std::uint32_t crc24(BitView bits, std::uint32_t poly = kCrc24APoly);
 

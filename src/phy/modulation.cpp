@@ -323,6 +323,91 @@ nearest_point_distance2(cf32 y, Modulation mod)
     return best_i + best_q;
 }
 
+namespace {
+
+/** One axis of nearest_point_distance2 with the levels hoisted: the
+ *  same expressions in the same level order. */
+template <std::size_t kPatterns>
+float
+axis_distance2(const float (&levels)[kPatterns], float v)
+{
+    float best = std::numeric_limits<float>::max();
+    for (std::size_t p = 0; p < kPatterns; ++p) {
+        const float d = v - levels[p];
+        best = std::min(best, d * d);
+    }
+    return best;
+}
+
+#if defined(LTE_SIMD_ENABLED)
+
+/** Lane-wise std::min(best, d): keeps best when d is NaN on every
+ *  backend (a bare vmin follows each ISA's own NaN rule). */
+inline simd::vf
+min_keep(simd::vf best, simd::vf d)
+{
+    return simd::vselect(simd::vgt(best, d), d, best);
+}
+
+#endif // LTE_SIMD_ENABLED
+
+template <std::size_t kPatterns>
+double
+accumulate_distance2(CfView symbols, const AxisTable &table, double acc)
+{
+    float levels[kPatterns];
+    for (std::size_t p = 0; p < kPatterns; ++p)
+        levels[p] = table.levels[p];
+
+    const std::size_t n = symbols.size();
+    std::size_t s = 0;
+#if defined(LTE_SIMD_ENABLED)
+    simd::vf lv[kPatterns];
+    for (std::size_t p = 0; p < kPatterns; ++p)
+        lv[p] = simd::vf::set1(levels[p]);
+    const simd::vf flt_max =
+        simd::vf::set1(std::numeric_limits<float>::max());
+    for (; s + simd::kLanes <= n; s += simd::kLanes) {
+        const simd::cvf y = simd::cload(symbols.data() + s);
+        simd::vf best_i = flt_max;
+        simd::vf best_q = flt_max;
+        for (std::size_t p = 0; p < kPatterns; ++p) {
+            const simd::vf di = y.re - lv[p];
+            const simd::vf dq = y.im - lv[p];
+            best_i = min_keep(best_i, di * di);
+            best_q = min_keep(best_q, dq * dq);
+        }
+        float dist[simd::kLanes];
+        (best_i + best_q).store(dist);
+        // The running sum stays serial: lane order is symbol order.
+        for (std::size_t j = 0; j < simd::kLanes; ++j)
+            acc += dist[j];
+    }
+#endif
+    for (; s < n; ++s) {
+        acc += axis_distance2(levels, symbols[s].real()) +
+               axis_distance2(levels, symbols[s].imag());
+    }
+    return acc;
+}
+
+} // namespace
+
+double
+accumulate_nearest_distance2(CfView symbols, Modulation mod, double acc)
+{
+    const AxisTable &table = axis_table(mod);
+    switch (mod) {
+      case Modulation::kQpsk:
+        return accumulate_distance2<2>(symbols, table, acc);
+      case Modulation::k16Qam:
+        return accumulate_distance2<4>(symbols, table, acc);
+      case Modulation::k64Qam:
+        return accumulate_distance2<8>(symbols, table, acc);
+    }
+    return acc;
+}
+
 void
 hard_decision_into(LlrView llrs, BitSpan out)
 {

@@ -77,6 +77,17 @@ void demodulate_soft_scalar_into(CfView symbols, Modulation mod,
  */
 float nearest_point_distance2(cf32 y, Modulation mod);
 
+/**
+ * EVM accumulation over a block of symbols: returns @p acc plus
+ * nearest_point_distance2(y, mod) of every symbol, each float distance
+ * widened and added to the double in symbol order.  Bit-identical to
+ * the per-symbol loop (NaN components included), but the level table
+ * is resolved once per call and, with LTE_SIMD=ON, the distances are
+ * computed a vector of symbols at a time.
+ */
+double accumulate_nearest_distance2(CfView symbols, Modulation mod,
+                                    double acc);
+
 /** Hard decisions from LLRs (LLR >= 0 -> bit 0). */
 std::vector<std::uint8_t> hard_decision(const std::vector<Llr> &llrs);
 

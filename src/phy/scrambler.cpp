@@ -1,7 +1,9 @@
 #include "phy/scrambler.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 
 #include "common/check.hpp"
 
@@ -100,6 +102,8 @@ GoldStream::skip(std::size_t n)
 {
     // Below ~2 matrix hops the plain steps win.
     if (n < 64) {
+        for (; n >= kBlockBits; n -= kBlockBits)
+            next_block();
         while (n-- > 0)
             advance();
         return;
@@ -115,14 +119,68 @@ GoldStream::skip(std::size_t n)
     }
 }
 
+namespace {
+
+/**
+ * The one Gold bit path shared by the transmitter and the receiver:
+ * walk @p n sequence bits a block at a time, calling
+ * f(i, c, len) with c(i .. i + len) in the low @p len bits of c.
+ */
+template <class F>
+void
+for_each_gold_block(GoldStream &stream, std::size_t n, F &&f)
+{
+    for (std::size_t i = 0; i < n; i += GoldStream::kBlockBits) {
+        const std::uint32_t c = stream.next_block();
+        f(i, c, std::min(GoldStream::kBlockBits, n - i));
+    }
+}
+
+/** kNibbleSigns[v][j]: the float sign bit when bit j of v is set. */
+constexpr auto kNibbleSigns = [] {
+    std::array<std::array<std::uint32_t, 4>, 16> t{};
+    for (std::uint32_t v = 0; v < 16; ++v) {
+        for (std::uint32_t j = 0; j < 4; ++j)
+            t[v][j] = ((v >> j) & 1u) << 31;
+    }
+    return t;
+}();
+
+/** XOR the sign bit of p[j] with bit j of @p c, j < len (≤ 28).  Four
+ *  lanes per table row: the compiler emits one vector XOR each. */
+void
+flip_signs(Llr *p, std::uint32_t c, std::size_t len)
+{
+    std::size_t j = 0;
+    for (; j + 4 <= len; j += 4, c >>= 4) {
+        std::uint32_t u[4];
+        std::memcpy(u, p + j, sizeof u);
+        for (std::size_t k = 0; k < 4; ++k)
+            u[k] ^= kNibbleSigns[c & 0xFu][k];
+        std::memcpy(p + j, u, sizeof u);
+    }
+    for (; j < len; ++j, c >>= 1) {
+        const std::uint32_t u =
+            std::bit_cast<std::uint32_t>(p[j]) ^ ((c & 1u) << 31);
+        p[j] = std::bit_cast<Llr>(u);
+    }
+}
+
+} // namespace
+
 std::vector<std::uint8_t>
 gold_sequence(std::uint32_t c_init, std::size_t length)
 {
     GoldStream stream(c_init);
-    std::vector<std::uint8_t> c(length);
-    for (std::size_t n = 0; n < length; ++n)
-        c[n] = stream.next();
-    return c;
+    std::vector<std::uint8_t> seq(length);
+    for_each_gold_block(stream, length,
+                        [&](std::size_t i, std::uint32_t c,
+                            std::size_t len) {
+                            for (std::size_t j = 0; j < len; ++j)
+                                seq[i + j] = static_cast<std::uint8_t>(
+                                    (c >> j) & 1u);
+                        });
+    return seq;
 }
 
 std::uint32_t
@@ -135,12 +193,13 @@ scrambling_init(std::uint32_t user_id, std::uint32_t cell_id)
 std::vector<std::uint8_t>
 scramble(const std::vector<std::uint8_t> &bits, std::uint32_t c_init)
 {
-    GoldStream stream(c_init);
-    std::vector<std::uint8_t> out(bits.size());
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        LTE_CHECK(bits[i] <= 1, "bits must be 0 or 1");
-        out[i] = bits[i] ^ stream.next();
-    }
+    std::uint8_t seen = 0;
+    for (std::uint8_t b : bits)
+        seen |= b;
+    LTE_CHECK(seen <= 1, "bits must be 0 or 1");
+    std::vector<std::uint8_t> out = gold_sequence(c_init, bits.size());
+    for (std::size_t i = 0; i < bits.size(); ++i)
+        out[i] ^= bits[i];
     return out;
 }
 
@@ -156,10 +215,11 @@ descramble_soft_inplace(LlrSpan llrs, std::uint32_t c_init,
 {
     GoldStream stream(c_init);
     stream.skip(skip_bits);
-    for (Llr &v : llrs) {
-        if (stream.next())
-            v = -v;
-    }
+    for_each_gold_block(stream, llrs.size(),
+                        [&](std::size_t i, std::uint32_t c,
+                            std::size_t len) {
+                            flip_signs(llrs.data() + i, c, len);
+                        });
 }
 
 std::vector<Llr>

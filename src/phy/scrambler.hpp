@@ -8,6 +8,7 @@
 #ifndef LTE_PHY_SCRAMBLER_HPP
 #define LTE_PHY_SCRAMBLER_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,26 +20,42 @@ namespace lte::phy {
  * Streaming generator of the TS 36.211 Sec. 7.2 pseudo-random sequence
  * c(n): two length-31 LFSRs advanced Nc = 1600 steps past
  * initialisation.  O(1) state, no heap — the register bit i holds
- * x(n + i), so stepping is a shift-right with a new feedback bit at
- * position 30.
+ * x(n + i).  The generator is word-parallel: one next_block() call
+ * yields kBlockBits sequence bits, because both recurrences reach at
+ * most 3 taps ahead, so a 31-bit register holds the inputs of 28 new
+ * feedback bits at once.
  */
 class GoldStream
 {
   public:
+    /** Sequence bits produced per next_block() call. */
+    static constexpr std::size_t kBlockBits = 28;
+
     explicit GoldStream(std::uint32_t c_init)
         : x1_(1u), x2_(c_init & 0x7FFFFFFFu)
     {
         skip(kNc);
     }
 
-    /** The next sequence bit c(n). */
-    std::uint8_t
-    next()
+    /**
+     * The next kBlockBits sequence bits: bit i of the result is
+     * c(n + i).  Each register shifts down 28 places and takes 28
+     * feedback bits, computed word-wide from
+     *   x1(n+31) = x1(n+3) + x1(n)
+     *   x2(n+31) = x2(n+3) + x2(n+2) + x2(n+1) + x2(n)   (mod 2)
+     * for n .. n + 27 (the highest tap read is bit 30).
+     */
+    std::uint32_t
+    next_block()
     {
-        const auto bit =
-            static_cast<std::uint8_t>((x1_ ^ x2_) & 1u);
-        advance();
-        return bit;
+        constexpr std::uint32_t kMask = (1u << kBlockBits) - 1u;
+        const std::uint32_t c = (x1_ ^ x2_) & kMask;
+        const std::uint32_t f1 = ((x1_ >> 3) ^ x1_) & kMask;
+        const std::uint32_t f2 =
+            ((x2_ >> 3) ^ (x2_ >> 2) ^ (x2_ >> 1) ^ x2_) & kMask;
+        x1_ = (x1_ >> kBlockBits) | (f1 << 3);
+        x2_ = (x2_ >> kBlockBits) | (f2 << 3);
+        return c;
     }
 
     /**
@@ -55,11 +72,10 @@ class GoldStream
   private:
     static constexpr int kNc = 1600;
 
+    /** One single-bit step of both registers (short skips). */
     void
     advance()
     {
-        // x1(n+31) = x1(n+3) + x1(n); x2(n+31) = x2(n+3) + x2(n+2)
-        //            + x2(n+1) + x2(n)   (mod 2)
         const std::uint32_t n1 = ((x1_ >> 3) ^ x1_) & 1u;
         const std::uint32_t n2 =
             ((x2_ >> 3) ^ (x2_ >> 2) ^ (x2_ >> 1) ^ x2_) & 1u;
@@ -91,7 +107,9 @@ std::vector<std::uint8_t> scramble(const std::vector<std::uint8_t> &bits,
 
 /**
  * Soft descrambling: negate the LLRs whose scrambling bit is 1 (a
- * scrambled 0 arrives as 1 and vice versa).
+ * scrambled 0 arrives as 1 and vice versa).  The negation XORs the
+ * float's sign bit, which is bit-identical to `v = -v` for every
+ * value, ±0, ±inf and NaN included, and needs no branch per LLR.
  */
 std::vector<Llr> descramble_soft(const std::vector<Llr> &llrs,
                                  std::uint32_t c_init);

@@ -181,6 +181,19 @@ UserProcessor::equalised_slice(std::size_t slot, std::size_t layer,
         (layer * kDataSymbolsPerSlot + data_symbol) * m, m);
 }
 
+CfView
+UserProcessor::equalised(std::size_t slot, std::size_t layer,
+                         std::size_t data_symbol) const
+{
+    LTE_CHECK(bound_, "processor is not bound to a subframe");
+    LTE_CHECK(slot < kSlotsPerSubframe && layer < params_.layers &&
+                  data_symbol < kDataSymbolsPerSlot,
+              "equalised block out of range");
+    const std::size_t m = params_.sc_in_slot(slot);
+    return CfView(equalised_[slot])
+        .subspan((layer * kDataSymbolsPerSlot + data_symbol) * m, m);
+}
+
 std::size_t
 UserProcessor::n_chanest_tasks() const
 {
@@ -332,10 +345,8 @@ UserProcessor::run_tail_task(std::size_t task_index)
         demodulate_soft_into(deint, params_.mod, noise_var_,
                              llrs_.subspan(off, m * bps));
         off += m * bps;
-        for (const cf32 &y : deint) {
-            evm_acc += nearest_point_distance2(y, params_.mod);
-            ++evm_n;
-        }
+        evm_acc = accumulate_nearest_distance2(deint, params_.mod, evm_acc);
+        evm_n += m;
     }
     LTE_ASSERT(off == bit_offset + n_bits,
                "codeblock LLR count mismatch");

@@ -233,6 +233,14 @@ class UserProcessor
     const UserParams &params() const { return params_; }
     const ReceiverConfig &config() const { return config_; }
 
+    /**
+     * Equalised time-domain samples of (slot, layer, data symbol) as
+     * the tail reads them, before deinterleaving; valid once the
+     * stage-2 tasks have run (observability/tests).
+     */
+    CfView equalised(std::size_t slot, std::size_t layer,
+                     std::size_t data_symbol) const;
+
     /** Workspace high-water mark in bytes (observability/tests). */
     std::size_t workspace_bytes() const { return arena_.capacity(); }
 

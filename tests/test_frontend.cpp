@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numbers>
 
 #include "common/rng.hpp"
@@ -66,6 +68,112 @@ TEST(Gold, DeterministicPrefix)
     const auto b = gold_sequence(777, 1000);
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(a[i], b[i]);
+}
+
+/**
+ * Bit-serial reference for c(n): the TS 36.211 Sec. 7.2 recurrences
+ * one bit at a time, Nc = 1600 steps past initialisation — the form
+ * the word-parallel GoldStream must reproduce.
+ */
+std::vector<std::uint8_t>
+serial_gold(std::uint32_t c_init, std::size_t length)
+{
+    constexpr std::size_t kNc = 1600;
+    std::uint32_t x1 = 1u;
+    std::uint32_t x2 = c_init & 0x7FFFFFFFu;
+    std::vector<std::uint8_t> c(length);
+    for (std::size_t n = 0; n < kNc + length; ++n) {
+        if (n >= kNc)
+            c[n - kNc] = static_cast<std::uint8_t>((x1 ^ x2) & 1u);
+        const std::uint32_t n1 = ((x1 >> 3) ^ x1) & 1u;
+        const std::uint32_t n2 = ((x2 >> 3) ^ (x2 >> 2) ^ (x2 >> 1) ^ x2) & 1u;
+        x1 = (x1 >> 1) | (n1 << 30);
+        x2 = (x2 >> 1) | (n2 << 30);
+    }
+    return c;
+}
+
+TEST(Gold, BlockGeneratorMatchesBitSerialReference)
+{
+    for (std::uint32_t init : {0u, 1u, scrambling_init(7), 0x7FFFFFFFu}) {
+        const auto ref = serial_gold(init, 300);
+        for (std::size_t len = 0; len <= 130; ++len) {
+            const auto c = gold_sequence(init, len);
+            ASSERT_EQ(c, std::vector<std::uint8_t>(
+                             ref.begin(), ref.begin() +
+                                              static_cast<std::ptrdiff_t>(
+                                                  len)))
+                << "init " << init << " length " << len;
+        }
+    }
+}
+
+TEST(Scrambler, ScrambleXorsTheBitSerialSequence)
+{
+    const std::uint32_t init = scrambling_init(11);
+    for (std::size_t len : {0u, 1u, 27u, 28u, 29u, 56u, 57u, 1000u}) {
+        const auto bits = random_bits(len, len + 1);
+        const auto ref = serial_gold(init, len);
+        const auto out = scramble(bits, init);
+        ASSERT_EQ(out.size(), len);
+        for (std::size_t i = 0; i < len; ++i)
+            ASSERT_EQ(out[i], bits[i] ^ ref[i]) << "len " << len << " i " << i;
+    }
+}
+
+TEST(Scrambler, ScrambleRejectsNonBinaryInput)
+{
+    auto bits = random_bits(100, 5);
+    bits[77] = 2;
+    EXPECT_THROW(scramble(bits, scrambling_init(1)), std::invalid_argument);
+}
+
+/**
+ * Soft descrambling of every slice [offset, offset + length) for
+ * offsets and lengths 0..130 (the short-skip branch and the block
+ * boundaries) and for offsets around 2^20 (the jump-matrix branch)
+ * must equal `v = -v` under the bit-serial sequence, bit for bit —
+ * ±0, ±inf and NaN payloads included.
+ */
+TEST(Scrambler, SoftDescrambleMatchesBitSerialReferenceBitForBit)
+{
+    const std::uint32_t init = scrambling_init(3, 2);
+    constexpr std::size_t kMaxLen = 130;
+    constexpr std::size_t kFar = std::size_t{1} << 20;
+    const auto seq = serial_gold(init, kFar + 8 + kMaxLen);
+
+    // LLR pool: the special values, then signed random magnitudes.
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    std::vector<Llr> pool = {0.0f, -0.0f, kInf, -kInf, kNan, -kNan,
+                             std::numeric_limits<float>::denorm_min(),
+                             -std::numeric_limits<float>::max()};
+    Rng rng(21);
+    while (pool.size() < kMaxLen)
+        pool.push_back(static_cast<float>(rng.next_gaussian() * 8.0));
+
+    std::vector<std::size_t> offsets;
+    for (std::size_t off = 0; off <= kMaxLen; ++off)
+        offsets.push_back(off);
+    for (std::size_t off = kFar - 8; off <= kFar + 8; ++off)
+        offsets.push_back(off);
+
+    for (std::size_t off : offsets) {
+        for (std::size_t len = 0; len <= kMaxLen; ++len) {
+            // Rotate the pool so every special value visits every
+            // position within a block.
+            std::vector<Llr> llrs(len), expect(len);
+            for (std::size_t i = 0; i < len; ++i) {
+                llrs[i] = pool[(i + off) % pool.size()];
+                expect[i] = seq[off + i] ? -llrs[i] : llrs[i];
+            }
+            descramble_soft_inplace(llrs, init, off);
+            ASSERT_TRUE(len == 0 ||
+                        std::memcmp(llrs.data(), expect.data(),
+                                    len * sizeof(Llr)) == 0)
+                << "offset " << off << " length " << len;
+        }
+    }
 }
 
 TEST(Scrambler, ScrambleIsAnInvolution)

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 
@@ -162,6 +164,56 @@ TEST(Modulation, NonPositiveNoiseClampsToFloor)
         for (std::size_t i = 0; i < llrs.size(); ++i) {
             EXPECT_TRUE(std::isfinite(llrs[i]));
             EXPECT_EQ(llrs[i], at_floor[i]);
+        }
+    }
+}
+
+/**
+ * The hoisted EVM kernel must equal the per-symbol loop bit for bit:
+ * the same float distance per symbol, widened and added in symbol
+ * order, for every length across the SIMD block/tail split.  NaN and
+ * infinite components must keep the running minimum exactly as
+ * std::min(best, d) does (a NaN distance never replaces it).
+ */
+TEST(Modulation, AccumulatedDistanceMatchesPerSymbolLoopBitForBit)
+{
+    constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const cf32 specials[] = {cf32(kNan, 0.3f), cf32(-0.2f, kNan),
+                             cf32(kNan, kNan), cf32(kInf, -0.1f),
+                             cf32(0.4f, -kInf)};
+    Rng rng(31);
+    for (Modulation mod :
+         {Modulation::kQpsk, Modulation::k16Qam, Modulation::k64Qam}) {
+        for (std::size_t len = 0; len <= 37; ++len) {
+            CVec y(len);
+            for (auto &s : y) {
+                s = cf32(static_cast<float>(rng.next_gaussian()),
+                         static_cast<float>(rng.next_gaussian()));
+            }
+            // Clean input first, then one special symbol at the middle
+            // and at the end (a vector lane or the scalar tail).
+            std::vector<CVec> cases = {y};
+            for (const cf32 &bad : specials) {
+                for (std::size_t at : {len / 2, len - 1}) {
+                    if (len == 0)
+                        continue;
+                    CVec v = y;
+                    v[at] = bad;
+                    cases.push_back(v);
+                }
+            }
+            for (const CVec &v : cases) {
+                double ref = 0.25;
+                for (const cf32 &s : v)
+                    ref += nearest_point_distance2(s, mod);
+                const double got =
+                    accumulate_nearest_distance2(v, mod, 0.25);
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got),
+                          std::bit_cast<std::uint64_t>(ref))
+                    << "mod " << static_cast<int>(mod) << " len " << len
+                    << ": " << got << " vs " << ref;
+            }
         }
     }
 }

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
@@ -238,6 +240,58 @@ TEST(Crc, TooShortSequenceFailsCheck)
 TEST(Crc, RejectsNonBinaryInput)
 {
     EXPECT_THROW(crc24({0, 2, 1}), std::invalid_argument);
+}
+
+/** The TS 36.212 division one bit at a time: the form the byte tables
+ *  must reproduce for every length and polynomial. */
+std::uint32_t
+crc24_bit_serial(const std::vector<std::uint8_t> &bits, std::uint32_t poly)
+{
+    std::uint32_t reg = 0;
+    for (std::uint8_t bit : bits) {
+        const std::uint32_t msb = (reg >> 23) & 1u;
+        reg = (reg << 1) & 0xFFFFFFu;
+        if (msb ^ bit)
+            reg ^= poly & 0xFFFFFFu;
+    }
+    return reg;
+}
+
+TEST(Crc, TableMatchesBitSerialReferenceForEveryLength)
+{
+    // CRC-24A and CRC-24B take the byte tables; 0x5D6DCB (the FlexRay
+    // CRC-24) takes the generic path.
+    Rng rng(12);
+    for (std::uint32_t poly : {kCrc24APoly, kCrc24BPoly, 0x5D6DCBu}) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            std::vector<std::uint8_t> bits(len);
+            for (auto &b : bits)
+                b = static_cast<std::uint8_t>(rng.next_u64() & 1);
+            ASSERT_EQ(crc24(bits, poly), crc24_bit_serial(bits, poly))
+                << "poly " << poly << " length " << len;
+        }
+    }
+}
+
+TEST(Crc, RejectsNonBinaryBitInFullByteAndRaggedTail)
+{
+    // 21 bits: two full bytes on the table path, then 5 ragged bits.
+    for (std::uint32_t poly : {kCrc24APoly, kCrc24BPoly, 0x5D6DCBu}) {
+        for (std::size_t bad : {3u, 15u, 16u, 20u}) {
+            for (std::uint8_t value : {2u, 0x80u, 0xFFu}) {
+                std::vector<std::uint8_t> bits(21, 1);
+                bits[bad] = value;
+                try {
+                    crc24(bits, poly);
+                    ADD_FAILURE() << "no throw for bit " << bad;
+                } catch (const std::invalid_argument &e) {
+                    EXPECT_NE(std::string(e.what()).find(
+                                  "bits must be 0 or 1"),
+                              std::string::npos);
+                }
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------- op model

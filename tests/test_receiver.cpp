@@ -7,7 +7,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "channel/mimo_channel.hpp"
 #include "channel/signal_source.hpp"
@@ -15,6 +18,9 @@
 #include "phy/channel_estimator.hpp"
 #include "phy/combiner.hpp"
 #include "phy/crc.hpp"
+#include "phy/interleaver.hpp"
+#include "phy/modulation.hpp"
+#include "phy/op_model.hpp"
 #include "phy/turbo.hpp"
 #include "phy/user_processor.hpp"
 #include "phy/zadoff_chu.hpp"
@@ -431,6 +437,79 @@ TEST(EndToEnd, TaskwiseExecutionMatchesProcessAll)
     EXPECT_EQ(result.bits, ref.bits);
     EXPECT_EQ(result.checksum, ref.checksum);
     EXPECT_EQ(result.crc_ok, ref.crc_ok);
+}
+
+/**
+ * evm_rms must be exactly what per-symbol nearest_point_distance2
+ * calls give: each tail codeblock threads one double through its
+ * symbols in canonical order (slot, layer, data symbol, deinterleaved
+ * sample), and the reduce folds the codeblock partials in order.  The
+ * reference re-derives the greedy codeblock packing from
+ * kTailCodeblockBits.  A NaN sample in one data symbol spreads over
+ * its whole block through the despreading IFFT.
+ */
+TEST(EndToEnd, EvmMatchesPerSymbolReferenceBitForBit)
+{
+    const ReceiverConfig cfg;
+    for (Modulation mod :
+         {Modulation::kQpsk, Modulation::k16Qam, Modulation::k64Qam}) {
+        for (std::uint32_t layers = 1; layers <= 4; ++layers) {
+            for (bool with_nan : {false, true}) {
+                UserParams params;
+                params.id = 5;
+                params.prb = 50;
+                params.layers = layers;
+                params.mod = mod;
+                Rng rng(100 + layers);
+                auto signal = channel::random_user_signal(
+                    params, cfg.n_antennas, rng);
+                if (with_nan) {
+                    signal.antennas[1].slots[1][5][7] =
+                        cf32(std::numeric_limits<float>::quiet_NaN(),
+                             0.0f);
+                }
+                phy::UserProcessor proc(cfg);
+                proc.bind(params, &signal);
+                const float evm = proc.process_all().evm_rms;
+
+                const std::size_t bps = bits_per_symbol(mod);
+                double total = 0.0;
+                double part = 0.0;
+                std::size_t part_bits = 0;
+                std::size_t n = 0;
+                for (std::size_t slot = 0; slot < kSlotsPerSubframe;
+                     ++slot) {
+                    const std::size_t m = params.sc_in_slot(slot);
+                    for (std::size_t l = 0; l < layers; ++l) {
+                        for (std::size_t ds = 0; ds < kDataSymbolsPerSlot;
+                             ++ds) {
+                            if (part_bits > 0 &&
+                                part_bits + m * bps >
+                                    phy::kTailCodeblockBits) {
+                                total += part;
+                                part = 0.0;
+                                part_bits = 0;
+                            }
+                            const CfView eq = proc.equalised(slot, l, ds);
+                            for (const cf32 &y : phy::deinterleave(
+                                     CVec(eq.begin(), eq.end())))
+                                part += phy::nearest_point_distance2(y, mod);
+                            part_bits += m * bps;
+                            n += m;
+                        }
+                    }
+                }
+                total += part;
+                const float ref = std::sqrt(static_cast<float>(
+                    total / static_cast<double>(n)));
+                EXPECT_EQ(std::bit_cast<std::uint32_t>(evm),
+                          std::bit_cast<std::uint32_t>(ref))
+                    << "mod " << static_cast<int>(mod) << " layers "
+                    << layers << (with_nan ? " with NaN" : "") << ": "
+                    << evm << " vs " << ref;
+            }
+        }
+    }
 }
 
 TEST(EndToEnd, ChecksumDetectsBitDifferences)
