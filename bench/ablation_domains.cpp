@@ -31,7 +31,7 @@ main(int argc, char **argv)
         core::UplinkStudy study(base_cfg);
         study.adopt_calibration(calibration);
         napidle_power =
-            study.run_strategy(mgmt::Strategy::kNapIdle).avg_power_w;
+            study.run_policy(mgmt::PowerPolicy::nap_idle()).avg_power_w;
     }
     for (std::uint32_t domain : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
         core::StudyConfig cfg = base_cfg;
@@ -39,7 +39,7 @@ main(int argc, char **argv)
         core::UplinkStudy study(cfg);
         study.adopt_calibration(calibration);
         const auto outcome =
-            study.run_strategy(mgmt::Strategy::kPowerGating);
+            study.run_policy(mgmt::PowerPolicy::power_gating());
         table.add_row({std::to_string(domain),
                        std::to_string(64 / domain),
                        report::fmt(outcome.avg_power_w, 2),

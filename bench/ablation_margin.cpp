@@ -33,7 +33,7 @@ main(int argc, char **argv)
         core::UplinkStudy study(cfg);
         study.adopt_calibration(calibration);
         const auto outcome =
-            study.run_strategy(mgmt::Strategy::kNapIdle);
+            study.run_policy(mgmt::PowerPolicy::nap_idle());
         table.add_row(
             {std::to_string(margin),
              report::fmt(outcome.avg_power_w, 2),

@@ -36,7 +36,7 @@ main(int argc, char **argv)
             std::min(1.0, 0.22 * 200.0 / period_us);
         core::UplinkStudy study(cfg);
         study.adopt_calibration(calibration);
-        const auto outcome = study.run_strategy(mgmt::Strategy::kIdle);
+        const auto outcome = study.run_policy(mgmt::PowerPolicy::idle());
         table.add_row(
             {report::fmt(period_us, 0),
              report::fmt(cfg.power.idle_poll_duty, 3),

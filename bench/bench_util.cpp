@@ -1,5 +1,6 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -90,6 +91,45 @@ print_banner(const std::string &title, const BenchArgs &args)
               << (args.full ? "full (paper)" : "compressed") << ", "
               << args.subframes << " subframes, seed " << args.seed
               << "\n\n";
+}
+
+phy::UserParams
+heavy_user()
+{
+    phy::UserParams u;
+    u.id = 0;
+    u.prb = 100;
+    u.layers = 4;
+    u.mod = Modulation::k64Qam;
+    return u;
+}
+
+double
+percentile(std::vector<double> values, double p)
+{
+    if (values.empty())
+        return 0.0;
+    std::sort(values.begin(), values.end());
+    const auto idx = static_cast<std::size_t>(
+        p * static_cast<double>(values.size() - 1));
+    return values[idx];
+}
+
+std::vector<double>
+activity_windows(const sim::SimResult &result)
+{
+    std::vector<double> windows;
+    double busy = 0.0, dur = 0.0;
+    for (const auto &iv : result.intervals) {
+        busy += iv.busy_cs;
+        dur += iv.dur;
+        if (dur >= 0.1 - 1e-9) {
+            windows.push_back(
+                busy / (static_cast<double>(result.n_workers) * dur));
+            busy = dur = 0.0;
+        }
+    }
+    return windows;
 }
 
 } // namespace lte::bench

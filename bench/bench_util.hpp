@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/uplink_study.hpp"
 #include "report/series.hpp"
@@ -54,6 +55,21 @@ struct BenchArgs
 
 /** Print the standard harness banner. */
 void print_banner(const std::string &title, const BenchArgs &args);
+
+/** The saturating one-user subframe of the engine benches:
+ *  100 PRB x 4 layers x 64QAM. */
+phy::UserParams heavy_user();
+
+/** The value at rank floor(p * (n - 1)) of the sorted @p values
+ *  (0 when empty). */
+double percentile(std::vector<double> values, double p);
+
+/**
+ * Activity of a simulated run per 100 ms window, the resolution of
+ * the power-over-time figures' RMS windows; a trailing partial window
+ * is dropped.
+ */
+std::vector<double> activity_windows(const sim::SimResult &result);
 
 } // namespace lte::bench
 

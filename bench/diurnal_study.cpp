@@ -8,6 +8,7 @@
  * against the paper-model run.
  */
 #include <iostream>
+#include <string_view>
 
 #include "bench_util.hpp"
 #include "workload/diurnal_model.hpp"
@@ -31,18 +32,19 @@ main(int argc, char **argv)
                              "50% saving vs NONAP",
                              "diurnal saving vs NONAP"});
     double nonap_paper = 0.0, nonap_diurnal = 0.0;
-    for (mgmt::Strategy s : mgmt::kAllStrategies) {
-        const double paper_power = study.run_strategy(s).avg_power_w;
+    for (const mgmt::PowerPolicy &policy :
+         mgmt::PowerPolicy::paper_presets()) {
+        const double paper_power = study.run_policy(policy).avg_power_w;
         workload::DiurnalModel diurnal(diurnal_cfg);
         const double diurnal_power =
-            study.run_strategy_on(s, diurnal, args.subframes)
+            study.run_policy_on(policy, diurnal, args.subframes)
                 .avg_power_w;
-        if (s == mgmt::Strategy::kNoNap) {
+        if (std::string_view(policy.name) == "NONAP") {
             nonap_paper = paper_power;
             nonap_diurnal = diurnal_power;
         }
         table.add_row(
-            {mgmt::strategy_name(s), report::fmt(paper_power, 2),
+            {policy.name, report::fmt(paper_power, 2),
              report::fmt(diurnal_power, 2),
              report::fmt_percent((paper_power - nonap_paper) /
                                  -nonap_paper),

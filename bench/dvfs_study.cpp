@@ -28,32 +28,25 @@ main(int argc, char **argv)
     // cost model, never on the power policy under study.
     const core::Calibration calibration = study.calibration();
 
-    struct Variant
-    {
-        const char *name;
-        mgmt::PowerPolicy policy;
-    };
     auto dvfs_nonap = mgmt::PowerPolicy::nonap();
     dvfs_nonap.dvfs = true;
+    dvfs_nonap.name = "DVFS";
     auto dvfs_napidle = mgmt::PowerPolicy::nap_idle();
     dvfs_napidle.dvfs = true;
-    const Variant variants[] = {
-        {"NONAP", mgmt::PowerPolicy::nonap()},
-        {"NAP+IDLE", mgmt::PowerPolicy::nap_idle()},
-        {"DVFS", dvfs_nonap},
-        {"DVFS+NAP+IDLE", dvfs_napidle},
-        {"DOMAIN-DVFS", mgmt::PowerPolicy::domain_dvfs()},
-    };
+    dvfs_napidle.name = "DVFS+NAP+IDLE";
+    const mgmt::PowerPolicy variants[] = {
+        mgmt::PowerPolicy::nonap(), mgmt::PowerPolicy::nap_idle(),
+        dvfs_nonap, dvfs_napidle, mgmt::PowerPolicy::domain_dvfs()};
 
     report::TextTable table({"Variant", "Avg power (W)",
                              "mean latency (subframes)",
                              "max latency", "99% deadline (3 sf)"});
-    for (const auto &v : variants) {
+    for (const mgmt::PowerPolicy &policy : variants) {
         core::UplinkStudy run_study(base_cfg);
         run_study.adopt_calibration(calibration);
-        const auto outcome = run_study.run_policy(v.policy);
+        const auto outcome = run_study.run_policy(policy);
         table.add_row(
-            {v.name, report::fmt(outcome.avg_power_w, 2),
+            {policy.name, report::fmt(outcome.avg_power_w, 2),
              report::fmt(outcome.sim.mean_latency(), 2),
              report::fmt(outcome.sim.max_latency(), 1),
              report::fmt(100.0 * outcome.sim.deadline_hit_rate(3.0),

@@ -19,7 +19,7 @@ main(int argc, char **argv)
 
     core::UplinkStudy study(args.study_config());
     study.prepare();
-    const auto outcome = study.run_strategy(mgmt::Strategy::kNoNap);
+    const auto outcome = study.run_policy(mgmt::PowerPolicy::nonap());
 
     const double window_s = 1.0;
     std::vector<double> t, estimated, measured;

@@ -18,7 +18,7 @@ main(int argc, char **argv)
 
     core::UplinkStudy study(args.study_config());
     study.prepare();
-    const auto outcome = study.run_strategy(mgmt::Strategy::kNoNap);
+    const auto outcome = study.run_policy(mgmt::PowerPolicy::nonap());
 
     std::vector<double> x, cores;
     RunningStats stats;

@@ -20,8 +20,8 @@ main(int argc, char **argv)
     core::UplinkStudy study(args.study_config());
     study.prepare();
 
-    const auto nonap = study.run_strategy(mgmt::Strategy::kNoNap);
-    const auto nap = study.run_strategy(mgmt::Strategy::kNap);
+    const auto nonap = study.run_policy(mgmt::PowerPolicy::nonap());
+    const auto nap = study.run_policy(mgmt::PowerPolicy::nap());
 
     const auto rms_nonap =
         power::PowerModel::rms_windows(nonap.series, 0.1);
@@ -30,17 +30,7 @@ main(int argc, char **argv)
 
     std::vector<double> t, p_nonap, p_nap, activity;
     // Activity per 100 ms window for the secondary axis.
-    double busy = 0.0, dur = 0.0;
-    std::vector<double> act_windows;
-    for (const auto &iv : nonap.sim.intervals) {
-        busy += iv.busy_cs;
-        dur += iv.dur;
-        if (dur >= 0.1 - 1e-9) {
-            act_windows.push_back(
-                busy / (static_cast<double>(nonap.sim.n_workers) * dur));
-            busy = dur = 0.0;
-        }
-    }
+    const auto act_windows = bench::activity_windows(nonap.sim);
     for (std::size_t i = 0; i < n; ++i) {
         t.push_back(0.1 * static_cast<double>(i + 1));
         p_nonap.push_back(rms_nonap[i]);

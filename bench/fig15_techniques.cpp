@@ -19,15 +19,15 @@ main(int argc, char **argv)
     core::UplinkStudy study(args.study_config());
     study.prepare();
 
-    const mgmt::Strategy strategies[] = {
-        mgmt::Strategy::kNoNap, mgmt::Strategy::kIdle,
-        mgmt::Strategy::kNap, mgmt::Strategy::kNapIdle};
+    const mgmt::PowerPolicy policies[] = {
+        mgmt::PowerPolicy::nonap(), mgmt::PowerPolicy::idle(),
+        mgmt::PowerPolicy::nap(), mgmt::PowerPolicy::nap_idle()};
 
     std::vector<std::vector<double>> rms;
     std::vector<double> averages;
     std::size_t n = SIZE_MAX;
-    for (mgmt::Strategy s : strategies) {
-        const auto outcome = study.run_strategy(s);
+    for (const mgmt::PowerPolicy &policy : policies) {
+        const auto outcome = study.run_policy(policy);
         rms.push_back(
             power::PowerModel::rms_windows(outcome.series, 0.1));
         averages.push_back(outcome.avg_power_w);
@@ -40,7 +40,7 @@ main(int argc, char **argv)
     report::SeriesSet set("time_s", t);
     for (std::size_t k = 0; k < 4; ++k) {
         rms[k].resize(n);
-        set.add(mgmt::strategy_name(strategies[k]), rms[k]);
+        set.add(policies[k].name, rms[k]);
     }
     set.print_summary(std::cout);
     args.maybe_write_csv(set, "fig15_techniques");
@@ -49,7 +49,7 @@ main(int argc, char **argv)
     report::TextTable table({"Technique", "Avg power (W)", "Paper (W)"});
     const char *paper[] = {"25", "20.7", "20.5", "19.9"};
     for (std::size_t k = 0; k < 4; ++k) {
-        table.add_row({mgmt::strategy_name(strategies[k]),
+        table.add_row({policies[k].name,
                        report::fmt(averages[k], 2), paper[k]});
     }
     table.print(std::cout);

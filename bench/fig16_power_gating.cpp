@@ -18,37 +18,23 @@ main(int argc, char **argv)
     core::UplinkStudy study(args.study_config());
     study.prepare();
 
-    const mgmt::Strategy strategies[] = {
-        mgmt::Strategy::kNoNap, mgmt::Strategy::kIdle,
-        mgmt::Strategy::kNapIdle, mgmt::Strategy::kPowerGating};
+    const mgmt::PowerPolicy policies[] = {
+        mgmt::PowerPolicy::nonap(), mgmt::PowerPolicy::idle(),
+        mgmt::PowerPolicy::nap_idle(), mgmt::PowerPolicy::power_gating()};
 
     std::vector<std::vector<double>> rms;
     std::vector<double> averages;
-    std::vector<std::vector<double>> activities;
+    std::vector<double> activity;
     std::size_t n = SIZE_MAX;
-    for (mgmt::Strategy s : strategies) {
-        const auto outcome = study.run_strategy(s);
+    for (std::size_t k = 0; k < 4; ++k) {
+        const auto outcome = study.run_policy(policies[k]);
         rms.push_back(
             power::PowerModel::rms_windows(outcome.series, 0.1));
         averages.push_back(outcome.avg_power_w);
         n = std::min(n, rms.back().size());
         // Activity per window for the IDLE run (low-load detection).
-        if (s == mgmt::Strategy::kIdle) {
-            double busy = 0.0, dur = 0.0;
-            std::vector<double> act;
-            for (const auto &iv : outcome.sim.intervals) {
-                busy += iv.busy_cs;
-                dur += iv.dur;
-                if (dur >= 0.1 - 1e-9) {
-                    act.push_back(busy /
-                                  (static_cast<double>(
-                                       outcome.sim.n_workers) *
-                                   dur));
-                    busy = dur = 0.0;
-                }
-            }
-            activities.push_back(std::move(act));
-        }
+        if (k == 1)
+            activity = bench::activity_windows(outcome.sim);
     }
 
     std::vector<double> t;
@@ -57,13 +43,12 @@ main(int argc, char **argv)
     report::SeriesSet set("time_s", t);
     for (std::size_t k = 0; k < 4; ++k) {
         rms[k].resize(n);
-        set.add(mgmt::strategy_name(strategies[k]), rms[k]);
+        set.add(policies[k].name, rms[k]);
     }
     set.print_summary(std::cout);
     args.maybe_write_csv(set, "fig16_power_gating");
 
     // Low-load reduction of PowerGating vs IDLE (the >24% claim).
-    const auto &activity = activities.front();
     double best_low_gap = 0.0, best_low_rel = 0.0;
     for (std::size_t i = 0; i < n && i < activity.size(); ++i) {
         if (activity[i] < 0.2) {
@@ -79,7 +64,7 @@ main(int argc, char **argv)
     report::TextTable table({"Technique", "Avg power (W)", "Paper (W)"});
     const char *paper[] = {"25", "20.7", "19.9", "18.5"};
     for (std::size_t k = 0; k < 4; ++k) {
-        table.add_row({mgmt::strategy_name(strategies[k]),
+        table.add_row({policies[k].name,
                        report::fmt(averages[k], 2), paper[k]});
     }
     table.print(std::cout);

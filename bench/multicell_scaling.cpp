@@ -14,7 +14,7 @@
  * p50/p99 admission-to-completion latency from the cell-tagged
  * observability series.
  *
- * Part 2 (study): run_strategy_multicell slices the simulated
+ * Part 2 (study): run_policy_multicell slices the simulated
  * TILEPro64 across the cells (workers, power domains, base power),
  * runs each cell's decorrelated paper input model under NAP, and
  * reports per-cell and total power plus the Eq. 6 domain partition
@@ -34,28 +34,8 @@
 namespace {
 
 using namespace lte;
-
-phy::UserParams
-heavy_user()
-{
-    phy::UserParams u;
-    u.id = 0;
-    u.prb = 100;
-    u.layers = 4;
-    u.mod = Modulation::k64Qam;
-    return u;
-}
-
-double
-percentile(std::vector<double> values, double p)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(values.size() - 1));
-    return values[idx];
-}
+using bench::heavy_user;
+using bench::percentile;
 
 struct CellScalingRow
 {
@@ -167,8 +147,8 @@ main(int argc, char **argv)
     report::TextTable power_table({"cells", "total W", "dynamic W",
                                    "worst miss", "domain partition"});
     for (std::size_t n_cells : {1u, 2u, 4u}) {
-        const auto outcome = study.run_strategy_multicell(
-            mgmt::Strategy::kNap, n_cells);
+        const auto outcome = study.run_policy_multicell(
+            mgmt::PowerPolicy::nap(), n_cells);
         std::string partition;
         for (std::size_t c = 0; c < outcome.domain_partition.size();
              ++c) {

@@ -7,7 +7,7 @@
  *   obs_subframes.csv   per-subframe latency/deadline series
  *   obs_metrics.csv     engine counters and gauges
  *
- * then runs one simulated study strategy and writes its per-subframe
+ * then runs one simulated study policy and writes its per-subframe
  * activity/power series as CSV and counter-track JSON
  * (obs_study.csv, obs_study_trace.json).  Output lands in --csv DIR
  * (default: current directory).
@@ -53,7 +53,7 @@ main(int argc, char **argv)
     // --- live engine: 100 subframes with tracing enabled ------------
     runtime::EngineConfig cfg;
     cfg.pool.n_workers = 4;
-    cfg.pool.strategy = mgmt::Strategy::kNap;
+    cfg.proactive = true; // NAP: the estimate parks surplus workers
     cfg.input.pool_size = 4;
     cfg.input.seed = args.seed;
     cfg.obs.enabled = true;
@@ -81,7 +81,7 @@ main(int argc, char **argv)
 
     // --- simulated study: per-subframe activity/power series --------
     const auto outcome =
-        study.run_strategy(mgmt::Strategy::kPowerGating);
+        study.run_policy(mgmt::PowerPolicy::power_gating());
     const auto n_workers = outcome.sim.n_workers;
     if (auto ofs = open_out(dir, "obs_study.csv"))
         core::write_study_csv(ofs, outcome, n_workers);

@@ -24,27 +24,15 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "phy/op_model.hpp"
 #include "runtime/engine.hpp"
-#include "sim/machine.hpp"
 #include "workload/parameter_model.hpp"
 #include "workload/steady_model.hpp"
 
 namespace {
 
 using namespace lte;
-
-/** The saturating subframe used throughout: one maximal-rate user. */
-phy::UserParams
-heavy_user()
-{
-    phy::UserParams u;
-    u.id = 0;
-    u.prb = 100;
-    u.layers = 4;
-    u.mod = Modulation::k64Qam;
-    return u;
-}
+using bench::heavy_user;
+using bench::percentile;
 
 /** Serial per-subframe service time, measured after warm-up. */
 double
@@ -98,17 +86,6 @@ measure_drain_ms(std::uint64_t seed, std::size_t n_workers,
     const std::size_t n = 24;
     const auto record = engine->run(model, n);
     return record.wall_seconds * 1e3 / static_cast<double>(n);
-}
-
-double
-percentile(std::vector<double> values, double p)
-{
-    if (values.empty())
-        return 0.0;
-    std::sort(values.begin(), values.end());
-    const auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(values.size() - 1));
-    return values[idx];
 }
 
 /** Fixed multi-user subframe repeated every TTI. */
@@ -239,72 +216,6 @@ run_heavy_scenario(std::uint64_t seed, bool full)
               << " p50_ms=" << report::fmt(p50, 4)
               << " p99_ms=" << report::fmt(p99, 4)
               << " wall_s=" << report::fmt(record.wall_seconds, 3)
-              << "\n";
-}
-
-/**
- * Deterministic before/after of the continuation-graph tail on the
- * discrete-event machine model: identical subframes, identical worker
- * count and per-task op costs, only the tail structure differs —
- * split_tail=false replays the pre-refactor monolithic per-user tail,
- * split_tail=true the per-codeblock fan-out plus reduce the runtime
- * executes today.  Virtual time sidesteps host core counts entirely,
- * so this isolates the scheduling effect the wall-clock section can
- * only show on a genuinely parallel machine.
- */
-void
-run_heavy_sim_comparison(bool full)
-{
-    const phy::SubframeParams sf = heavy_tail_subframe();
-    const std::uint64_t n_subframes = full ? 1000 : 200;
-    // The paper's TILEPro64 operating point: 62 worker cores.
-    const std::uint32_t n_workers = 62;
-
-    sim::SimConfig cfg;
-    cfg.n_workers = n_workers;
-    cfg.delta_s = 0.001; // standard TTI
-    // Pin utilisation at ~60% of machine capacity so the comparison
-    // measures schedule shape, not queueing collapse.
-    std::uint64_t ops = 0;
-    for (const auto &user : sf.users)
-        ops += phy::user_task_costs(user, /*n_antennas=*/4).total();
-    cfg.cycles_per_op = 0.6 * static_cast<double>(cfg.n_workers) *
-                        cfg.delta_s * cfg.clock_hz /
-                        static_cast<double>(ops);
-
-    double p50[2] = {0.0, 0.0}, p99[2] = {0.0, 0.0};
-    for (int split = 0; split < 2; ++split) {
-        cfg.split_tail = split == 1;
-        sim::Machine machine(cfg, /*n_antennas=*/4);
-        FixedSubframeModel model(sf);
-        const sim::SimResult result =
-            machine.run(model, n_subframes);
-        std::vector<double> lat_ms;
-        lat_ms.reserve(result.user_latency.size());
-        for (const double periods : result.user_latency)
-            lat_ms.push_back(periods * cfg.delta_s * 1e3);
-        p50[split] = percentile(lat_ms, 0.50);
-        p99[split] = percentile(lat_ms, 0.99);
-    }
-
-    std::cout << "simulated machine (" << n_workers
-              << " workers, 1 ms TTI, 60% utilisation, "
-              << n_subframes << " subframes):\n"
-              << "  monolithic tail (pre-refactor):  p50 "
-              << report::fmt(p50[0], 3) << " ms, p99 "
-              << report::fmt(p99[0], 3) << " ms\n"
-              << "  per-codeblock tail + reduce:     p50 "
-              << report::fmt(p50[1], 3) << " ms, p99 "
-              << report::fmt(p99[1], 3) << " ms  (p99 "
-              << report::fmt(100.0 * (1.0 - p99[1] / p99[0]), 1)
-              << "% lower)\n"
-              // Machine-readable line for results/BENCH_pr6.json.
-              << "heavy-sim: workers=" << n_workers
-              << " n=" << n_subframes
-              << " before_p50_ms=" << report::fmt(p50[0], 4)
-              << " before_p99_ms=" << report::fmt(p99[0], 4)
-              << " after_p50_ms=" << report::fmt(p50[1], 4)
-              << " after_p99_ms=" << report::fmt(p99[1], 4)
               << "\n";
 }
 
@@ -547,6 +458,5 @@ main(int argc, char **argv)
 
     run_io_offload_comparison(args.seed, args.full);
     run_heavy_scenario(args.seed, args.full);
-    run_heavy_sim_comparison(args.full);
     return 0;
 }

@@ -19,9 +19,9 @@ main(int argc, char **argv)
     core::UplinkStudy study(args.study_config());
     study.prepare();
 
-    const mgmt::Strategy strategies[] = {
-        mgmt::Strategy::kNoNap, mgmt::Strategy::kIdle,
-        mgmt::Strategy::kNap, mgmt::Strategy::kNapIdle};
+    const mgmt::PowerPolicy policies[] = {
+        mgmt::PowerPolicy::nonap(), mgmt::PowerPolicy::idle(),
+        mgmt::PowerPolicy::nap(), mgmt::PowerPolicy::nap_idle()};
     struct PaperRow { const char *power; const char *reduction; };
     const PaperRow paper[] = {
         {"11", "0%"}, {"6.7", "39%"}, {"6.5", "41%"}, {"5.9", "46%"}};
@@ -30,13 +30,13 @@ main(int argc, char **argv)
     report::TextTable table({"Technique", "Power (W)", "Reduction",
                              "Paper (W)", "Paper red."});
     for (std::size_t k = 0; k < 4; ++k) {
-        const auto outcome = study.run_strategy(strategies[k]);
+        const auto outcome = study.run_policy(policies[k]);
         const double dyn = outcome.avg_dynamic_w;
         if (k == 0)
             nonap_dyn = dyn;
         const double reduction =
             nonap_dyn > 0.0 ? (nonap_dyn - dyn) / nonap_dyn : 0.0;
-        table.add_row({mgmt::strategy_name(strategies[k]),
+        table.add_row({policies[k].name,
                        report::fmt(dyn, 2),
                        report::fmt(100.0 * reduction, 0) + "%",
                        paper[k].power, paper[k].reduction});

@@ -19,22 +19,22 @@ main(int argc, char **argv)
 
     struct Row
     {
-        mgmt::Strategy strategy;
+        mgmt::PowerPolicy policy;
         const char *paper_power;
         const char *paper_rel_nonap;
         const char *paper_rel_idle;
     };
     const Row rows[] = {
-        {mgmt::Strategy::kNoNap, "25", "0%", "+21%"},
-        {mgmt::Strategy::kIdle, "20.7", "-17%", "0%"},
-        {mgmt::Strategy::kNap, "20.5", "-18%", "-1%"},
-        {mgmt::Strategy::kNapIdle, "19.9", "-22%", "-4%"},
-        {mgmt::Strategy::kPowerGating, "18.5", "-26%", "-11%"},
+        {mgmt::PowerPolicy::nonap(), "25", "0%", "+21%"},
+        {mgmt::PowerPolicy::idle(), "20.7", "-17%", "0%"},
+        {mgmt::PowerPolicy::nap(), "20.5", "-18%", "-1%"},
+        {mgmt::PowerPolicy::nap_idle(), "19.9", "-22%", "-4%"},
+        {mgmt::PowerPolicy::power_gating(), "18.5", "-26%", "-11%"},
     };
 
     double powers[5] = {};
     for (std::size_t k = 0; k < 5; ++k)
-        powers[k] = study.run_strategy(rows[k].strategy).avg_power_w;
+        powers[k] = study.run_policy(rows[k].policy).avg_power_w;
     const double nonap = powers[0];
     const double idle = powers[1];
 
@@ -43,7 +43,7 @@ main(int argc, char **argv)
                              "Paper IDLE"});
     for (std::size_t k = 0; k < 5; ++k) {
         table.add_row(
-            {mgmt::strategy_name(rows[k].strategy),
+            {rows[k].policy.name,
              report::fmt(powers[k], 2),
              report::fmt_percent((powers[k] - nonap) / nonap),
              report::fmt_percent((powers[k] - idle) / idle),

@@ -9,6 +9,7 @@
  */
 #include <cstdlib>
 #include <iostream>
+#include <string_view>
 
 #include "core/uplink_study.hpp"
 #include "report/table.hpp"
@@ -41,14 +42,15 @@ main(int argc, char **argv)
     report::TextTable table({"Technique", "Avg power (W)",
                              "Energy (J)", "Saved vs NONAP"});
     double nonap_energy = 0.0;
-    for (mgmt::Strategy s : mgmt::kAllStrategies) {
+    for (const mgmt::PowerPolicy &policy :
+         mgmt::PowerPolicy::paper_presets()) {
         workload::DiurnalModel day(day_cfg);
-        const auto outcome = study.run_strategy_on(s, day, subframes);
+        const auto outcome = study.run_policy_on(policy, day, subframes);
         const double energy = outcome.avg_power_w *
                               static_cast<double>(subframes) * delta_s;
-        if (s == mgmt::Strategy::kNoNap)
+        if (std::string_view(policy.name) == "NONAP")
             nonap_energy = energy;
-        table.add_row({mgmt::strategy_name(s),
+        table.add_row({policy.name,
                        report::fmt(outcome.avg_power_w, 2),
                        report::fmt(energy, 1),
                        report::fmt_percent(

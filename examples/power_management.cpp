@@ -48,9 +48,10 @@ main(int argc, char **argv)
     std::cout << "\nrunning the five strategies...\n\n";
     report::TextTable table(
         {"Technique", "Avg power (W)", "Dynamic (W)", "Activity"});
-    for (mgmt::Strategy s : mgmt::kAllStrategies) {
-        const auto outcome = study.run_strategy(s);
-        table.add_row({mgmt::strategy_name(s),
+    for (const mgmt::PowerPolicy &policy :
+         mgmt::PowerPolicy::paper_presets()) {
+        const auto outcome = study.run_policy(policy);
+        table.add_row({policy.name,
                        report::fmt(outcome.avg_power_w, 2),
                        report::fmt(outcome.avg_dynamic_w, 2),
                        report::fmt(outcome.sim.activity(), 3)});

@@ -75,6 +75,22 @@ LTE_MAC=pf LTE_MAC_IO=offload ./build/tests/test_mac
 echo "==> city-scale fleet smoke"
 ./build/bench/city_scale --smoke
 
+# Study-bench leg: every simulated figure/table bench, the ablations,
+# the DVFS and diurnal studies and the multi-cell scaling study run end
+# to end on a short protocol, so they are executed, not only compiled.
+# obs_trace_dump writes its six files into a scratch directory.
+echo "==> simulated study benches (--subframes 680)"
+for bench in table1_dynamic_power table2_total_power fig12_estimation \
+             fig13_active_cores fig14_nap_power fig15_techniques \
+             fig16_power_gating diurnal_study ablation_domains \
+             ablation_margin ablation_wake_period dvfs_study \
+             multicell_scaling; do
+    ./build/bench/"${bench}" --subframes 680 > /dev/null
+done
+obs_dir="$(mktemp -d)"
+./build/bench/obs_trace_dump --subframes 680 --csv "${obs_dir}" > /dev/null
+rm -rf "${obs_dir}"
+
 # Pinned-digest leg: perfbench/gates.json pins the fig6 and decode
 # digests of the default (SIMD) build on two seeds, so a rounding
 # change in any kernel fails here, not only in the benchmark.  The

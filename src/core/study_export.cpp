@@ -1,16 +1,25 @@
 #include "core/study_export.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <ostream>
+#include <string_view>
 
 namespace lte::core {
 
 namespace {
 
-/** Stable per-strategy pid so merged traces keep tracks apart. */
+/** Stable pid per preset name so merged traces keep tracks apart:
+ *  the paper's five strategies take 1..5 in presentation order,
+ *  DOMAIN-DVFS 6, and any other policy name 7. */
 int
-strategy_pid(mgmt::Strategy s)
+policy_pid(std::string_view name)
 {
-    return 1 + static_cast<int>(s);
+    constexpr std::string_view kPresets[] = {
+        "NONAP", "IDLE", "NAP", "NAP+IDLE", "PowerGating", "DOMAIN-DVFS"};
+    const auto *it =
+        std::find(std::begin(kPresets), std::end(kPresets), name);
+    return 1 + static_cast<int>(it - std::begin(kPresets));
 }
 
 double
@@ -80,7 +89,7 @@ write_study_chrome_trace(std::ostream &os,
                          const StrategyOutcome &outcome,
                          std::uint32_t n_workers)
 {
-    const int pid = strategy_pid(outcome.strategy);
+    const int pid = policy_pid(outcome.policy.name);
     os << "{\"traceEvents\":[\n";
     os << "  {\"ph\":\"M\",\"pid\":" << pid
        << ",\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\""

@@ -17,7 +17,7 @@
 namespace lte::core {
 
 /**
- * Per-subframe series of one strategy run as CSV:
+ * Per-subframe series of one policy run as CSV:
  *
  *   subframe,t0_ms,dur_ms,activity,est_activity,active_cores,
  *   powered_cores,watts
@@ -25,7 +25,7 @@ namespace lte::core {
  * Domain-machine runs append per-interval domain-state columns:
  * active_domains,gated_domains,freq_scale,transition_energy_uj.
  *
- * `active_cores` is the Eq. 5 watermark (blank when the strategy runs
+ * `active_cores` is the Eq. 5 watermark (blank when the policy runs
  * without an estimator), `powered_cores` the Eq. 7 plan (blank unless
  * power gating), `watts` the thermal-corrected power sample.
  */
@@ -35,7 +35,9 @@ void write_study_csv(std::ostream &os, const StrategyOutcome &outcome,
 /**
  * The same series as chrome://tracing counter tracks ("ph":"C"):
  * busy-cores, watermark, estimated activity and Watts over time, one
- * process per strategy so several runs can be merged into one trace.
+ * process per preset name so several runs can be merged into one
+ * trace: pids 1..5 are NONAP..PowerGating, 6 is DOMAIN-DVFS, and any
+ * other policy name shares pid 7.
  */
 void write_study_chrome_trace(std::ostream &os,
                               const StrategyOutcome &outcome,

@@ -127,32 +127,6 @@ UplinkStudy::record_run_metrics(const StrategyOutcome &outcome)
         .set(static_cast<double>(outcome.sim.max_ready_backlog));
 }
 
-mgmt::PowerPolicy
-UplinkStudy::policy_for(mgmt::Strategy strategy) const
-{
-    // DVFS stays orthogonal to the paper's five strategies: a config
-    // that enables it applies it under whichever strategy is run.
-    mgmt::PowerPolicy policy = mgmt::PowerPolicy::from_strategy(strategy);
-    policy.dvfs = config_.sim.policy.dvfs;
-    policy.dvfs_margin = config_.sim.policy.dvfs_margin;
-    policy.dvfs_min_scale = config_.sim.policy.dvfs_min_scale;
-    return policy;
-}
-
-StrategyOutcome
-UplinkStudy::run_strategy(mgmt::Strategy strategy)
-{
-    return run_policy(policy_for(strategy));
-}
-
-StrategyOutcome
-UplinkStudy::run_strategy_on(mgmt::Strategy strategy,
-                             workload::ParameterModel &model,
-                             std::uint64_t subframes)
-{
-    return run_policy_on(policy_for(strategy), model, subframes);
-}
-
 StrategyOutcome
 UplinkStudy::run_policy(const mgmt::PowerPolicy &policy)
 {
@@ -165,16 +139,38 @@ UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
                            workload::ParameterModel &model,
                            std::uint64_t subframes)
 {
+    return run_on(config_.sim, policy, model, subframes);
+}
+
+StrategyOutcome
+UplinkStudy::run_policy_overloaded(const mgmt::PowerPolicy &policy,
+                                   double overload_factor)
+{
+    LTE_CHECK(overload_factor >= 1.0,
+              "overload factor must be at least 1");
+    // Arrivals come overload_factor times faster than the calibrated
+    // saturation rate; everything downstream (latency in periods,
+    // deadline accounting) follows from the shortened DELTA.
+    sim::SimConfig sim_cfg = config_.sim;
+    sim_cfg.delta_s /= overload_factor;
+    workload::PaperModel model(config_.model);
+    return run_on(sim_cfg, policy, model, config_.subframes);
+}
+
+StrategyOutcome
+UplinkStudy::run_on(sim::SimConfig sim_cfg,
+                    const mgmt::PowerPolicy &policy,
+                    workload::ParameterModel &model,
+                    std::uint64_t subframes)
+{
     LTE_CHECK(estimator_.has_value(), "call prepare() first");
 
-    sim::SimConfig sim_cfg = config_.sim;
     sim_cfg.policy = policy;
 
     sim::Machine machine(sim_cfg, config_.n_antennas);
     machine.set_estimator(estimator_);
 
     StrategyOutcome outcome;
-    outcome.strategy = policy.label;
     outcome.policy = policy;
     outcome.sim = machine.run(model, subframes);
 
@@ -198,13 +194,6 @@ UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
 }
 
 MultiCellStrategyOutcome
-UplinkStudy::run_strategy_multicell(mgmt::Strategy strategy,
-                                    std::size_t n_cells)
-{
-    return run_policy_multicell(policy_for(strategy), n_cells);
-}
-
-MultiCellStrategyOutcome
 UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
                                   std::size_t n_cells)
 {
@@ -216,7 +205,6 @@ UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
               "need at least one power domain per cell");
 
     MultiCellStrategyOutcome outcome;
-    outcome.strategy = policy.label;
     outcome.policy = policy;
     outcome.cells.reserve(n_cells);
 
@@ -263,29 +251,6 @@ UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
         .set(outcome.total_power_w);
     metrics_->gauge(prefix + ".worst_deadline_miss_rate")
         .set(outcome.worst_deadline_miss_rate);
-    return outcome;
-}
-
-StrategyOutcome
-UplinkStudy::run_strategy_overloaded(mgmt::Strategy strategy,
-                                     double overload_factor)
-{
-    LTE_CHECK(overload_factor >= 1.0,
-              "overload factor must be at least 1");
-    // Arrivals come overload_factor times faster than the calibrated
-    // saturation rate; everything downstream (latency in periods,
-    // deadline accounting) follows from the shortened DELTA.
-    const double nominal_delta = config_.sim.delta_s;
-    config_.sim.delta_s = nominal_delta / overload_factor;
-    StrategyOutcome outcome;
-    try {
-        workload::PaperModel model(config_.model);
-        outcome = run_strategy_on(strategy, model, config_.subframes);
-    } catch (...) {
-        config_.sim.delta_s = nominal_delta;
-        throw;
-    }
-    config_.sim.delta_s = nominal_delta;
     return outcome;
 }
 

@@ -2,7 +2,7 @@
  * @file
  * High-level facade for the paper's power-management study
  * (Secs. V-VI): calibrates the simulator and the workload estimator,
- * runs any strategy over the evaluation input model, and returns
+ * runs any power policy over the evaluation input model, and returns
  * power series and aggregates.  This is the API the figure/table
  * benches and the examples drive.
  */
@@ -16,7 +16,6 @@
 #include "mgmt/core_allocator.hpp"
 #include "mgmt/estimator.hpp"
 #include "mgmt/power_policy.hpp"
-#include "mgmt/strategy.hpp"
 #include "obs/metrics.hpp"
 #include "power/power_model.hpp"
 #include "sim/calibrate.hpp"
@@ -34,7 +33,7 @@ struct StudyConfig
     workload::PaperModelConfig model;
     sim::CalibrationSweep sweep;
     std::size_t n_antennas = 4;
-    /** Subframes per strategy run (paper: 68 000 = 340 s). */
+    /** Subframes per policy run (paper: 68 000 = 340 s). */
     std::uint64_t subframes = 68000;
     /**
      * Responsiveness budget in subframe periods: a user whose
@@ -63,12 +62,10 @@ struct Calibration
     mgmt::CalibrationTable table;
 };
 
-/** Everything produced by one strategy run. */
+/** Everything produced by one policy run. */
 struct StrategyOutcome
 {
-    mgmt::Strategy strategy = mgmt::Strategy::kNoNap;
-    /** The policy that produced this run (label == strategy for the
-     *  five paper presets). */
+    /** The policy that produced this run. */
     mgmt::PowerPolicy policy = mgmt::PowerPolicy::nonap();
     sim::SimResult sim;
     /** Thermal-corrected power series (one sample per subframe). */
@@ -85,10 +82,9 @@ struct StrategyOutcome
     mgmt::GatingStats gating_stats;
 };
 
-/** Aggregates of a sharded multi-cell strategy run (DESIGN.md 3f). */
+/** Aggregates of a sharded multi-cell policy run (DESIGN.md 3f). */
 struct MultiCellStrategyOutcome
 {
-    mgmt::Strategy strategy = mgmt::Strategy::kNoNap;
     mgmt::PowerPolicy policy = mgmt::PowerPolicy::nonap();
     /** Per-cell outcomes; lane c serves physical cell id c+1. */
     std::vector<StrategyOutcome> cells;
@@ -110,7 +106,7 @@ class UplinkStudy
     /**
      * Calibrate cycles_per_op (machine saturation at peak load) and
      * fit the k_{L,M} estimator table from steady-state sweeps
-     * (Sec. VI-A).  Must run before run_strategy().
+     * (Sec. VI-A).  Must run before any run_policy*() call.
      */
     void prepare();
 
@@ -132,42 +128,33 @@ class UplinkStudy
      */
     void adopt_calibration(const Calibration &calibration);
 
-    /** Run one strategy over a fresh instance of the paper's input
-     *  model. */
-    StrategyOutcome run_strategy(mgmt::Strategy strategy);
-
-    /** Run one composable power policy over a fresh instance of the
-     *  paper's input model (the five paper strategies are the
-     *  PowerPolicy presets; see mgmt/power_policy.hpp). */
+    /** Run one power policy over a fresh instance of the paper's
+     *  input model (the five paper strategies are the PowerPolicy
+     *  presets; see mgmt/power_policy.hpp). */
     StrategyOutcome run_policy(const mgmt::PowerPolicy &policy);
 
-    /** run_strategy_on for an arbitrary policy. */
+    /**
+     * Run one policy over an arbitrary input model (consumed from
+     * its current state) for @p subframes dispatches — used for
+     * scenarios beyond the paper's evaluation model, e.g. the diurnal
+     * 25%-load study.
+     */
     StrategyOutcome run_policy_on(const mgmt::PowerPolicy &policy,
                                   workload::ParameterModel &model,
                                   std::uint64_t subframes);
 
     /**
-     * Run one strategy over an arbitrary input model (consumed from
-     * its current state) for @p subframes dispatches — used for
-     * scenarios beyond the paper's evaluation model, e.g. the diurnal
-     * 25%-load study.
-     */
-    StrategyOutcome run_strategy_on(mgmt::Strategy strategy,
-                                    workload::ParameterModel &model,
-                                    std::uint64_t subframes);
-
-    /**
-     * Run one strategy with arrivals @p overload_factor times faster
+     * Run one policy with arrivals @p overload_factor times faster
      * than the calibrated DELTA (factor 1 = nominal load, 2 = twice
      * the machine's saturation rate).  Quantifies how each
-     * power-management strategy behaves past saturation: compare
-     * deadline_miss_rate and sim.max_ready_backlog across strategies.
+     * power-management policy behaves past saturation: compare
+     * deadline_miss_rate and sim.max_ready_backlog across policies.
      */
-    StrategyOutcome run_strategy_overloaded(mgmt::Strategy strategy,
-                                            double overload_factor);
+    StrategyOutcome run_policy_overloaded(const mgmt::PowerPolicy &policy,
+                                          double overload_factor);
 
     /**
-     * Run one strategy on an @p n_cells -way sharded board: every
+     * Run one policy on an @p n_cells -way sharded board: every
      * cell receives an equal slice of the workers, power domains and
      * base power, runs its own paper input model on a decorrelated
      * per-cell stream (seed = cell_stream_seed(model.seed, cell_id)),
@@ -176,10 +163,6 @@ class UplinkStudy
      * then re-partitioned across the cells from their peak demands
      * (partition_domains) to show the Eq. 6 apportionment.
      */
-    MultiCellStrategyOutcome
-    run_strategy_multicell(mgmt::Strategy strategy, std::size_t n_cells);
-
-    /** run_strategy_multicell for an arbitrary policy. */
     MultiCellStrategyOutcome
     run_policy_multicell(const mgmt::PowerPolicy &policy,
                          std::size_t n_cells);
@@ -194,16 +177,19 @@ class UplinkStudy
                 mgmt::GatingStats *stats = nullptr) const;
 
     /**
-     * Study-level metrics: per-strategy counters and gauges
-     * accumulated across every run_strategy*() call (subframes, tasks,
+     * Study-level metrics: per-policy counters and gauges
+     * accumulated across every run_policy*() call (subframes, tasks,
      * estimator clamps, gating switches, average power).
      */
     const obs::MetricsRegistry &metrics() const { return *metrics_; }
 
   private:
-    /** The preset for @p strategy with the config's orthogonal DVFS
-     *  knobs (sim.policy.dvfs*) carried over. */
-    mgmt::PowerPolicy policy_for(mgmt::Strategy strategy) const;
+    /** run_policy_on with the machine configured by @p sim_cfg (whose
+     *  policy field is replaced by @p policy). */
+    StrategyOutcome run_on(sim::SimConfig sim_cfg,
+                           const mgmt::PowerPolicy &policy,
+                           workload::ParameterModel &model,
+                           std::uint64_t subframes);
 
     void record_run_metrics(const StrategyOutcome &outcome);
 

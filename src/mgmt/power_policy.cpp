@@ -40,7 +40,6 @@ PowerPolicy
 PowerPolicy::nonap()
 {
     PowerPolicy p;
-    p.label = Strategy::kNoNap;
     p.name = "NONAP";
     return p;
 }
@@ -49,7 +48,6 @@ PowerPolicy
 PowerPolicy::idle()
 {
     PowerPolicy p;
-    p.label = Strategy::kIdle;
     p.reactive_idle = true;
     p.name = "IDLE";
     return p;
@@ -59,7 +57,6 @@ PowerPolicy
 PowerPolicy::nap()
 {
     PowerPolicy p;
-    p.label = Strategy::kNap;
     p.proactive = true;
     p.name = "NAP";
     return p;
@@ -69,7 +66,6 @@ PowerPolicy
 PowerPolicy::nap_idle()
 {
     PowerPolicy p;
-    p.label = Strategy::kNapIdle;
     p.proactive = true;
     p.reactive_idle = true;
     p.name = "NAP+IDLE";
@@ -80,7 +76,6 @@ PowerPolicy
 PowerPolicy::power_gating()
 {
     PowerPolicy p;
-    p.label = Strategy::kPowerGating;
     p.proactive = true;
     p.reactive_idle = true;
     p.analytical_gating = true;
@@ -89,23 +84,9 @@ PowerPolicy::power_gating()
 }
 
 PowerPolicy
-PowerPolicy::from_strategy(Strategy s)
-{
-    switch (s) {
-      case Strategy::kNoNap: return nonap();
-      case Strategy::kIdle: return idle();
-      case Strategy::kNap: return nap();
-      case Strategy::kNapIdle: return nap_idle();
-      case Strategy::kPowerGating: return power_gating();
-    }
-    return nonap();
-}
-
-PowerPolicy
 PowerPolicy::domain_dvfs()
 {
     PowerPolicy p;
-    p.label = Strategy::kPowerGating; // closest paper analogue
     p.proactive = true;
     p.reactive_idle = true;
     p.domain_machine = true;
@@ -115,10 +96,9 @@ PowerPolicy::domain_dvfs()
 }
 
 std::vector<PowerPolicy>
-PowerPolicy::all_presets()
+PowerPolicy::paper_presets()
 {
-    return {nonap(),    idle(),         nap(),
-            nap_idle(), power_gating(), domain_dvfs()};
+    return {nonap(), idle(), nap(), nap_idle(), power_gating()};
 }
 
 } // namespace lte::mgmt

@@ -21,15 +21,16 @@
  *                      the fact.
  *
  * The five paper strategies are reproduced bit-for-bit as preset
- * policies (see from_strategy); the parity tests pin their digests.
+ * policies (nonap() .. power_gating()); the parity tests pin their
+ * digests.  A policy is not study configuration: each run call of
+ * core::UplinkStudy (run_policy, run_policy_on, ...) supplies the
+ * policy it runs, and StudyConfig::sim.policy is not read there.
  */
 #ifndef LTE_MGMT_POWER_POLICY_HPP
 #define LTE_MGMT_POWER_POLICY_HPP
 
 #include <cstdint>
 #include <vector>
-
-#include "mgmt/strategy.hpp"
 
 namespace lte::mgmt {
 
@@ -40,18 +41,6 @@ enum class DomainState : std::uint8_t
     kNap = 1,    ///< clock-gated (workers nap; cheap instant wake)
     kGated = 2,  ///< power-gated (no static power; slow costly wake)
 };
-
-/** Display name for traces and exports. */
-constexpr const char *
-domain_state_name(DomainState s)
-{
-    switch (s) {
-      case DomainState::kActive: return "active";
-      case DomainState::kNap: return "nap";
-      case DomainState::kGated: return "gated";
-    }
-    return "?";
-}
 
 /**
  * Latency and energy charged by the simulator for domain-state and
@@ -81,9 +70,6 @@ struct TransitionCosts
  */
 struct PowerPolicy
 {
-    /** Closest paper-strategy label (naming, metrics, trace pids). */
-    Strategy label = Strategy::kNoNap;
-
     // --- paper mechanisms (bit-for-bit legacy semantics) ---
     /** Eq. 5 watermark: deactivate workers beyond the estimate. */
     bool proactive = false;
@@ -114,17 +100,12 @@ struct PowerPolicy
     std::uint32_t gate_hysteresis = 2;
     TransitionCosts costs;
 
-    /** Short display name, e.g. "NAP+IDLE" or "DOMAIN-DVFS". */
+    /** Short display name, e.g. "NAP+IDLE" or "DOMAIN-DVFS"; the
+     *  five paper presets use the paper's table labels (NONAP, IDLE,
+     *  NAP, NAP+IDLE, PowerGating). */
     const char *name = "NONAP";
 
     void validate() const;
-
-    /** True when any estimator-driven mechanism is enabled. */
-    bool
-    wants_estimator() const
-    {
-        return proactive || dvfs || domain_machine;
-    }
 
     // --- the five paper strategies, bit-for-bit ---
     static PowerPolicy nonap();
@@ -132,15 +113,14 @@ struct PowerPolicy
     static PowerPolicy nap();
     static PowerPolicy nap_idle();
     static PowerPolicy power_gating();
-    static PowerPolicy from_strategy(Strategy s);
 
     /** The PR 10 composite: NAP+IDLE semantics plus the per-domain
      *  state machine with a four-rung DVFS ladder and inline gating. */
     static PowerPolicy domain_dvfs();
 
-    /** All policies in presentation order: the five paper strategies
-     *  plus the domain-DVFS composite. */
-    static std::vector<PowerPolicy> all_presets();
+    /** The five paper strategies in the paper's presentation order
+     *  (NONAP, IDLE, NAP, NAP+IDLE, PowerGating). */
+    static std::vector<PowerPolicy> paper_presets();
 };
 
 } // namespace lte::mgmt

@@ -62,9 +62,9 @@ struct UserTaskCosts
     std::uint64_t demod_task = 0;
     /**
      * The whole tail (deinterleave, demap, descramble, harden, CRC).
-     * Kept as the aggregate for user-granularity consumers (the DAG
-     * simulator charges the tail to one node); the runtime splits it
-     * as tail == tail_task * n_tail_tasks + tail_reduce exactly.
+     * Kept as the aggregate for user-granularity consumers; the
+     * runtime and the DAG simulator split it as
+     * tail == tail_task * n_tail_tasks + tail_reduce exactly.
      */
     std::uint64_t tail = 0;
     /** One per-codeblock tail task (deint/demap/descramble/harden). */

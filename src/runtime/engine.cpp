@@ -395,11 +395,7 @@ Engine::estimate(Lane &lane, const phy::SubframeParams &params,
 void
 Engine::update_active_workers()
 {
-    const mgmt::Strategy strategy = config_.engine.pool.strategy;
-    if (!pool_ || !estimator_.has_value() ||
-        (strategy != mgmt::Strategy::kNap &&
-         strategy != mgmt::Strategy::kNapIdle &&
-         strategy != mgmt::Strategy::kPowerGating))
+    if (!pool_ || !estimator_.has_value() || !config_.engine.proactive)
         return;
     // The shared pool serves the sum of the lanes' demands (the
     // multi-cell Eq. 4): each lane's estimate, summed and clamped to

@@ -133,6 +133,11 @@ struct EngineConfig
     std::size_t max_in_flight = 3;
     /** TTI (arrival) period in milliseconds; 0 = free-running. */
     double delta_ms = 0.0;
+    /** Paper NAP: with an estimator installed, park pool workers above
+     *  the Eq. 5 watermark each dispatch (mgmt::PowerPolicy's
+     *  proactive).  Without it estimates are still computed and
+     *  published, but every worker stays active. */
+    bool proactive = false;
     /** Over-provisioning margin for Eq. 5. */
     std::uint32_t core_margin = 2;
     /**

@@ -349,21 +349,14 @@ WorkerPool::worker_main(std::size_t wid)
         if (try_help(wid))
             continue;
 
-        // No work found: behaviour depends on the strategy.
-        switch (config_.strategy) {
-          case mgmt::Strategy::kNoNap:
-          case mgmt::Strategy::kNap:
-            std::this_thread::yield(); // spin (burns activity)
-            break;
-          case mgmt::Strategy::kIdle:
-          case mgmt::Strategy::kNapIdle:
-          case mgmt::Strategy::kPowerGating: {
+        // No work found: nap for a poll period (IDLE) or spin.
+        if (config_.reactive_idle) {
             const auto start = std::chrono::steady_clock::now();
             std::this_thread::sleep_for(config_.idle_poll_period);
             trace(wid, obs::SpanKind::kIdle, start,
                   std::chrono::steady_clock::now(), 0);
-            break;
-          }
+        } else {
+            std::this_thread::yield(); // spin (burns activity)
         }
     }
 }

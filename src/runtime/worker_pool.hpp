@@ -13,10 +13,11 @@
  * tail fan-out, CRC/EVM reduce), so no worker ever blocks inside a
  * user and a heavy user's tail spreads across the whole pool.
  *
- * Core-deactivation strategies are emulated functionally: NAP-style
- * deactivation parks workers above the active-core watermark (they
- * wake periodically to re-check, mirroring the TILEPro64 `nap`
- * semantics); IDLE-style reactive gating makes a workless worker
+ * Core deactivation is emulated functionally: NAP-style deactivation
+ * parks workers above the active-core watermark (they wake
+ * periodically to re-check, mirroring the TILEPro64 `nap` semantics;
+ * the engine moves the watermark when EngineConfig::proactive is set);
+ * IDLE-style reactive gating (reactive_idle) makes a workless worker
  * sleep for a poll period instead of spinning.
  */
 #ifndef LTE_RUNTIME_WORKER_POOL_HPP
@@ -31,7 +32,6 @@
 #include <thread>
 #include <vector>
 
-#include "mgmt/strategy.hpp"
 #include "obs/trace.hpp"
 #include "runtime/task.hpp"
 #include "runtime/ws_deque.hpp"
@@ -42,7 +42,10 @@ namespace lte::runtime {
 struct WorkerPoolConfig
 {
     std::size_t n_workers = 4;
-    mgmt::Strategy strategy = mgmt::Strategy::kNoNap;
+    /** Paper IDLE: a worker that finds no work sleeps
+     *  idle_poll_period instead of yielding (mgmt::PowerPolicy's
+     *  reactive_idle). */
+    bool reactive_idle = false;
     /** Reactive (IDLE) sleep when no work is found. */
     std::chrono::microseconds idle_poll_period{200};
     /** Periodic wake-up of a NAP-deactivated worker. */

@@ -424,14 +424,6 @@ Machine::handle_dispatch(double t, workload::ParameterModel &model)
                              config_.cycles_per_op;
         dag.demod_cycles = static_cast<double>(costs.demod_task) *
                            config_.cycles_per_op;
-        // Monolithic mode has no decode fan-out: the serial tail task
-        // absorbs the whole decode charge so total work matches.
-        dag.tail_cycles =
-            static_cast<double>(
-                costs.tail +
-                costs.decode_task *
-                    static_cast<std::uint64_t>(costs.n_decode_tasks)) *
-            config_.cycles_per_op;
         dag.tail_task_cycles = static_cast<double>(costs.tail_task) *
                                config_.cycles_per_op;
         dag.decode_task_cycles = static_cast<double>(costs.decode_task) *
@@ -480,33 +472,24 @@ Machine::complete_stage(double t, const SimTask &task)
       case 2:
         LTE_ASSERT(dag.demod_left > 0, "demod underflow");
         if (--dag.demod_left == 0) {
-            if (config_.split_tail) {
-                // Continuation-graph tail: one task per codeblock,
-                // folded by a reduce — the runtime's real fan-out.
-                for (std::uint32_t i = 0; i < dag.tail_total; ++i)
-                    ready_.push_back(
-                        SimTask{dag.tail_task_cycles, task.dag, 3});
-            } else {
-                ready_.push_back(SimTask{dag.tail_cycles, task.dag, 3});
-            }
+            // Continuation-graph tail: one task per codeblock, folded
+            // by a reduce — the runtime's real fan-out.
+            for (std::uint32_t i = 0; i < dag.tail_total; ++i)
+                ready_.push_back(SimTask{dag.tail_task_cycles, task.dag, 3});
         }
         break;
       case 3:
-        if (config_.split_tail) {
-            LTE_ASSERT(dag.tail_left > 0, "tail underflow");
-            if (--dag.tail_left == 0) {
-                if (dag.decode_total > 0) {
-                    for (std::uint32_t i = 0; i < dag.decode_total; ++i)
-                        ready_.push_back(SimTask{
-                            dag.decode_task_cycles, task.dag, 5});
-                } else {
+        LTE_ASSERT(dag.tail_left > 0, "tail underflow");
+        if (--dag.tail_left == 0) {
+            if (dag.decode_total > 0) {
+                for (std::uint32_t i = 0; i < dag.decode_total; ++i)
                     ready_.push_back(
-                        SimTask{dag.reduce_cycles, task.dag, 4});
-                }
+                        SimTask{dag.decode_task_cycles, task.dag, 5});
+            } else {
+                ready_.push_back(SimTask{dag.reduce_cycles, task.dag, 4});
             }
-            break;
         }
-        [[fallthrough]];
+        break;
       case 4:
         dag.in_use = false;
         result_.user_latency.push_back(

@@ -74,8 +74,7 @@ class Machine
         double chanest_cycles = 0.0;
         double weights_cycles = 0.0;
         double demod_cycles = 0.0;
-        double tail_cycles = 0.0; ///< whole tail (monolithic mode)
-        double tail_task_cycles = 0.0; ///< one codeblock (split mode)
+        double tail_task_cycles = 0.0; ///< one tail codeblock
         double decode_task_cycles = 0.0; ///< one turbo code block
         double reduce_cycles = 0.0;
         std::uint32_t chanest_left = 0;
@@ -92,10 +91,9 @@ class Machine
     {
         double cycles = 0.0;
         std::uint32_t dag = 0;
-        /** 0 chanest, 1 weights, 2 demod, 3 tail (monolithic or one
-         *  codeblock), 4 reduce (split-tail mode only), 5 turbo decode
-         *  (split-tail mode with turbo_iterations > 0; runs between
-         *  the tail codeblocks and the reduce). */
+        /** 0 chanest, 1 weights, 2 demod, 3 tail codeblock, 4 reduce,
+         *  5 turbo decode (turbo_iterations > 0; runs between the
+         *  tail codeblocks and the reduce). */
         std::uint8_t stage = 0;
     };
 

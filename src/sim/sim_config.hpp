@@ -38,10 +38,11 @@ struct SimConfig
      *  so the maximum workload saturates the chip (DESIGN.md). */
     double cycles_per_op = 1.0;
 
-    /** Power-management policy under study: which mechanisms are
-     *  enabled (reactive napping, Eq. 5 watermark, DVFS, the
+    /** Power-management policy the machine runs: which mechanisms
+     *  are enabled (reactive napping, Eq. 5 watermark, DVFS, the
      *  per-domain state machine) and their parameters.  The five
-     *  paper strategies are the PowerPolicy::from_strategy presets. */
+     *  paper strategies are the PowerPolicy presets.  core::UplinkStudy
+     *  ignores this field: its run call supplies the policy. */
     mgmt::PowerPolicy policy = mgmt::PowerPolicy::nonap();
 
     /** Wake-poll period of a reactive (IDLE) napping worker looking
@@ -51,19 +52,11 @@ struct SimConfig
     /** Over-provisioning margin of Eq. 5. */
     std::uint32_t core_margin = 2;
 
-    /** Model the runtime's continuation-graph tail: the per-user tail
-     *  expands into op_model's n_tail_tasks per-codeblock tasks plus a
-     *  reduce task, as the work-stealing runtime executes it.  false
-     *  reproduces the pre-refactor monolithic tail (one serial task
-     *  per user) for before/after scheduling studies. */
-    bool split_tail = true;
-
     /** Price a real max-log-MAP turbo decode stage into the task DAG:
      *  every LTE code block of a user's allocation adds one decode
      *  task of this iteration budget between the tail codeblocks and
-     *  the closing reduce (in monolithic-tail mode the decode cost is
-     *  folded into the serial tail task).  0 reproduces the
-     *  pass-through pipeline: no decode stage at all. */
+     *  the closing reduce.  0 reproduces the pass-through pipeline:
+     *  no decode stage at all. */
     std::uint32_t turbo_iterations = 0;
 
     void

@@ -191,7 +191,6 @@ expect_zero_alloc_steady_state(EngineKind kind, bool tracing = false,
     EngineConfig cfg;
     cfg.kind = kind;
     cfg.pool.n_workers = 3;
-    cfg.pool.strategy = mgmt::Strategy::kNoNap; // yield, never sleep
     cfg.input.pool_size = 4;
     cfg.obs.enabled = tracing;
     if (real_turbo) {
@@ -250,22 +249,12 @@ TEST(AllocFree, SerialEngineSteadyStateDoesNotAllocate)
     expect_zero_alloc_steady_state(EngineKind::kSerial);
 }
 
-TEST(AllocFree, WorkStealingEngineSteadyStateDoesNotAllocate)
-{
-    expect_zero_alloc_steady_state(EngineKind::kStreaming);
-}
-
 TEST(AllocFree, SerialEngineTracingEnabledDoesNotAllocate)
 {
     // The observability layer must preserve the guarantee: rings,
     // series and counters are preallocated at engine construction, so
     // recording spans in steady state touches no heap.
     expect_zero_alloc_steady_state(EngineKind::kSerial, true);
-}
-
-TEST(AllocFree, WorkStealingEngineTracingEnabledDoesNotAllocate)
-{
-    expect_zero_alloc_steady_state(EngineKind::kStreaming, true);
 }
 
 TEST(AllocFree, RealTurboSerialSteadyStateDoesNotAllocate)
@@ -307,7 +296,6 @@ expect_zero_alloc_multicell(bool tracing)
     cfg.n_cells = 2;
     cfg.engine.kind = EngineKind::kStreaming;
     cfg.engine.pool.n_workers = 3;
-    cfg.engine.pool.strategy = mgmt::Strategy::kNoNap;
     cfg.engine.input.pool_size = 4;
     cfg.engine.obs.enabled = tracing;
     MultiCellEngine engine(cfg);
@@ -507,7 +495,6 @@ expect_zero_alloc_mac_closed_loop(EngineKind kind)
     EngineConfig cfg;
     cfg.kind = kind;
     cfg.pool.n_workers = 3;
-    cfg.pool.strategy = mgmt::Strategy::kNoNap;
     cfg.input.pool_size = 4;
     cfg.feedback = &sched;
     auto engine = make_engine(cfg);

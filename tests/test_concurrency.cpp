@@ -75,7 +75,7 @@ TEST(Concurrency, SubmitWhileShrinkingKeepsResultsStable)
 
     WorkerPoolConfig cfg;
     cfg.n_workers = 4;
-    cfg.strategy = mgmt::Strategy::kNapIdle;
+    cfg.reactive_idle = true;
     cfg.nap_poll_period = std::chrono::microseconds(50);
     cfg.idle_poll_period = std::chrono::microseconds(50);
     cfg.tracer = &tracer;
@@ -126,7 +126,7 @@ TEST(Concurrency, ExportWhileWorkersRecord)
 
     WorkerPoolConfig cfg;
     cfg.n_workers = 3;
-    cfg.strategy = mgmt::Strategy::kIdle;
+    cfg.reactive_idle = true;
     cfg.idle_poll_period = std::chrono::microseconds(50);
     cfg.tracer = &tracer;
     WorkerPool pool(cfg);
@@ -158,7 +158,6 @@ TEST(Concurrency, ShrinkToOneStillDrains)
 
     WorkerPoolConfig cfg;
     cfg.n_workers = 4;
-    cfg.strategy = mgmt::Strategy::kNap;
     cfg.nap_poll_period = std::chrono::microseconds(50);
     WorkerPool pool(cfg);
     pool.set_active_workers(1);

@@ -155,16 +155,14 @@ TEST(Dvfs, StudyVariantSavesPowerOnPaperModel)
     cfg.scale_to(1200);
     cfg.sweep.prb_step = 66;
     cfg.sweep.duration_s = 0.1;
-    core::UplinkStudy plain(cfg);
-    plain.prepare();
+    core::UplinkStudy study(cfg);
+    study.prepare();
     const double nonap =
-        plain.run_strategy(mgmt::Strategy::kNoNap).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::nonap()).avg_power_w;
 
-    core::StudyConfig dvfs_cfg = cfg;
-    dvfs_cfg.sim.policy.dvfs = true;
-    core::UplinkStudy dvfs(dvfs_cfg);
-    dvfs.prepare();
-    const auto outcome = dvfs.run_strategy(mgmt::Strategy::kNoNap);
+    mgmt::PowerPolicy dvfs = mgmt::PowerPolicy::nonap();
+    dvfs.dvfs = true;
+    const auto outcome = study.run_policy(dvfs);
     EXPECT_LT(outcome.avg_power_w, nonap - 1.0);
     // DVFS trades latency for power: around the workload peak the
     // headroom is consumed and completion stretches, but the system

@@ -8,7 +8,6 @@
 
 #include "mgmt/core_allocator.hpp"
 #include "mgmt/estimator.hpp"
-#include "mgmt/strategy.hpp"
 
 namespace lte::mgmt {
 namespace {
@@ -225,15 +224,6 @@ TEST(GatingPlanner, EmitsExactlyOneDecisionPerSubframe)
         total += planner.push(static_cast<std::uint32_t>(i % 40)).size();
     total += planner.finish().size();
     EXPECT_EQ(total, 100u);
-}
-
-TEST(Strategy, NamesMatchPaper)
-{
-    EXPECT_STREQ(strategy_name(Strategy::kNoNap), "NONAP");
-    EXPECT_STREQ(strategy_name(Strategy::kIdle), "IDLE");
-    EXPECT_STREQ(strategy_name(Strategy::kNap), "NAP");
-    EXPECT_STREQ(strategy_name(Strategy::kNapIdle), "NAP+IDLE");
-    EXPECT_STREQ(strategy_name(Strategy::kPowerGating), "PowerGating");
 }
 
 } // namespace

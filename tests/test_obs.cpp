@@ -350,7 +350,6 @@ TEST(ObsIntegration, HundredSubframeRunExports)
     // and a per-subframe activity CSV with one row per subframe.
     EngineConfig cfg;
     cfg.pool.n_workers = 3;
-    cfg.pool.strategy = mgmt::Strategy::kNoNap;
     cfg.input.pool_size = 4;
     cfg.obs.enabled = true;
     auto engine = make_engine(cfg);

@@ -2,13 +2,12 @@
  * @file
  * PR 10 refactor guards.
  *
- * 1. Bit-for-bit parity: the five paper strategies, the DVFS
- *    variants and the 2-cell multicell run must reproduce the exact
- *    pre-refactor results now that mgmt::Strategy routes through
- *    composable PowerPolicy configs.  The digests below were captured
- *    on the pre-refactor tree (FNV-1a over the double bit patterns of
- *    every interval, power sample and aggregate); any FP-visible
- *    change to the legacy paths trips them.
+ * 1. Bit-for-bit parity: the five paper strategies (the PowerPolicy
+ *    presets), the DVFS variants and the 2-cell multicell run must
+ *    reproduce the exact results of the original enum-dispatch
+ *    machine.  The digests below were captured on that tree (FNV-1a
+ *    over the double bit patterns of every interval, power sample and
+ *    aggregate); any FP-visible change to these paths trips them.
  * 2. The shared-calibration handle (Calibration / adopt_calibration)
  *    must hand over the estimator coefficients exactly.
  * 3. Behavioural coverage of the per-domain power-state machine
@@ -106,7 +105,7 @@ shared_study()
     return *study;
 }
 
-// ------------------------------------------------ strategy parity
+// ------------------------------------------------- preset parity
 
 TEST(PolicyParity, CalibrationMatchesPreRefactor)
 {
@@ -118,30 +117,29 @@ TEST(PolicyParity, StrategyDigestsMatchPreRefactor)
 {
     struct Pinned
     {
-        mgmt::Strategy strategy;
+        mgmt::PowerPolicy policy;
         std::uint64_t digest;
         double avg_power_w;
     };
     // Captured on the pre-refactor tree (enum-dispatch machine,
     // chip-wide SimConfig::dvfs) at the compressed_config() shape.
     const Pinned pinned[] = {
-        {mgmt::Strategy::kNoNap, 0x660c10ea80f04fe4ull,
+        {mgmt::PowerPolicy::nonap(), 0x660c10ea80f04fe4ull,
          24.508925404004991},
-        {mgmt::Strategy::kIdle, 0x390a0fa5b898a537ull,
+        {mgmt::PowerPolicy::idle(), 0x390a0fa5b898a537ull,
          20.812736590213358},
-        {mgmt::Strategy::kNap, 0x89ed5f92113a7df3ull,
+        {mgmt::PowerPolicy::nap(), 0x89ed5f92113a7df3ull,
          20.369899947409763},
-        {mgmt::Strategy::kNapIdle, 0xa09a416e1b1899c8ull,
+        {mgmt::PowerPolicy::nap_idle(), 0xa09a416e1b1899c8ull,
          19.893273052100358},
-        {mgmt::Strategy::kPowerGating, 0x225c1e7d7db06f5eull,
+        {mgmt::PowerPolicy::power_gating(), 0x225c1e7d7db06f5eull,
          18.938078512436881},
     };
     for (const auto &p : pinned) {
-        const auto outcome = shared_study().run_strategy(p.strategy);
-        EXPECT_EQ(digest(outcome), p.digest)
-            << mgmt::strategy_name(p.strategy);
+        const auto outcome = shared_study().run_policy(p.policy);
+        EXPECT_EQ(digest(outcome), p.digest) << p.policy.name;
         EXPECT_DOUBLE_EQ(outcome.avg_power_w, p.avg_power_w)
-            << mgmt::strategy_name(p.strategy);
+            << p.policy.name;
         EXPECT_EQ(outcome.sim.tasks_executed, 421144u);
         // Legacy runs must not grow domain tracks (that would change
         // the power model's dispatch).
@@ -151,37 +149,27 @@ TEST(PolicyParity, StrategyDigestsMatchPreRefactor)
     }
 }
 
-TEST(PolicyParity, PolicyPresetsReproduceStrategyRuns)
-{
-    // run_policy(preset) must be the same run as run_strategy(enum).
-    const auto by_enum = shared_study().run_strategy(
-        mgmt::Strategy::kPowerGating);
-    const auto by_policy = shared_study().run_policy(
-        mgmt::PowerPolicy::power_gating());
-    EXPECT_EQ(digest(by_enum), digest(by_policy));
-    EXPECT_EQ(by_policy.policy.name, std::string("PowerGating"));
-}
-
 TEST(PolicyParity, DvfsVariantDigestsMatchPreRefactor)
 {
-    // The chip-wide DVFS knob is orthogonal to the strategy and must
-    // survive run_strategy() (pre-refactor it lived on SimConfig).
-    core::StudyConfig cfg = compressed_config();
-    cfg.sim.policy.dvfs = true;
-    core::UplinkStudy study(cfg);
-    study.adopt_calibration(shared_study().calibration());
-    const auto nonap = study.run_strategy(mgmt::Strategy::kNoNap);
+    // The chip-wide DVFS knob is orthogonal to the paper strategies:
+    // set on a preset it reproduces the runs pinned when it lived on
+    // SimConfig.
+    mgmt::PowerPolicy dvfs_nonap = mgmt::PowerPolicy::nonap();
+    dvfs_nonap.dvfs = true;
+    const auto nonap = shared_study().run_policy(dvfs_nonap);
     EXPECT_EQ(digest(nonap), 0x23bf0168c1cd830full);
     EXPECT_DOUBLE_EQ(nonap.avg_power_w, 19.306473028186318);
-    const auto napidle = study.run_strategy(mgmt::Strategy::kNapIdle);
+    mgmt::PowerPolicy dvfs_napidle = mgmt::PowerPolicy::nap_idle();
+    dvfs_napidle.dvfs = true;
+    const auto napidle = shared_study().run_policy(dvfs_napidle);
     EXPECT_EQ(digest(napidle), 0xa00fa8e4d2e52b7dull);
     EXPECT_DOUBLE_EQ(napidle.avg_power_w, 19.855433741340285);
 }
 
 TEST(PolicyParity, MulticellDigestMatchesPreRefactor)
 {
-    const auto mc = shared_study().run_strategy_multicell(
-        mgmt::Strategy::kNapIdle, 2);
+    const auto mc = shared_study().run_policy_multicell(
+        mgmt::PowerPolicy::nap_idle(), 2);
     std::uint64_t h = 1469598103934665603ull;
     for (const auto &cell : mc.cells)
         h = mix_u64(h, digest(cell));
@@ -212,11 +200,15 @@ TEST(PolicyParity, PresetFlagsMatchPaperStrategies)
     EXPECT_TRUE(gating.proactive);
     EXPECT_TRUE(gating.reactive_idle);
     EXPECT_TRUE(gating.analytical_gating);
-    for (mgmt::Strategy s : mgmt::kAllStrategies) {
-        const auto p = mgmt::PowerPolicy::from_strategy(s);
-        EXPECT_EQ(p.label, s);
-        EXPECT_FALSE(p.domain_machine);
-        EXPECT_FALSE(p.dvfs);
+    // The presets carry the paper's table labels, in its order.
+    const char *paper_names[] = {"NONAP", "IDLE", "NAP", "NAP+IDLE",
+                                 "PowerGating"};
+    const auto presets = mgmt::PowerPolicy::paper_presets();
+    ASSERT_EQ(presets.size(), 5u);
+    for (std::size_t k = 0; k < presets.size(); ++k) {
+        EXPECT_STREQ(presets[k].name, paper_names[k]);
+        EXPECT_FALSE(presets[k].domain_machine);
+        EXPECT_FALSE(presets[k].dvfs);
     }
 }
 
@@ -247,7 +239,7 @@ TEST(CalibrationHandle, AdoptedStudyReproducesPreparedRun)
 {
     core::UplinkStudy adopted(compressed_config());
     adopted.adopt_calibration(shared_study().calibration());
-    const auto run = adopted.run_strategy(mgmt::Strategy::kNapIdle);
+    const auto run = adopted.run_policy(mgmt::PowerPolicy::nap_idle());
     EXPECT_EQ(digest(run), 0xa09a416e1b1899c8ull);
 }
 

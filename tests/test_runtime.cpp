@@ -157,11 +157,13 @@ TEST(InputGenerator, PoolIndependentOfRequestOrder)
 // --------------------------------------------- serial vs parallel
 
 EngineConfig
-small_config(std::size_t workers, mgmt::Strategy strategy)
+small_config(std::size_t workers, bool reactive_idle = false,
+             bool proactive = false)
 {
     EngineConfig cfg;
     cfg.pool.n_workers = workers;
-    cfg.pool.strategy = strategy;
+    cfg.pool.reactive_idle = reactive_idle;
+    cfg.proactive = proactive;
     cfg.input.seed = 99;
     cfg.input.pool_size = 4;
     return cfg;
@@ -198,7 +200,7 @@ TEST(Validation, ParallelMatchesSerialReference)
     const RunRecord ref = serial->run(serial_model, n);
 
     workload::PaperModel parallel_model(compressed_model_config());
-    auto bench = make_engine(small_config(4, mgmt::Strategy::kNoNap));
+    auto bench = make_engine(small_config(4));
     const RunRecord parallel = bench->run(parallel_model, n);
 
     std::string why;
@@ -213,8 +215,7 @@ TEST(Validation, ResultsIndependentOfWorkerCount)
     std::uint64_t first_digest = 0;
     for (std::size_t workers : {1u, 2u, 3u, 6u}) {
         workload::PaperModel model(compressed_model_config());
-        auto bench = make_engine(
-            small_config(workers, mgmt::Strategy::kNoNap));
+        auto bench = make_engine(small_config(workers));
         const RunRecord record = bench->run(model, n);
         if (workers == 1)
             first_digest = record.digest();
@@ -230,11 +231,12 @@ TEST(Validation, ResultsIndependentOfStrategy)
     const std::size_t n = 25;
     std::uint64_t reference = 0;
     bool first = true;
-    for (mgmt::Strategy strategy :
-         {mgmt::Strategy::kNoNap, mgmt::Strategy::kIdle,
-          mgmt::Strategy::kNapIdle}) {
+    // Every (reactive_idle, proactive) combination: the power
+    // mechanisms change when workers run, never what they compute.
+    for (const int flags : {0, 1, 2, 3}) {
         workload::PaperModel model(compressed_model_config());
-        auto bench = make_engine(small_config(3, strategy));
+        auto bench = make_engine(
+            small_config(3, (flags & 1) != 0, (flags & 2) != 0));
         const RunRecord record = bench->run(model, n);
         if (first) {
             reference = record.digest();
@@ -249,7 +251,7 @@ TEST(Validation, RepeatedRunsAreDeterministic)
 {
     auto run_once = [] {
         workload::PaperModel model(compressed_model_config());
-        auto bench = make_engine(small_config(4, mgmt::Strategy::kNoNap));
+        auto bench = make_engine(small_config(4));
         return bench->run(model, 20).digest();
     };
     EXPECT_EQ(run_once(), run_once());
@@ -266,7 +268,7 @@ TEST(WorkerPool, StealsHappenWithUnevenUsers)
     user.layers = 4;
     user.mod = Modulation::k64Qam;
     workload::SteadyModel model(user);
-    auto bench = make_engine(small_config(4, mgmt::Strategy::kNoNap));
+    auto bench = make_engine(small_config(4));
     const RunRecord record = bench->run(model, 6);
     EXPECT_GT(record.steals, 0u);
 }
@@ -275,7 +277,8 @@ TEST(WorkerPool, NapDeactivationStillCompletesWork)
 {
     // With only 1 of 4 workers active, everything must still finish.
     workload::PaperModel model(compressed_model_config());
-    auto bench = make_engine(small_config(4, mgmt::Strategy::kNapIdle));
+    auto bench = make_engine(
+        small_config(4, /*reactive_idle=*/true, /*proactive=*/true));
     bench->worker_pool()->set_active_workers(1);
     const RunRecord record = bench->run(model, 15);
     EXPECT_EQ(record.subframes.size(), 15u);
@@ -300,7 +303,7 @@ TEST(WorkerPool, ActiveWorkersClampedToValidRange)
 TEST(WorkerPool, ActivityAccountingIsSane)
 {
     workload::PaperModel model(compressed_model_config());
-    auto bench = make_engine(small_config(2, mgmt::Strategy::kNoNap));
+    auto bench = make_engine(small_config(2));
     const RunRecord record = bench->run(model, 20);
     EXPECT_GT(record.total_ops, 0u);
     EXPECT_GT(record.wall_seconds, 0.0);
@@ -310,8 +313,9 @@ TEST(WorkerPool, ActivityAccountingIsSane)
 
 TEST(WorkerPool, EstimatorDrivenNapAdjustsActiveCores)
 {
-    // A NAP-strategy benchmark with an estimator must reduce active
-    // workers on a tiny workload.
+    // A proactive (NAP) engine with an estimator must reduce active
+    // workers on a tiny workload; without proactive the same
+    // estimator leaves every worker active.
     mgmt::CalibrationTable table;
     for (std::uint32_t l = 1; l <= 4; ++l) {
         for (Modulation mod : kAllModulations)
@@ -321,14 +325,17 @@ TEST(WorkerPool, EstimatorDrivenNapAdjustsActiveCores)
     tiny.prb = 2;
     tiny.layers = 1;
     tiny.mod = Modulation::kQpsk;
-    workload::SteadyModel model(tiny);
 
-    auto cfg = small_config(6, mgmt::Strategy::kNap);
-    auto bench = make_engine(cfg);
-    bench->set_estimator(mgmt::WorkloadEstimator(table));
-    bench->run(model, 5);
-    // estimate = 2 * 0.001 = 0.002 -> 0.002*6 + 2 -> ceil -> 3.
-    EXPECT_EQ(bench->worker_pool()->active_workers(), 3u);
+    for (const bool proactive : {false, true}) {
+        workload::SteadyModel model(tiny);
+        auto bench = make_engine(
+            small_config(6, /*reactive_idle=*/false, proactive));
+        bench->set_estimator(mgmt::WorkloadEstimator(table));
+        bench->run(model, 5);
+        // estimate = 2 * 0.001 = 0.002 -> 0.002*6 + 2 -> ceil -> 3.
+        EXPECT_EQ(bench->worker_pool()->active_workers(),
+                  proactive ? 3u : 6u);
+    }
 }
 
 TEST(WorkerPool, IntervalSnapshotsAreDeltaBased)

@@ -436,7 +436,7 @@ TEST(StreamingObs, ShedDecisionsAreTraced)
 
 TEST(StreamingObs, BacklogAwareEstimatorSeesQueueDepth)
 {
-    // With an estimator installed and a NAP strategy, the streaming
+    // With an estimator installed and the NAP watermark on, the streaming
     // engine feeds the admission backlog into Eq. 4, so sustained
     // overload must produce backlog-boosted estimates.
     mgmt::CalibrationTable table;
@@ -446,7 +446,8 @@ TEST(StreamingObs, BacklogAwareEstimatorSeesQueueDepth)
     }
     const std::size_t n = 60;
     EngineConfig cfg = overload_config(ShedPolicy::kDropOldest);
-    cfg.pool.strategy = mgmt::Strategy::kNapIdle;
+    cfg.pool.reactive_idle = true;
+    cfg.proactive = true;
     auto engine = make_engine(cfg);
     engine->set_estimator(mgmt::WorkloadEstimator(table));
     workload::SteadyModel model(heavy_user());

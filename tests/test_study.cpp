@@ -2,13 +2,16 @@
  * @file
  * Integration tests of the full power-management study on a
  * compressed protocol: calibration-table structure, estimation
- * accuracy (the Fig. 12 claim), and the strategy power ordering of
- * Tables I/II.
+ * accuracy (the Fig. 12 claim), the strategy power ordering of
+ * Tables I/II, and the study exporters.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <string>
 
+#include "core/study_export.hpp"
 #include "core/uplink_study.hpp"
 
 namespace lte::core {
@@ -69,7 +72,7 @@ TEST(Study, EstimateTracksMeasuredActivity)
     // Fig. 12: per-window estimated vs measured activity.  The paper
     // reports max error 5.4% and average 1.2% on the real machine;
     // the simulator should be in the same regime.
-    auto outcome = shared_study().run_strategy(mgmt::Strategy::kNoNap);
+    auto outcome = shared_study().run_policy(mgmt::PowerPolicy::nonap());
     const auto &intervals = outcome.sim.intervals;
 
     const double window_s = 0.1; // 20 subframes of the compressed run
@@ -103,15 +106,15 @@ TEST(Study, StrategyPowerOrderingMatchesPaper)
 {
     auto &study = shared_study();
     const double nonap =
-        study.run_strategy(mgmt::Strategy::kNoNap).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::nonap()).avg_power_w;
     const double idle =
-        study.run_strategy(mgmt::Strategy::kIdle).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::idle()).avg_power_w;
     const double nap =
-        study.run_strategy(mgmt::Strategy::kNap).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::nap()).avg_power_w;
     const double napidle =
-        study.run_strategy(mgmt::Strategy::kNapIdle).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::nap_idle()).avg_power_w;
     const double gating =
-        study.run_strategy(mgmt::Strategy::kPowerGating).avg_power_w;
+        study.run_policy(mgmt::PowerPolicy::power_gating()).avg_power_w;
 
     // Table II ordering: NONAP > IDLE >= NAP > NAP+IDLE > PowerGating.
     EXPECT_GT(nonap, idle);
@@ -130,7 +133,7 @@ TEST(Study, StrategyPowerOrderingMatchesPaper)
 TEST(Study, PowerGatingPlanCoversRun)
 {
     auto &study = shared_study();
-    auto outcome = study.run_strategy(mgmt::Strategy::kPowerGating);
+    auto outcome = study.run_policy(mgmt::PowerPolicy::power_gating());
     ASSERT_EQ(outcome.powered.size(), outcome.sim.intervals.size());
     for (std::uint32_t p : outcome.powered) {
         EXPECT_EQ(p % 8, 0u); // whole domains
@@ -152,18 +155,18 @@ TEST(Study, OverloadRaisesMissRateAndRestoresConfig)
 {
     auto &study = shared_study();
     const double nominal_delta = study.config().sim.delta_s;
-    const auto nominal = study.run_strategy(mgmt::Strategy::kNoNap);
+    const auto nominal = study.run_policy(mgmt::PowerPolicy::nonap());
     // 3x overload: subframes arrive at a third of the nominal period,
     // so users pile up and more of them finish past the deadline.
     const auto overloaded =
-        study.run_strategy_overloaded(mgmt::Strategy::kNoNap, 3.0);
+        study.run_policy_overloaded(mgmt::PowerPolicy::nonap(), 3.0);
     EXPECT_GE(overloaded.deadline_miss_rate,
               nominal.deadline_miss_rate);
     EXPECT_GT(overloaded.deadline_miss_rate, 0.0);
     // The overload run must not leak its compressed delta_s.
     EXPECT_DOUBLE_EQ(study.config().sim.delta_s, nominal_delta);
     EXPECT_THROW(
-        study.run_strategy_overloaded(mgmt::Strategy::kNoNap, 0.5),
+        study.run_policy_overloaded(mgmt::PowerPolicy::nonap(), 0.5),
         std::invalid_argument);
 }
 
@@ -171,8 +174,39 @@ TEST(Study, RequiresPrepareBeforeRun)
 {
     UplinkStudy study(compressed_config());
     EXPECT_FALSE(study.prepared());
-    EXPECT_THROW(study.run_strategy(mgmt::Strategy::kNap),
+    EXPECT_THROW(study.run_policy(mgmt::PowerPolicy::nap()),
                  std::invalid_argument);
+}
+
+/** The pid of the first event a study trace export writes. */
+int
+trace_pid(const mgmt::PowerPolicy &policy)
+{
+    StrategyOutcome outcome;
+    outcome.policy = policy;
+    std::ostringstream os;
+    write_study_chrome_trace(os, outcome, 62);
+    const std::string json = os.str();
+    const std::string key = "\"pid\":";
+    const auto at = json.find(key);
+    EXPECT_NE(at, std::string::npos);
+    return std::stoi(json.substr(at + key.size()));
+}
+
+TEST(Study, ChromeTracePidsKeepPresetsApart)
+{
+    // Merged study traces keep one track per preset: DOMAIN-DVFS must
+    // not share PowerGating's pid, and the paper's five keep 1..5.
+    EXPECT_NE(trace_pid(mgmt::PowerPolicy::domain_dvfs()),
+              trace_pid(mgmt::PowerPolicy::power_gating()));
+    int pid = 1;
+    for (const mgmt::PowerPolicy &policy :
+         mgmt::PowerPolicy::paper_presets())
+        EXPECT_EQ(trace_pid(policy), pid++) << policy.name;
+    EXPECT_EQ(trace_pid(mgmt::PowerPolicy::domain_dvfs()), 6);
+    mgmt::PowerPolicy custom = mgmt::PowerPolicy::nap();
+    custom.name = "CUSTOM";
+    EXPECT_EQ(trace_pid(custom), 7);
 }
 
 } // namespace

@@ -89,7 +89,6 @@ graph_config(EngineKind kind, std::size_t n_workers,
     EngineConfig cfg;
     cfg.kind = kind;
     cfg.pool.n_workers = n_workers;
-    cfg.pool.strategy = mgmt::Strategy::kNoNap;
     cfg.receiver.n_antennas = n_antennas;
     cfg.input.n_antennas = n_antennas;
     cfg.input.pool_size = 4;
@@ -146,10 +145,7 @@ TEST(TaskGraph, DigestParityWithSerialAcrossLayersAndAntennas)
     for (const std::size_t n_antennas : {2u, 4u}) {
         auto serial = make_engine(
             graph_config(EngineKind::kSerial, 1, n_antennas));
-        auto ws = make_engine(
-            graph_config(EngineKind::kStreaming, n_workers,
-                         n_antennas));
-        auto streaming = make_engine(
+        auto pooled = make_engine(
             graph_config(EngineKind::kStreaming, n_workers,
                          n_antennas));
         for (std::uint64_t i = 0; i < 4; ++i) {
@@ -158,10 +154,7 @@ TEST(TaskGraph, DigestParityWithSerialAcrossLayersAndAntennas)
             const std::string ctx =
                 "antennas=" + std::to_string(n_antennas) +
                 " subframe=" + std::to_string(i);
-            expect_user_parity(ref, ws->process_subframe(sf),
-                               ctx + " work-stealing");
-            expect_user_parity(ref, streaming->process_subframe(sf),
-                               ctx + " streaming");
+            expect_user_parity(ref, pooled->process_subframe(sf), ctx);
         }
     }
 }
@@ -225,15 +218,13 @@ TEST(TaskGraph, TailSpansAreTraced)
 TEST(TaskGraph, RealTurboDigestParityWithSerial)
 {
     // The per-codeblock decode fan-out must be invisible in the
-    // output: serial, work-stealing, and streaming engines running
-    // the real max-log-MAP decoder agree bit for bit, including the
-    // per-user iteration tallies (early termination is a function of
-    // the block data only, not of scheduling).
+    // output: the serial and the pooled engine running the real
+    // max-log-MAP decoder agree bit for bit, including the per-user
+    // iteration tallies (early termination is a function of the block
+    // data only, not of scheduling).
     const std::size_t n_workers = workers_from_env();
     auto serial = make_engine(real_turbo_config(EngineKind::kSerial, 1));
     auto ws = make_engine(
-        real_turbo_config(EngineKind::kStreaming, n_workers));
-    auto streaming = make_engine(
         real_turbo_config(EngineKind::kStreaming, n_workers));
     for (std::uint64_t i = 0; i < 2; ++i) {
         const phy::SubframeParams sf = graph_subframe(i);
@@ -243,14 +234,12 @@ TEST(TaskGraph, RealTurboDigestParityWithSerial)
         const std::string ctx = "real-turbo subframe " +
                                 std::to_string(i);
         const SubframeOutcome ws_out = ws->process_subframe(sf);
-        expect_user_parity(ref, ws_out, ctx + " work-stealing");
+        expect_user_parity(ref, ws_out, ctx);
         for (std::size_t u = 0; u < ref.users.size(); ++u) {
             EXPECT_EQ(ref.users[u].decode_iterations,
                       ws_out.users[u].decode_iterations)
                 << ctx << " user " << u;
         }
-        expect_user_parity(ref, streaming->process_subframe(sf),
-                           ctx + " streaming");
     }
 }
 
