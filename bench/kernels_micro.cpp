@@ -75,39 +75,29 @@ fft_sizes(benchmark::internal::Benchmark *b)
 BENCHMARK_TEMPLATE(BM_Fft, false)->Name("BM_FftForward")->Apply(fft_sizes);
 BENCHMARK_TEMPLATE(BM_Fft, true)->Name("BM_FftInverse")->Apply(fft_sizes);
 
+/** One (antenna, layer) channel estimate with preallocated output and
+ *  scratch, as the engine's chanest tasks run it. */
 void
 BM_ChannelEstimate(benchmark::State &state)
 {
     const auto m = static_cast<std::size_t>(state.range(0));
     const CVec ref = phy::user_dmrs(1, 0, m, 0);
-    CVec rx = random_signal(m, m);
+    const CVec rx = random_signal(m, m);
+    CVec freq(m);
+    CVec scratch(phy::estimate_channel_scratch(m));
+    const phy::ChannelEstimatorConfig cfg;
     for (auto _ : state) {
-        auto est = phy::estimate_channel(rx, ref);
-        benchmark::DoNotOptimize(est.freq_response.data());
+        benchmark::DoNotOptimize(
+            phy::estimate_channel_into(rx, ref, cfg, freq, scratch));
+        benchmark::DoNotOptimize(freq.data());
+        benchmark::ClobberMemory();
     }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(m));
 }
 BENCHMARK(BM_ChannelEstimate)->Arg(120)->Arg(600)->Arg(1200);
 
-void
-BM_CombinerWeights(benchmark::State &state)
-{
-    const auto layers = static_cast<std::size_t>(state.range(0));
-    const std::size_t m = 300;
-    Rng rng(9);
-    std::vector<std::vector<CVec>> channel(
-        4, std::vector<CVec>(layers));
-    for (auto &ant : channel) {
-        for (auto &layer : ant)
-            layer = random_signal(m, rng.next_u64());
-    }
-    for (auto _ : state) {
-        auto w = phy::compute_combiner_weights(channel, 0.05f);
-        benchmark::DoNotOptimize(&w);
-    }
-}
-BENCHMARK(BM_CombinerWeights)->Arg(1)->Arg(2)->Arg(4);
-
-/** The allocation-free engine path: flat ChannelView in, re-shaped
+/** MMSE combiner weights: flat ChannelView in, re-shaped
  *  CombinerWeights out (SIMD Gram accumulation when enabled). */
 void
 BM_CombinerWeightsInto(benchmark::State &state)
@@ -173,22 +163,8 @@ BM_MatchedFilter(benchmark::State &state)
 }
 BENCHMARK(BM_MatchedFilter)->Arg(300)->Arg(1200);
 
-void
-BM_SoftDemap(benchmark::State &state)
-{
-    const auto mod = static_cast<Modulation>(state.range(0));
-    const CVec symbols = random_signal(1200, 7);
-    for (auto _ : state) {
-        auto llrs = phy::demodulate_soft(symbols, mod, 0.05f);
-        benchmark::DoNotOptimize(llrs.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            1200);
-}
-BENCHMARK(BM_SoftDemap)->Arg(0)->Arg(1)->Arg(2);
-
-/** The allocation-free demapper entry point (no output vector in the
- *  loop), per modulation. */
+/** Soft demapping of 1200 symbols into a preallocated LLR buffer, per
+ *  modulation. */
 void
 BM_SoftDemapInto(benchmark::State &state)
 {
@@ -244,25 +220,6 @@ BM_TurboEncode(benchmark::State &state)
 }
 BENCHMARK(BM_TurboEncode)->Arg(256)->Arg(1024);
 
-void
-BM_TurboDecode(benchmark::State &state)
-{
-    Rng rng(8);
-    const std::size_t k = static_cast<std::size_t>(state.range(0));
-    std::vector<std::uint8_t> info(k);
-    for (auto &b : info)
-        b = static_cast<std::uint8_t>(rng.next_u64() & 1);
-    const auto coded = phy::turbo_encode(info);
-    std::vector<Llr> llrs(coded.size());
-    for (std::size_t i = 0; i < coded.size(); ++i) {
-        llrs[i] = (coded[i] ? -2.0f : 2.0f) +
-                  static_cast<float>(rng.next_gaussian());
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(phy::turbo_decode(llrs, k));
-}
-BENCHMARK(BM_TurboDecode)->Arg(256);
-
 /**
  * The workspace decoder at a fixed 6-iteration budget (crc_poly = 0,
  * so no early termination skews the comparison).  `simd` toggles
@@ -304,7 +261,7 @@ BM_TurboDecodeSimd(benchmark::State &state)
 {
     turbo_decode_block_bench(state, true);
 }
-BENCHMARK(BM_TurboDecodeSimd)->Arg(1024)->Arg(6144);
+BENCHMARK(BM_TurboDecodeSimd)->Arg(256)->Arg(1024)->Arg(6144);
 
 void
 BM_TurboDecodeScalar(benchmark::State &state)

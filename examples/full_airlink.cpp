@@ -72,6 +72,7 @@ main()
     phy::UserSignal rx_signal;
     rx_signal.antennas.resize(1);
 
+    CVec rx_carrier(carrier_cfg.n_fft);
     std::size_t tx_samples = 0;
     for (std::size_t slot = 0; slot < kSlotsPerSubframe; ++slot) {
         const std::size_t m_sc = user.sc_in_slot(slot);
@@ -89,11 +90,12 @@ main()
                 time_channel(time, delays, gains, noise_std, rng);
 
             // Front end: CP removal + FFT + subcarrier de-mapping.
-            const CVec rx_carrier =
-                phy::scfdma_demodulate(rx_time, sym, carrier_cfg);
-            rx_signal.antennas[0].slots[slot][sym] =
-                phy::extract_from_carrier(rx_carrier, start_sc, m_sc,
-                                          carrier_cfg);
+            phy::scfdma_demodulate_into(rx_time, sym, carrier_cfg,
+                                        rx_carrier);
+            CVec &rx_alloc = rx_signal.antennas[0].slots[slot][sym];
+            rx_alloc.resize(m_sc);
+            phy::extract_from_carrier_into(rx_carrier, start_sc,
+                                           carrier_cfg, rx_alloc);
         }
     }
 

@@ -32,13 +32,23 @@ run_preset release
 echo "==> release real-turbo leg (LTE_REAL_TURBO=1)"
 LTE_REAL_TURBO=1 ./build/tests/test_task_graph
 
-# Micro-bench smoke: prove the decode benches (both twins) and the
-# bit back-end benches (soft descrambling, per-user tail tasks, CRC-24)
-# run; real measurements use longer repetitions (see README).
-echo "==> turbo and bit back-end micro-bench smoke"
+# Micro-bench smoke: prove the decode benches (both twins), the
+# front-end kernel benches (channel estimation, combiner weights,
+# antenna combining, soft demapping) and the bit back-end benches (soft
+# descrambling, per-user tail tasks, CRC-24) run; real measurements use
+# longer repetitions (see README).
+echo "==> kernel micro-bench smoke"
 ./build/bench/kernels_micro \
-    --benchmark_filter='TurboDecode(Simd|Scalar)|Descramble|TailTask|Crc24' \
+    --benchmark_filter='TurboDecode(Simd|Scalar)|ChannelEstimate|CombinerWeights|SoftDemap|Combine|Descramble|TailTask|Crc24' \
     --benchmark_min_time=0.05
+
+# Example smoke: both receive-chain examples exit non-zero on a CRC or
+# payload mismatch (full_airlink goes through the carrier FFT and a
+# time-domain multipath channel first).
+for example in quickstart full_airlink; do
+    echo "==> example ${example}"
+    ./build/examples/"${example}" > /dev/null
+done
 
 # Multi-cell sweep: the cell-count-bearing suites honour LTE_CELLS, so
 # the same release binary proves per-cell digest parity at one, two

@@ -847,20 +847,4 @@ FftCache::plan_count() const
     return plans_.size();
 }
 
-CVec
-fft_forward(const CVec &in)
-{
-    CVec out(in.size());
-    FftCache::instance().get(in.size())->forward(in.data(), out.data());
-    return out;
-}
-
-CVec
-fft_inverse(const CVec &in)
-{
-    CVec out(in.size());
-    FftCache::instance().get(in.size())->inverse(in.data(), out.data());
-    return out;
-}
-
 } // namespace lte::fft

@@ -157,12 +157,6 @@ class FftCache
     std::unordered_map<std::size_t, std::shared_ptr<const Fft>> plans_;
 };
 
-/** Convenience out-of-place forward FFT via the shared cache. */
-CVec fft_forward(const CVec &in);
-
-/** Convenience out-of-place inverse FFT via the shared cache. */
-CVec fft_inverse(const CVec &in);
-
 } // namespace lte::fft
 
 #endif // LTE_FFT_FFT_HPP

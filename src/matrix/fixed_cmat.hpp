@@ -1,14 +1,14 @@
 /**
  * @file
  * Fixed-capacity dense complex matrix for the per-subcarrier MMSE
- * combiner algebra.  LTE-Advanced uplink matrices never exceed
- * antennas x layers = 4 x 4, so the storage lives entirely on the
- * stack: the hot combiner-weight loop runs one of these per
- * subcarrier with zero heap traffic, unlike the general CMat whose
- * every product/inverse allocates a fresh std::vector.
+ * combiner algebra, the library's only matrix type (header-only).
+ * LTE-Advanced uplink matrices never exceed antennas x layers = 4 x 4,
+ * so the storage lives entirely on the stack: the hot combiner-weight
+ * loop runs one of these per subcarrier with zero heap traffic.
  *
- * The kernels (including inverse()'s Gauss-Jordan pivoting order)
- * mirror matrix::CMat exactly so both produce identical floats.
+ * inverse() is Gauss-Jordan elimination with partial pivoting; its
+ * float-op order is part of the pinned digests, so the SIMD and scalar
+ * combiner paths both solve through it.
  */
 #ifndef LTE_MATRIX_FIXED_CMAT_HPP
 #define LTE_MATRIX_FIXED_CMAT_HPP
@@ -100,8 +100,7 @@ class FixedCMat
     }
 
     /**
-     * Inverse via Gauss-Jordan elimination with partial pivoting —
-     * the same algorithm (and float-op order) as CMat::inverse().
+     * Inverse via Gauss-Jordan elimination with partial pivoting.
      * @throws std::invalid_argument if singular to working precision.
      */
     FixedCMat

@@ -118,19 +118,4 @@ estimate_channel_into(CfView received_ref, CfView layer_ref,
     return 0.0f;
 }
 
-ChannelEstimate
-estimate_channel(const CVec &received_ref, const CVec &layer_ref,
-                 const ChannelEstimatorConfig &cfg)
-{
-    const std::size_t n = received_ref.size();
-    LTE_CHECK(n >= 1, "empty reference symbol");
-    ChannelEstimate est;
-    est.freq_response.resize(n);
-    CVec scratch(estimate_channel_scratch(n));
-    est.noise_var = estimate_channel_into(
-        received_ref, layer_ref, cfg, est.freq_response,
-        CfSpan(scratch.data(), scratch.size()));
-    return est;
-}
-
 } // namespace lte::phy

@@ -26,15 +26,6 @@
 
 namespace lte::phy {
 
-/** Result of estimating one (antenna, layer) channel over one slot. */
-struct ChannelEstimate
-{
-    /** Channel frequency response per allocated subcarrier. */
-    CVec freq_response;
-    /** Estimated noise variance in the discarded delay bins. */
-    float noise_var = 0.0f;
-};
-
 /** Tuning knobs for the estimator window. */
 struct ChannelEstimatorConfig
 {
@@ -48,25 +39,18 @@ struct ChannelEstimatorConfig
 };
 
 /**
- * Estimate the channel seen by one layer on one antenna.
+ * Estimate the channel seen by one layer on one antenna: writes the
+ * frequency response into @p freq_response (same length as the
+ * references) and returns the noise-variance estimate of the discarded
+ * delay bins (0 when the allocation has no guard bins).
  *
  * @param received_ref the received DMRS symbol on this antenna
  *                     (allocated subcarriers only)
  * @param layer_ref    the known layer-specific DMRS sequence (same
  *                     length; unit-magnitude samples)
  * @param cfg          window configuration
- */
-ChannelEstimate estimate_channel(const CVec &received_ref,
-                                 const CVec &layer_ref,
-                                 const ChannelEstimatorConfig &cfg = {});
-
-/**
- * Heap-free variant: writes the frequency response into
- * @p freq_response (same length as the references) and returns the
- * noise-variance estimate (0 when the allocation has no guard bins).
- *
- * @param scratch at least estimate_channel_scratch(n) samples; must
- *                not overlap the other buffers
+ * @param scratch      at least estimate_channel_scratch(n) samples;
+ *                     must not overlap the other buffers
  */
 float estimate_channel_into(CfView received_ref, CfView layer_ref,
                             const ChannelEstimatorConfig &cfg,

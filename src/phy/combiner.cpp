@@ -43,32 +43,6 @@ CombinerWeights::at(std::size_t sc, std::size_t layer,
 
 namespace {
 
-/**
- * The per-subcarrier MMSE solve, shared by both entry points.  @p chan
- * is any callable (antenna, layer, sc) -> cf32.  Runs entirely on
- * fixed-capacity stack matrices: no heap traffic per subcarrier.
- */
-template <typename ChanAt>
-void
-weights_impl(std::size_t antennas, std::size_t layers, std::size_t n_sc,
-             ChanAt chan, float noise_var, CombinerWeights &out)
-{
-    matrix::FixedCMat h(antennas, layers);
-    for (std::size_t sc = 0; sc < n_sc; ++sc) {
-        for (std::size_t a = 0; a < antennas; ++a) {
-            for (std::size_t l = 0; l < layers; ++l)
-                h.at(a, l) = chan(a, l, sc);
-        }
-        const matrix::FixedCMat hh = h.hermitian();
-        const matrix::FixedCMat w =
-            hh.mul(h).add_scaled_identity(noise_var).inverse().mul(hh);
-        for (std::size_t l = 0; l < layers; ++l) {
-            for (std::size_t a = 0; a < antennas; ++a)
-                out(sc, l, a) = w.at(l, a);
-        }
-    }
-}
-
 #if defined(LTE_SIMD_ENABLED)
 
 /** Subcarriers per Gram tile: multiple of every backend's kLanes, and
@@ -214,52 +188,31 @@ check_channel_view(const ChannelView &channel, float noise_var)
 
 } // namespace
 
-CombinerWeights
-compute_combiner_weights(const std::vector<std::vector<CVec>> &channel,
-                         float noise_var)
-{
-    LTE_CHECK(!channel.empty(), "need at least one antenna");
-    const std::size_t antennas = channel.size();
-    LTE_CHECK(!channel[0].empty(), "need at least one layer");
-    const std::size_t layers = channel[0].size();
-    const std::size_t n_sc = channel[0][0].size();
-    LTE_CHECK(noise_var > 0.0f, "noise variance must be positive");
-    for (const auto &ant : channel) {
-        LTE_CHECK(ant.size() == layers, "ragged layer dimension");
-        for (const auto &resp : ant)
-            LTE_CHECK(resp.size() == n_sc, "ragged subcarrier dimension");
-    }
-
-    // Cold path: flatten into the contiguous layout the hot entry
-    // point wants, then share its implementation (and SIMD path).
-    CVec flat(antennas * layers * n_sc);
-    for (std::size_t a = 0; a < antennas; ++a) {
-        for (std::size_t l = 0; l < layers; ++l) {
-            std::copy(channel[a][l].begin(), channel[a][l].end(),
-                      flat.begin() +
-                          static_cast<std::ptrdiff_t>(
-                              (a * layers + l) * n_sc));
-        }
-    }
-    const ChannelView view{flat.data(), antennas, layers, n_sc};
-    CombinerWeights out;
-    compute_combiner_weights_into(view, noise_var, out);
-    return out;
-}
-
 void
 compute_combiner_weights_scalar_into(const ChannelView &channel,
                                      float noise_var,
                                      CombinerWeights &out)
 {
     check_channel_view(channel, noise_var);
-    out.resize(channel.n_sc, channel.layers, channel.antennas);
-    weights_impl(
-        channel.antennas, channel.layers, channel.n_sc,
-        [&](std::size_t a, std::size_t l, std::size_t sc) {
-            return channel.at(a, l, sc);
-        },
-        noise_var, out);
+    const std::size_t antennas = channel.antennas;
+    const std::size_t layers = channel.layers;
+    out.resize(channel.n_sc, layers, antennas);
+    // The per-subcarrier MMSE solve, entirely on fixed-capacity stack
+    // matrices: no heap traffic per subcarrier.
+    matrix::FixedCMat h(antennas, layers);
+    for (std::size_t sc = 0; sc < channel.n_sc; ++sc) {
+        for (std::size_t a = 0; a < antennas; ++a) {
+            for (std::size_t l = 0; l < layers; ++l)
+                h.at(a, l) = channel.at(a, l, sc);
+        }
+        const matrix::FixedCMat hh = h.hermitian();
+        const matrix::FixedCMat w =
+            hh.mul(h).add_scaled_identity(noise_var).inverse().mul(hh);
+        for (std::size_t l = 0; l < layers; ++l) {
+            for (std::size_t a = 0; a < antennas; ++a)
+                out(sc, l, a) = w.at(l, a);
+        }
+    }
 }
 
 void
@@ -323,26 +276,6 @@ check_combine_args(std::span<const CfView> rx_symbol,
 }
 
 } // namespace
-
-CVec
-combine_layer(const std::vector<CVec> &rx_symbol,
-              const CombinerWeights &weights, std::size_t layer)
-{
-    LTE_CHECK(rx_symbol.size() == weights.antennas(),
-              "antenna count mismatch");
-    LTE_CHECK(layer < weights.layers(), "layer out of range");
-    const std::size_t n_sc = weights.n_subcarriers();
-    for (const auto &ant : rx_symbol)
-        LTE_CHECK(ant.size() == n_sc, "subcarrier count mismatch");
-
-    CVec out(n_sc, cf32(0.0f, 0.0f));
-    for (std::size_t a = 0; a < rx_symbol.size(); ++a) {
-        const CVec &y = rx_symbol[a];
-        for (std::size_t sc = 0; sc < n_sc; ++sc)
-            out[sc] += weights(sc, layer, a) * y[sc];
-    }
-    return out;
-}
 
 void
 combine_layer_scalar_into(std::span<const CfView> rx_symbol,

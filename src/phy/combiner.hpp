@@ -107,23 +107,18 @@ struct ChannelView
 
 /**
  * Compute MMSE combiner weights from per-(antenna, layer) channel
- * estimates.
+ * estimates; @p out is re-shaped to match (allocation-free once at
+ * capacity).  With LTE_SIMD=ON the Gram accumulation H^H H runs
+ * vectorized across subcarriers (the per-subcarrier matrix inverse
+ * stays on fixed-capacity stack matrices); single-layer allocations
+ * take a fully vectorized matched-filter path.
  *
- * @param channel  channel[antenna][layer] is the frequency response on
- *                 the allocated subcarriers; all entries same length
- * @param noise_var effective noise variance (diagonal loading)
- */
-CombinerWeights
-compute_combiner_weights(const std::vector<std::vector<CVec>> &channel,
-                         float noise_var);
-
-/**
- * Heap-free variant over a flat channel view; @p out is re-shaped to
- * match (allocation-free once at capacity).  With LTE_SIMD=ON the
- * Gram accumulation H^H H runs vectorized across subcarriers (the
- * per-subcarrier matrix inverse stays on fixed-capacity stack
- * matrices); single-layer allocations take a fully vectorized
- * matched-filter path.
+ * @param channel   non-null view with 1..FixedCMat::kMaxDim antennas
+ *                  and layers
+ * @param noise_var effective noise variance (diagonal loading); must
+ *                  be positive
+ * @throws std::invalid_argument on a view or noise variance outside
+ *         those bounds
  */
 void compute_combiner_weights_into(const ChannelView &channel,
                                    float noise_var,
@@ -149,16 +144,10 @@ void compute_mrc_weights_into(const ChannelView &channel, float noise_var,
 /**
  * Combine one received SC-FDMA symbol across antennas into one layer's
  * frequency-domain samples: z(f) = sum_a W(f, layer, a) * y_a(f).
- *
- * @param rx_symbol rx_symbol[antenna] holds the received samples of
- *                  this symbol on that antenna
+ * @p rx_symbol is one view per antenna and the combined samples are
+ * written to @p out (n_subcarriers long).  Vectorized across
+ * subcarriers when built with LTE_SIMD=ON.
  */
-CVec combine_layer(const std::vector<CVec> &rx_symbol,
-                   const CombinerWeights &weights, std::size_t layer);
-
-/** Heap-free variant: @p rx_symbol is one view per antenna and the
- *  combined samples are written to @p out (n_subcarriers long).
- *  Vectorized across subcarriers when built with LTE_SIMD=ON. */
 void combine_layer_into(std::span<const CfView> rx_symbol,
                         const CombinerWeights &weights, std::size_t layer,
                         CfSpan out);

@@ -51,14 +51,4 @@ interleave(const CVec &in, std::size_t columns)
     return out;
 }
 
-CVec
-deinterleave(const CVec &in, std::size_t columns)
-{
-    const auto perm = interleave_permutation(in.size(), columns);
-    CVec out(in.size());
-    for (std::size_t i = 0; i < in.size(); ++i)
-        out[perm[i]] = in[i];
-    return out;
-}
-
 } // namespace lte::phy

@@ -28,9 +28,6 @@ inline constexpr std::size_t kInterleaverColumns = 12;
  */
 CVec interleave(const CVec &in, std::size_t columns = kInterleaverColumns);
 
-/** Exact inverse of interleave() for the same column count. */
-CVec deinterleave(const CVec &in, std::size_t columns = kInterleaverColumns);
-
 /** The permutation used by interleave(); out[i] = in[perm[i]]. */
 std::vector<std::size_t> interleave_permutation(std::size_t n,
                                                 std::size_t columns);
@@ -40,7 +37,7 @@ std::vector<std::size_t> interleave_permutation(std::size_t n,
 void interleave_permutation_into(std::size_t n, std::size_t columns,
                                  std::span<std::size_t> out);
 
-/** Heap-free deinterleave using a precomputed permutation:
+/** Exact inverse of interleave() using its precomputed permutation:
  *  out[perm[i]] = in[i].  All three arguments must be the same
  *  length, and @p in and @p out must not alias. */
 void deinterleave_into(CfView in, std::span<const std::size_t> perm,

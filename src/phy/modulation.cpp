@@ -300,14 +300,6 @@ demodulate_soft_into(CfView symbols, Modulation mod, float noise_var,
 #endif
 }
 
-std::vector<Llr>
-demodulate_soft(const CVec &symbols, Modulation mod, float noise_var)
-{
-    std::vector<Llr> llrs(symbols.size() * bits_per_symbol(mod));
-    demodulate_soft_into(symbols, mod, noise_var, llrs);
-    return llrs;
-}
-
 float
 nearest_point_distance2(cf32 y, Modulation mod)
 {
@@ -414,14 +406,6 @@ hard_decision_into(LlrView llrs, BitSpan out)
     LTE_CHECK(out.size() == llrs.size(), "bit buffer length mismatch");
     for (std::size_t i = 0; i < llrs.size(); ++i)
         out[i] = llrs[i] >= 0.0f ? 0 : 1;
-}
-
-std::vector<std::uint8_t>
-hard_decision(const std::vector<Llr> &llrs)
-{
-    std::vector<std::uint8_t> bits(llrs.size());
-    hard_decision_into(llrs, bits);
-    return bits;
 }
 
 } // namespace lte::phy

@@ -49,19 +49,17 @@ inline constexpr float kDemodNoiseFloor = 1e-20f;
  * exactly equal to the exhaustive 2-D max-log LLR at a fraction of
  * the cost.
  *
+ * Dispatches to the SIMD demapper when the library is built with
+ * LTE_SIMD=ON.
+ *
  * @param symbols   received (equalised) symbols
  * @param mod       modulation scheme
  * @param noise_var effective noise variance after combining; values
  *                  not greater than kDemodNoiseFloor (including NaN)
  *                  are clamped to the floor
- * @return bits_per_symbol(mod) LLRs per input symbol
+ * @param out       bits_per_symbol(mod) LLRs per input symbol: exactly
+ *                  symbols.size() * bits_per_symbol(mod) entries
  */
-std::vector<Llr> demodulate_soft(const CVec &symbols, Modulation mod,
-                                 float noise_var);
-
-/** Heap-free variant: writes the LLRs into @p out, which must hold
- *  exactly symbols.size() * bits_per_symbol(mod) entries.  Dispatches
- *  to the SIMD demapper when the library is built with LTE_SIMD=ON. */
 void demodulate_soft_into(CfView symbols, Modulation mod, float noise_var,
                           LlrSpan out);
 
@@ -88,10 +86,8 @@ float nearest_point_distance2(cf32 y, Modulation mod);
 double accumulate_nearest_distance2(CfView symbols, Modulation mod,
                                     double acc);
 
-/** Hard decisions from LLRs (LLR >= 0 -> bit 0). */
-std::vector<std::uint8_t> hard_decision(const std::vector<Llr> &llrs);
-
-/** Heap-free hard decisions; @p out must match @p llrs in length. */
+/** Hard decisions from LLRs (LLR >= 0 -> bit 0); @p out must match
+ *  @p llrs in length. */
 void hard_decision_into(LlrView llrs, BitSpan out);
 
 /** The full constellation of @p mod (2^bits points, Gray mapped). */

@@ -1,7 +1,6 @@
 #include "phy/op_model.hpp"
 
 #include "fft/fft.hpp"
-#include "matrix/cmat.hpp"
 #include "phy/turbo.hpp"
 
 namespace lte::phy {
@@ -28,7 +27,7 @@ weights_slot_ops(std::size_t m, std::size_t antennas, std::size_t layers)
 {
     const std::uint64_t gram = antennas * layers * layers * kCplxMacFlops;
     const std::uint64_t load = layers * 2;
-    const std::uint64_t inv = matrix::CMat::inverse_op_count(layers);
+    const std::uint64_t inv = matrix_inverse_op_count(layers);
     const std::uint64_t mul = layers * layers * antennas * kCplxMacFlops;
     return m * (gram + load + inv + mul);
 }
@@ -92,6 +91,13 @@ decode_block_ops(std::size_t k, std::uint32_t iterations)
 }
 
 } // namespace
+
+std::uint64_t
+matrix_inverse_op_count(std::size_t n)
+{
+    const std::uint64_t n3 = static_cast<std::uint64_t>(n) * n * n;
+    return 2 * n3 * kCplxMacFlops;
+}
 
 std::size_t
 tail_codeblock_count(const UserParams &params)

@@ -92,6 +92,13 @@ struct UserTaskCosts
 };
 
 /**
+ * Flops the model charges for one n x n complex matrix inverse (the
+ * per-subcarrier MMSE solve): Gauss-Jordan on [A | I] is ~2n^3
+ * complex multiply-accumulates at 8 flops each.
+ */
+std::uint64_t matrix_inverse_op_count(std::size_t n);
+
+/**
  * Compute the cost model for one user.  @p degraded selects the
  * load-shed receive chain (per-layer MRC weights instead of the MMSE
  * solve).  @p decode prices the real-turbo decode stage: with

@@ -49,12 +49,12 @@ class RateMatcher
     std::vector<std::uint8_t>
     select(BitView turbo_coded, std::size_t e_bits, unsigned rv) const;
 
-    /** A zeroed soft buffer in turbo_decode() layout. */
+    /** A zeroed soft buffer in turbo_encode() layout. */
     std::vector<Llr> empty_soft_buffer() const;
 
     /**
      * Soft inverse of select(): add the received LLRs into
-     * @p soft_buffer (turbo_decode layout).  Calling repeatedly with
+     * @p soft_buffer (turbo_encode() layout).  Calling repeatedly with
      * different redundancy versions implements HARQ combining.
      * View parameters, so vectors and workspace spans both work.
      */

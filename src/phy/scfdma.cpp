@@ -88,16 +88,6 @@ extract_from_carrier_into(CfView carrier, std::size_t start_sc,
         alloc[k] = carrier[used_to_bin(start_sc + k, cfg)];
 }
 
-CVec
-extract_from_carrier(const CVec &carrier, std::size_t start_sc,
-                     std::size_t alloc_size, const ScFdmaConfig &cfg)
-{
-    cfg.validate();
-    CVec alloc(alloc_size);
-    extract_from_carrier_into(carrier, start_sc, cfg, alloc);
-    return alloc;
-}
-
 void
 scfdma_modulate_into(CfView carrier, std::size_t symbol_in_slot,
                      const ScFdmaConfig &cfg, CfSpan out)
@@ -147,16 +137,6 @@ scfdma_demodulate_into(CfView time, std::size_t symbol_in_slot,
     const float scale = 1.0f / std::sqrt(static_cast<float>(cfg.n_fft));
     for (auto &v : carrier)
         v *= scale;
-}
-
-CVec
-scfdma_demodulate(const CVec &time, std::size_t symbol_in_slot,
-                  const ScFdmaConfig &cfg)
-{
-    cfg.validate();
-    CVec carrier(cfg.n_fft);
-    scfdma_demodulate_into(time, symbol_in_slot, cfg, carrier);
-    return carrier;
 }
 
 } // namespace lte::phy

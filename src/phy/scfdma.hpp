@@ -52,11 +52,6 @@ struct ScFdmaConfig
 CVec map_to_carrier(const CVec &alloc, std::size_t start_sc,
                     const ScFdmaConfig &cfg);
 
-/** Inverse of map_to_carrier: extract an allocation from the grid. */
-CVec extract_from_carrier(const CVec &carrier, std::size_t start_sc,
-                          std::size_t alloc_size,
-                          const ScFdmaConfig &cfg);
-
 /**
  * Modulate one carrier-grid symbol to the time domain and prepend
  * its cyclic prefix.
@@ -67,16 +62,13 @@ CVec extract_from_carrier(const CVec &carrier, std::size_t start_sc,
 CVec scfdma_modulate(const CVec &carrier, std::size_t symbol_in_slot,
                      const ScFdmaConfig &cfg);
 
-/** Remove the CP and FFT back to the frequency-domain grid. */
-CVec scfdma_demodulate(const CVec &time, std::size_t symbol_in_slot,
-                       const ScFdmaConfig &cfg);
-
 /** Heap-free map_to_carrier: @p carrier (n_fft samples) is zeroed and
  *  filled with the allocation. */
 void map_to_carrier_into(CfView alloc, std::size_t start_sc,
                          const ScFdmaConfig &cfg, CfSpan carrier);
 
-/** Heap-free extract_from_carrier: @p alloc sizes the extraction. */
+/** Inverse of map_to_carrier: extract an allocation from the grid;
+ *  @p alloc sizes the extraction. */
 void extract_from_carrier_into(CfView carrier, std::size_t start_sc,
                                const ScFdmaConfig &cfg, CfSpan alloc);
 
@@ -85,7 +77,8 @@ void extract_from_carrier_into(CfView carrier, std::size_t start_sc,
 void scfdma_modulate_into(CfView carrier, std::size_t symbol_in_slot,
                           const ScFdmaConfig &cfg, CfSpan out);
 
-/** Heap-free scfdma_demodulate: @p carrier must hold n_fft samples. */
+/** Inverse of scfdma_modulate: remove the CP and FFT back to the
+ *  frequency-domain grid; @p carrier must hold n_fft samples. */
 void scfdma_demodulate_into(CfView time, std::size_t symbol_in_slot,
                             const ScFdmaConfig &cfg, CfSpan carrier);
 

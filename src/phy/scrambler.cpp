@@ -222,12 +222,4 @@ descramble_soft_inplace(LlrSpan llrs, std::uint32_t c_init,
                         });
 }
 
-std::vector<Llr>
-descramble_soft(const std::vector<Llr> &llrs, std::uint32_t c_init)
-{
-    std::vector<Llr> out = llrs;
-    descramble_soft_inplace(out, c_init);
-    return out;
-}
-
 } // namespace lte::phy

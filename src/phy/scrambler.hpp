@@ -106,19 +106,15 @@ std::vector<std::uint8_t> scramble(const std::vector<std::uint8_t> &bits,
                                    std::uint32_t c_init);
 
 /**
- * Soft descrambling: negate the LLRs whose scrambling bit is 1 (a
- * scrambled 0 arrives as 1 and vice versa).  The negation XORs the
- * float's sign bit, which is bit-identical to `v = -v` for every
+ * In-place soft descrambling: negate the LLRs whose scrambling bit is
+ * 1 (a scrambled 0 arrives as 1 and vice versa).  The negation XORs
+ * the float's sign bit, which is bit-identical to `v = -v` for every
  * value, ±0, ±inf and NaN included, and needs no branch per LLR.
  */
-std::vector<Llr> descramble_soft(const std::vector<Llr> &llrs,
-                                 std::uint32_t c_init);
-
-/** Heap-free in-place soft descrambling. */
 void descramble_soft_inplace(LlrSpan llrs, std::uint32_t c_init);
 
 /**
- * Heap-free in-place soft descrambling of a codeword slice starting
+ * In-place soft descrambling of a codeword slice starting
  * @p skip_bits into the sequence: @p llrs holds positions
  * [skip_bits, skip_bits + llrs.size()) of the full codeword.
  */

@@ -709,24 +709,6 @@ turbo_decode_block_into(LlrView coded, std::size_t k,
     return result;
 }
 
-std::vector<std::uint8_t>
-turbo_decode(const std::vector<Llr> &llrs, std::size_t k,
-             const TurboDecoderConfig &cfg)
-{
-    LTE_CHECK(cfg.iterations >= 1, "need at least one iteration");
-    TurboWorkspace ws;
-    std::vector<std::uint8_t> bits(k);
-    turbo_decode_block_into(LlrView(llrs), k, qpp_interleaver(k), cfg,
-                            /*crc_poly=*/0, ws, BitSpan(bits));
-    return bits;
-}
-
-std::vector<std::uint8_t>
-turbo_passthrough(const std::vector<Llr> &llrs)
-{
-    return hard_decision(llrs);
-}
-
 void
 turbo_passthrough_into(LlrView llrs, BitSpan out)
 {

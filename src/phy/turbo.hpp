@@ -121,28 +121,6 @@ class QppInterleaver
     /** pi(i). */
     std::size_t map(std::size_t i) const { return perm_[i]; }
 
-    /** Apply: out[i] = in[pi(i)]. */
-    template <typename T>
-    std::vector<T>
-    apply(const std::vector<T> &in) const
-    {
-        std::vector<T> out(in.size());
-        for (std::size_t i = 0; i < in.size(); ++i)
-            out[i] = in[perm_[i]];
-        return out;
-    }
-
-    /** Inverse: out[pi(i)] = in[i]. */
-    template <typename T>
-    std::vector<T>
-    invert(const std::vector<T> &in) const
-    {
-        std::vector<T> out(in.size());
-        for (std::size_t i = 0; i < in.size(); ++i)
-            out[perm_[i]] = in[i];
-        return out;
-    }
-
   private:
     std::uint32_t f1_ = 0;
     std::uint32_t f2_ = 0;
@@ -259,26 +237,10 @@ TurboDecodeResult turbo_decode_block_into(LlrView coded, std::size_t k,
                                           TurboWorkspace &ws, BitSpan out);
 
 /**
- * Iterative max-log-MAP decoding (allocating convenience wrapper over
- * turbo_decode_block_into; fixed iteration count, no early exit).
- *
- * @param llrs channel LLRs for the encoded bits, laid out as produced
- *             by turbo_encode() (positive LLR => bit 0)
- * @param k    number of information bits
- * @return hard-decided information bits
- */
-std::vector<std::uint8_t> turbo_decode(const std::vector<Llr> &llrs,
-                                       std::size_t k,
-                                       const TurboDecoderConfig &cfg = {});
-
-/**
  * The pass-through "decoder" used by the benchmark pipeline by default
- * (paper Sec. IV-C.2): hard-decide the systematic LLRs and return them.
- * @param llrs one LLR per (uncoded) bit
+ * (paper Sec. IV-C.2): hard-decide one LLR per (uncoded) bit into
+ * @p out, which must match @p llrs in length.
  */
-std::vector<std::uint8_t> turbo_passthrough(const std::vector<Llr> &llrs);
-
-/** Heap-free pass-through; @p out must match @p llrs in length. */
 void turbo_passthrough_into(LlrView llrs, BitSpan out);
 
 } // namespace lte::phy

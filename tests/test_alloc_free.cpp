@@ -266,8 +266,9 @@ TEST(AllocFree, RealTurboSerialSteadyStateDoesNotAllocate)
 
 TEST(AllocFree, RealTurboWorkStealingSteadyStateDoesNotAllocate)
 {
-    // Regression: turbo_decode used to allocate its trellis state per
-    // call, breaking the invariant the moment use_real_turbo was on.
+    // Regression: the turbo decoder used to allocate its trellis state
+    // per call, breaking the invariant the moment use_real_turbo was
+    // on; it now decodes in the per-thread TurboWorkspace.
     expect_zero_alloc_steady_state(EngineKind::kStreaming,
                                    /*tracing=*/false,
                                    /*real_turbo=*/true);

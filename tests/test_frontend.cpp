@@ -193,9 +193,9 @@ TEST(Scrambler, SoftDescramblingMatchesHardDescrambling)
     std::vector<Llr> llrs(scrambled.size());
     for (std::size_t i = 0; i < scrambled.size(); ++i)
         llrs[i] = scrambled[i] ? -4.0f : 4.0f;
-    const auto soft = descramble_soft(llrs, init);
+    descramble_soft_inplace(llrs, init);
     for (std::size_t i = 0; i < bits.size(); ++i)
-        EXPECT_EQ(soft[i] >= 0.0f ? 0 : 1, bits[i]);
+        EXPECT_EQ(llrs[i] >= 0.0f ? 0 : 1, bits[i]);
 }
 
 TEST(Scrambler, DifferentUsersGetDifferentSequences)
@@ -297,7 +297,8 @@ TEST(ScFdma, CarrierMappingRoundTrips)
     const auto cfg = small_cfg();
     const CVec alloc = random_symbols(144, 5);
     const CVec carrier = map_to_carrier(alloc, 60, cfg);
-    const CVec back = extract_from_carrier(carrier, 60, 144, cfg);
+    CVec back(144);
+    extract_from_carrier_into(carrier, 60, cfg, back);
     for (std::size_t i = 0; i < alloc.size(); ++i)
         EXPECT_EQ(back[i], alloc[i]);
     // Everything else stays zero, including DC.
@@ -326,7 +327,8 @@ TEST(ScFdma, ModulateDemodulateRoundTrips)
             map_to_carrier(random_symbols(288, 10 + sym), 6, cfg);
         const CVec time = scfdma_modulate(carrier, sym, cfg);
         EXPECT_EQ(time.size(), cfg.n_fft + cfg.cp_length(sym));
-        const CVec back = scfdma_demodulate(time, sym, cfg);
+        CVec back(cfg.n_fft);
+        scfdma_demodulate_into(time, sym, cfg, back);
         double err = 0.0, power = 0.0;
         for (std::size_t k = 0; k < cfg.n_fft; ++k) {
             err += std::norm(back[k] - carrier[k]);
@@ -362,8 +364,9 @@ TEST(ScFdma, DelayWithinCpBecomesPhaseRamp)
     for (std::size_t i = delay; i < time.size(); ++i)
         delayed[i] = time[i - delay];
 
-    const CVec rx = scfdma_demodulate(delayed, 1, cfg);
-    const CVec got = extract_from_carrier(rx, 30, 96, cfg);
+    CVec rx(cfg.n_fft), got(96);
+    scfdma_demodulate_into(delayed, 1, cfg, rx);
+    extract_from_carrier_into(rx, 30, cfg, got);
 
     // Compare against the analytical phase ramp on each bin.
     for (std::size_t k = 0; k < alloc.size(); ++k) {
@@ -408,6 +411,7 @@ TEST(ScFdma, FullAirLinkRoundTripsThroughTimeDomain)
     const std::size_t d1 = 9; // within the 36-sample CP
     const float noise_std = 0.002f;
 
+    CVec back(cfg.n_fft);
     for (std::size_t slot = 0; slot < kSlotsPerSubframe; ++slot) {
         const std::size_t m_sc = user.sc_in_slot(slot);
         for (std::size_t sym = 0; sym < kSymbolsPerSlot; ++sym) {
@@ -426,9 +430,10 @@ TEST(ScFdma, FullAirLinkRoundTripsThroughTimeDomain)
                           static_cast<float>(rng.next_gaussian()) *
                               noise_std);
             }
-            const CVec back = scfdma_demodulate(faded, sym, cfg);
-            rx.antennas[0].slots[slot][sym] =
-                extract_from_carrier(back, start_sc, m_sc, cfg);
+            scfdma_demodulate_into(faded, sym, cfg, back);
+            CVec &alloc = rx.antennas[0].slots[slot][sym];
+            alloc.resize(m_sc);
+            extract_from_carrier_into(back, start_sc, cfg, alloc);
         }
     }
 

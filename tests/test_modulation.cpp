@@ -18,6 +18,24 @@
 namespace lte::phy {
 namespace {
 
+/** demodulate_soft_into() on a freshly sized LLR vector. */
+std::vector<Llr>
+demap(CfView symbols, Modulation mod, float noise_var)
+{
+    std::vector<Llr> llrs(symbols.size() * bits_per_symbol(mod));
+    demodulate_soft_into(symbols, mod, noise_var, llrs);
+    return llrs;
+}
+
+/** hard_decision_into() on a freshly sized bit vector. */
+std::vector<std::uint8_t>
+harden(LlrView llrs)
+{
+    std::vector<std::uint8_t> bits(llrs.size());
+    hard_decision_into(llrs, bits);
+    return bits;
+}
+
 class ModulationTest : public ::testing::TestWithParam<Modulation>
 {
 };
@@ -51,9 +69,7 @@ TEST_P(ModulationTest, MapDemapRoundTripNoiseless)
         b = static_cast<std::uint8_t>(rng.next_u64() & 1);
 
     const CVec symbols = modulate(bits, mod);
-    const auto llrs = demodulate_soft(symbols, mod, 0.01f);
-    const auto decided = hard_decision(llrs);
-    EXPECT_EQ(decided, bits);
+    EXPECT_EQ(harden(demap(symbols, mod, 0.01f)), bits);
 }
 
 TEST_P(ModulationTest, RoundTripSurvivesModerateNoise)
@@ -72,9 +88,7 @@ TEST_P(ModulationTest, RoundTripSurvivesModerateNoise)
         s += cf32(static_cast<float>(rng.next_gaussian()) * noise_std,
                   static_cast<float>(rng.next_gaussian()) * noise_std);
     }
-    const auto decided =
-        hard_decision(demodulate_soft(symbols, mod, 0.001f));
-    EXPECT_EQ(decided, bits);
+    EXPECT_EQ(harden(demap(symbols, mod, 0.001f)), bits);
 }
 
 TEST_P(ModulationTest, LlrMagnitudeScalesWithNoiseVariance)
@@ -84,8 +98,8 @@ TEST_P(ModulationTest, LlrMagnitudeScalesWithNoiseVariance)
     std::vector<std::uint8_t> bits(bps, 0);
     const CVec symbols = modulate(bits, mod);
 
-    const auto llr_low = demodulate_soft(symbols, mod, 0.01f);
-    const auto llr_high = demodulate_soft(symbols, mod, 1.0f);
+    const auto llr_low = demap(symbols, mod, 0.01f);
+    const auto llr_high = demap(symbols, mod, 1.0f);
     for (std::size_t i = 0; i < llr_low.size(); ++i)
         EXPECT_NEAR(llr_low[i], llr_high[i] * 100.0f,
                     std::abs(llr_low[i]) * 1e-3f);
@@ -155,11 +169,10 @@ TEST(Modulation, NonPositiveNoiseClampsToFloor)
     // the pipeline mid-subframe: they clamp to kDemodNoiseFloor and
     // produce the same finite LLRs an explicit floor would.
     const CVec s = {cf32(1.0f, 0.0f), cf32(-0.3f, 0.7f)};
-    const auto at_floor =
-        demodulate_soft(s, Modulation::kQpsk, kDemodNoiseFloor);
+    const auto at_floor = demap(s, Modulation::kQpsk, kDemodNoiseFloor);
     for (const float bad : {0.0f, -1.0f,
                             std::numeric_limits<float>::quiet_NaN()}) {
-        const auto llrs = demodulate_soft(s, Modulation::kQpsk, bad);
+        const auto llrs = demap(s, Modulation::kQpsk, bad);
         ASSERT_EQ(llrs.size(), at_floor.size());
         for (std::size_t i = 0; i < llrs.size(); ++i) {
             EXPECT_TRUE(std::isfinite(llrs[i]));
@@ -220,8 +233,8 @@ TEST(Modulation, AccumulatedDistanceMatchesPerSymbolLoopBitForBit)
 
 TEST(Modulation, HardDecisionSignConvention)
 {
-    EXPECT_EQ(hard_decision({1.5f, -0.5f, 0.0f}),
-              (std::vector<std::uint8_t>{0, 1, 0}));
+    const std::vector<Llr> llrs = {1.5f, -0.5f, 0.0f};
+    EXPECT_EQ(harden(llrs), (std::vector<std::uint8_t>{0, 1, 0}));
 }
 
 } // namespace

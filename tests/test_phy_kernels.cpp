@@ -35,7 +35,8 @@ TEST(ZadoffChu, ConstantAmplitudeFlatSpectrum)
     // (CAZAC property).
     const std::size_t n = 139;
     const CVec zc = zadoff_chu(7, n);
-    const CVec freq = fft::fft_forward(zc);
+    CVec freq(n);
+    fft::FftCache::instance().plan(n).forward(zc.data(), freq.data());
     const float expected = std::sqrt(static_cast<float>(n));
     for (const auto &s : freq)
         EXPECT_NEAR(std::abs(s), expected, 2e-2f);
@@ -95,7 +96,8 @@ TEST(Dmrs, LayerShiftsAreOrthogonalInDelayDomain)
     CVec prod(m);
     for (std::size_t k = 0; k < m; ++k)
         prod[k] = l2[k] * std::conj(l0[k]);
-    const CVec delay = fft::fft_inverse(prod);
+    CVec delay(m);
+    fft::FftCache::instance().plan(m).inverse(prod.data(), delay.data());
     // Peak must be at bin 2*m/4 = m/2.
     std::size_t peak = 0;
     float best = 0.0f;
@@ -134,7 +136,10 @@ TEST(Interleaver, RoundTripExactForManyLengths)
             v = cf32(static_cast<float>(rng.next_gaussian()),
                      static_cast<float>(rng.next_gaussian()));
         }
-        const CVec round = deinterleave(interleave(in));
+        CVec round(n);
+        deinterleave_into(interleave(in),
+                          interleave_permutation(n, kInterleaverColumns),
+                          round);
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_EQ(round[i], in[i]) << "n=" << n << " i=" << i;
     }
@@ -311,6 +316,14 @@ TEST(OpModel, LinearishInPrbs)
                          static_cast<double>(c50.total());
     EXPECT_GT(ratio, 1.8);
     EXPECT_LT(ratio, 2.4);
+}
+
+TEST(OpModel, InverseOpCountScalesCubically)
+{
+    EXPECT_EQ(matrix_inverse_op_count(2) * 8, matrix_inverse_op_count(4));
+    EXPECT_GT(matrix_inverse_op_count(1), 0u);
+    // Gauss-Jordan on [A | I]: 2n^3 complex MACs at 8 flops each.
+    EXPECT_EQ(matrix_inverse_op_count(3), 2u * 27u * 8u);
 }
 
 TEST(OpModel, MoreLayersCostMore)

@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "phy/rate_matching.hpp"
+#include "phy/turbo.hpp"
 
 namespace lte::phy {
 namespace {
@@ -21,6 +22,18 @@ random_bits(std::size_t n, std::uint64_t seed)
     std::vector<std::uint8_t> bits(n);
     for (auto &b : bits)
         b = static_cast<std::uint8_t>(rng.next_u64() & 1);
+    return bits;
+}
+
+/** Fixed-budget max-log-MAP decode of one block (no CRC early exit)
+ *  on a fresh workspace. */
+std::vector<std::uint8_t>
+decode(LlrView llrs, std::size_t k, const TurboDecoderConfig &cfg = {})
+{
+    TurboWorkspace ws;
+    std::vector<std::uint8_t> bits(k);
+    turbo_decode_block_into(llrs, k, qpp_interleaver(k), cfg,
+                            /*crc_poly=*/0, ws, bits);
     return bits;
 }
 
@@ -79,7 +92,7 @@ TEST(RateMatcher, FullRateRoundTripDecodes)
     for (std::size_t i = 0; i < tx.size(); ++i)
         llrs[i] = tx[i] ? -8.0f : 8.0f;
     rm.accumulate(soft, llrs, 0);
-    EXPECT_EQ(turbo_decode(soft, k), info);
+    EXPECT_EQ(decode(soft, k), info);
 }
 
 TEST(RateMatcher, PuncturedRateOneHalfStillDecodesCleanly)
@@ -97,7 +110,7 @@ TEST(RateMatcher, PuncturedRateOneHalfStillDecodesCleanly)
     for (std::size_t i = 0; i < e; ++i)
         llrs[i] = tx[i] ? -8.0f : 8.0f;
     rm.accumulate(soft, llrs, 0);
-    EXPECT_EQ(turbo_decode(soft, k), info);
+    EXPECT_EQ(decode(soft, k), info);
 }
 
 TEST(RateMatcher, RepetitionAccumulatesLlrMagnitude)
@@ -136,13 +149,13 @@ TEST(RateMatcher, HarqCombiningBeatsSingleTransmission)
         const auto llrs0 = to_llrs(tx0, noise, rng);
         auto soft = rm.empty_soft_buffer();
         rm.accumulate(soft, llrs0, 0);
-        if (turbo_decode(soft, k) != info)
+        if (decode(soft, k) != info)
             ++single_failures;
 
         const auto tx2 = rm.select(coded, e, 2);
         const auto llrs2 = to_llrs(tx2, noise, rng);
         rm.accumulate(soft, llrs2, 2);
-        if (turbo_decode(soft, k) != info)
+        if (decode(soft, k) != info)
             ++combined_failures;
     }
     EXPECT_GT(single_failures, 0u);

@@ -15,6 +15,7 @@
 #include "channel/mimo_channel.hpp"
 #include "channel/signal_source.hpp"
 #include "common/rng.hpp"
+#include "matrix/fixed_cmat.hpp"
 #include "phy/channel_estimator.hpp"
 #include "phy/combiner.hpp"
 #include "phy/crc.hpp"
@@ -34,6 +35,16 @@ using phy::ReceiverConfig;
 
 // ------------------------------------------------- channel estimator
 
+/** The frequency response and noise estimate of one
+ *  estimate_channel_into() call on freshly sized buffers. */
+float
+estimate(const CVec &rx, const CVec &ref, CVec &freq)
+{
+    freq.assign(rx.size(), cf32(0.0f, 0.0f));
+    CVec scratch(phy::estimate_channel_scratch(rx.size()));
+    return phy::estimate_channel_into(rx, ref, {}, freq, scratch);
+}
+
 TEST(ChannelEstimator, RecoversFlatChannelNoiselessly)
 {
     const std::size_t m = 120;
@@ -42,10 +53,11 @@ TEST(ChannelEstimator, RecoversFlatChannelNoiselessly)
     CVec rx(m);
     for (std::size_t k = 0; k < m; ++k)
         rx[k] = h * ref[k];
-    const auto est = phy::estimate_channel(rx, ref);
+    CVec est;
+    const float noise_var = estimate(rx, ref, est);
     for (std::size_t k = 0; k < m; ++k)
-        EXPECT_LT(std::abs(est.freq_response[k] - h), 1e-3f);
-    EXPECT_LT(est.noise_var, 1e-5f);
+        EXPECT_LT(std::abs(est[k] - h), 1e-3f);
+    EXPECT_LT(noise_var, 1e-5f);
 }
 
 TEST(ChannelEstimator, RecoversMultipathChannel)
@@ -61,10 +73,11 @@ TEST(ChannelEstimator, RecoversMultipathChannel)
     CVec rx(m);
     for (std::size_t k = 0; k < m; ++k)
         rx[k] = h[k] * ref[k];
-    const auto est = phy::estimate_channel(rx, ref);
+    CVec est;
+    estimate(rx, ref, est);
     double err = 0.0, power = 0.0;
     for (std::size_t k = 0; k < m; ++k) {
-        err += std::norm(est.freq_response[k] - h[k]);
+        err += std::norm(est[k] - h[k]);
         power += std::norm(h[k]);
     }
     EXPECT_LT(err / power, 1e-4);
@@ -85,10 +98,11 @@ TEST(ChannelEstimator, WindowSuppressesNoise)
                 cf32(static_cast<float>(rng.next_gaussian()) * noise_std,
                      static_cast<float>(rng.next_gaussian()) * noise_std);
     }
-    const auto est = phy::estimate_channel(rx, ref);
+    CVec est;
+    estimate(rx, ref, est);
     double err_windowed = 0.0, err_raw = 0.0;
     for (std::size_t k = 0; k < m; ++k) {
-        err_windowed += std::norm(est.freq_response[k] - h);
+        err_windowed += std::norm(est[k] - h);
         err_raw += std::norm(rx[k] * std::conj(ref[k]) - h);
     }
     EXPECT_LT(err_windowed, err_raw / 4.0);
@@ -107,8 +121,8 @@ TEST(ChannelEstimator, NoiseVarianceEstimateIsCalibrated)
                 cf32(static_cast<float>(rng.next_gaussian()) * noise_std,
                      static_cast<float>(rng.next_gaussian()) * noise_std);
     }
-    const auto est = phy::estimate_channel(rx, ref);
-    EXPECT_NEAR(est.noise_var, noise_var, noise_var * 0.5f);
+    CVec est;
+    EXPECT_NEAR(estimate(rx, ref, est), noise_var, noise_var * 0.5f);
 }
 
 TEST(ChannelEstimator, SeparatesCyclicShiftedLayers)
@@ -122,18 +136,22 @@ TEST(ChannelEstimator, SeparatesCyclicShiftedLayers)
     CVec rx(m);
     for (std::size_t k = 0; k < m; ++k)
         rx[k] = h0 * r0[k] + h2 * r2[k];
-    const auto est = phy::estimate_channel(rx, r0);
+    CVec est;
+    estimate(rx, r0, est);
     double err = 0.0;
     for (std::size_t k = 0; k < m; ++k)
-        err += std::norm(est.freq_response[k] - h0);
+        err += std::norm(est[k] - h0);
     EXPECT_LT(err / static_cast<double>(m), 1e-3);
 }
 
 TEST(ChannelEstimator, RejectsMismatchedLengths)
 {
-    EXPECT_THROW(phy::estimate_channel(CVec(10), CVec(12)),
+    CVec freq(10), scratch(phy::estimate_channel_scratch(12));
+    EXPECT_THROW(phy::estimate_channel_into(CVec(10), CVec(12), {}, freq,
+                                            scratch),
                  std::invalid_argument);
-    EXPECT_THROW(phy::estimate_channel(CVec(), CVec()),
+    EXPECT_THROW(phy::estimate_channel_into(CfView(), CfView(), {},
+                                            CfSpan(), scratch),
                  std::invalid_argument);
 }
 
@@ -149,16 +167,37 @@ TEST(ChannelEstimator, WindowExtentRespectsBounds)
 
 // ----------------------------------------------------------- combiner
 
+/** MMSE weights for a flat antenna-major channel buffer. */
+phy::CombinerWeights
+weights(const CVec &channel, std::size_t antennas, std::size_t layers,
+        float noise_var)
+{
+    const std::size_t n_sc = channel.size() / (antennas * layers);
+    phy::CombinerWeights w;
+    phy::compute_combiner_weights_into({channel.data(), antennas, layers,
+                                        n_sc},
+                                       noise_var, w);
+    return w;
+}
+
+/** One layer combined from one received vector per antenna. */
+CVec
+combine(const std::vector<CVec> &rx, const phy::CombinerWeights &w,
+        std::size_t layer)
+{
+    const std::vector<CfView> views(rx.begin(), rx.end());
+    CVec z(w.n_subcarriers());
+    phy::combine_layer_into(views, w, layer, z);
+    return z;
+}
+
 TEST(Combiner, SingleAntennaSingleLayerIsChannelInversion)
 {
     const std::size_t m = 24;
     const cf32 h(2.0f, 1.0f);
-    std::vector<std::vector<CVec>> channel(1, std::vector<CVec>(1));
-    channel[0][0].assign(m, h);
-    const auto w = phy::compute_combiner_weights(channel, 1e-4f);
+    const auto w = weights(CVec(m, h), 1, 1, 1e-4f);
     // w ~= h* / (|h|^2 + sigma^2): combining y = h*x returns ~x.
-    std::vector<CVec> rx(1, CVec(m, h * cf32(3.0f, -1.0f)));
-    const CVec z = phy::combine_layer(rx, w, 0);
+    const CVec z = combine({CVec(m, h * cf32(3.0f, -1.0f))}, w, 0);
     for (const auto &v : z)
         EXPECT_LT(std::abs(v - cf32(3.0f, -1.0f)), 1e-2f);
 }
@@ -170,12 +209,10 @@ TEST(Combiner, RecoversTwoLayersThroughKnownMatrix)
     const std::size_t m = 36;
     const cf32 h00(1.0f, 0.2f), h01(0.3f, -0.4f);
     const cf32 h10(-0.2f, 0.5f), h11(0.9f, -0.1f);
-    std::vector<std::vector<CVec>> channel(2, std::vector<CVec>(2));
-    channel[0][0].assign(m, h00);
-    channel[0][1].assign(m, h01);
-    channel[1][0].assign(m, h10);
-    channel[1][1].assign(m, h11);
-    const auto w = phy::compute_combiner_weights(channel, 1e-5f);
+    CVec channel;
+    for (const cf32 h : {h00, h01, h10, h11})
+        channel.insert(channel.end(), m, h);
+    const auto w = weights(channel, 2, 2, 1e-5f);
 
     const cf32 x0(1.0f, 1.0f), x1(-0.5f, 2.0f);
     std::vector<CVec> rx(2, CVec(m));
@@ -183,8 +220,8 @@ TEST(Combiner, RecoversTwoLayersThroughKnownMatrix)
         rx[0][k] = h00 * x0 + h01 * x1;
         rx[1][k] = h10 * x0 + h11 * x1;
     }
-    const CVec z0 = phy::combine_layer(rx, w, 0);
-    const CVec z1 = phy::combine_layer(rx, w, 1);
+    const CVec z0 = combine(rx, w, 0);
+    const CVec z1 = combine(rx, w, 1);
     for (std::size_t k = 0; k < m; ++k) {
         EXPECT_LT(std::abs(z0[k] - x0), 5e-2f);
         EXPECT_LT(std::abs(z1[k] - x1), 5e-2f);
@@ -199,9 +236,8 @@ TEST(Combiner, MoreAntennasImproveNoiseRejection)
     const float noise_var = 0.1f;
     double err1 = 0.0, err4 = 0.0;
     for (std::size_t antennas : {1u, 4u}) {
-        std::vector<std::vector<CVec>> channel(
-            antennas, std::vector<CVec>(1, CVec(m, cf32(1.0f, 0.0f))));
-        const auto w = phy::compute_combiner_weights(channel, noise_var);
+        const auto w = weights(CVec(antennas * m, cf32(1.0f, 0.0f)),
+                               antennas, 1, noise_var);
         std::vector<CVec> rx(antennas, CVec(m));
         const float noise_std = std::sqrt(noise_var / 2.0f);
         for (std::size_t a = 0; a < antennas; ++a) {
@@ -214,7 +250,7 @@ TEST(Combiner, MoreAntennasImproveNoiseRejection)
                              noise_std);
             }
         }
-        const CVec z = phy::combine_layer(rx, w, 0);
+        const CVec z = combine(rx, w, 0);
         double err = 0.0;
         // MMSE output is biased; compare against the biased target.
         const float bias = static_cast<float>(antennas) /
@@ -229,13 +265,42 @@ TEST(Combiner, MoreAntennasImproveNoiseRejection)
     EXPECT_LT(err4, err1 / 2.0);
 }
 
-TEST(Combiner, RejectsInconsistentShapes)
+TEST(Combiner, RejectsEmptyChannelView)
 {
-    std::vector<std::vector<CVec>> ragged(2);
-    ragged[0].assign(1, CVec(8));
-    ragged[1].assign(2, CVec(8));
-    EXPECT_THROW(phy::compute_combiner_weights(ragged, 0.1f),
-                 std::invalid_argument);
+    const CVec ch(8, cf32(1.0f, 0.0f));
+    phy::CombinerWeights w;
+    for (const phy::ChannelView bad :
+         {phy::ChannelView{nullptr, 1, 1, 8},
+          phy::ChannelView{ch.data(), 0, 1, 8},
+          phy::ChannelView{ch.data(), 1, 0, 8}}) {
+        EXPECT_THROW(phy::compute_combiner_weights_into(bad, 0.1f, w),
+                     std::invalid_argument);
+    }
+}
+
+TEST(Combiner, RejectsDimensionsAboveFixedCMatCapacity)
+{
+    constexpr std::size_t kOver = matrix::FixedCMat::kMaxDim + 1;
+    const CVec ch(kOver * 8, cf32(1.0f, 0.0f));
+    phy::CombinerWeights w;
+    for (const phy::ChannelView bad :
+         {phy::ChannelView{ch.data(), kOver, 1, 8},
+          phy::ChannelView{ch.data(), 1, kOver, 8}}) {
+        EXPECT_THROW(phy::compute_combiner_weights_into(bad, 0.1f, w),
+                     std::invalid_argument);
+    }
+}
+
+TEST(Combiner, RejectsNonPositiveNoiseVariance)
+{
+    const CVec ch(8, cf32(1.0f, 0.0f));
+    const phy::ChannelView view{ch.data(), 1, 1, 8};
+    phy::CombinerWeights w;
+    for (const float bad : {0.0f, -0.1f,
+                            std::numeric_limits<float>::quiet_NaN()}) {
+        EXPECT_THROW(phy::compute_combiner_weights_into(view, bad, w),
+                     std::invalid_argument);
+    }
 }
 
 // ---------------------------------------------- end-to-end round trip
@@ -491,8 +556,13 @@ TEST(EndToEnd, EvmMatchesPerSymbolReferenceBitForBit)
                                 part_bits = 0;
                             }
                             const CfView eq = proc.equalised(slot, l, ds);
-                            for (const cf32 &y : phy::deinterleave(
-                                     CVec(eq.begin(), eq.end())))
+                            CVec deint(eq.size());
+                            phy::deinterleave_into(
+                                eq,
+                                phy::interleave_permutation(
+                                    eq.size(), phy::kInterleaverColumns),
+                                deint);
+                            for (const cf32 &y : deint)
                                 part += phy::nearest_point_distance2(y, mod);
                             part_bits += m * bps;
                             n += m;
