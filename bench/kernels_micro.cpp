@@ -98,7 +98,8 @@ BM_ChannelEstimate(benchmark::State &state)
 BENCHMARK(BM_ChannelEstimate)->Arg(120)->Arg(600)->Arg(1200);
 
 /** MMSE combiner weights: flat ChannelView in, re-shaped
- *  CombinerWeights out (SIMD Gram accumulation when enabled). */
+ *  CombinerWeights out (Gram and solve kLanes subcarriers at a time
+ *  when SIMD is enabled). */
 void
 BM_CombinerWeightsInto(benchmark::State &state)
 {
@@ -115,7 +116,27 @@ BM_CombinerWeightsInto(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(m));
 }
-BENCHMARK(BM_CombinerWeightsInto)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_CombinerWeightsInto)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
+
+/** The scalar twin of BM_CombinerWeightsInto (one FixedCMat solve per
+ *  subcarrier), so one run shows the SIMD/scalar ratio. */
+void
+BM_CombinerWeightsScalar(benchmark::State &state)
+{
+    const auto layers = static_cast<std::size_t>(state.range(0));
+    const std::size_t antennas = 4;
+    const std::size_t m = 300;
+    const CVec ch = random_signal(antennas * layers * m, 21);
+    const phy::ChannelView view{ch.data(), antennas, layers, m};
+    phy::CombinerWeights w;
+    for (auto _ : state) {
+        phy::compute_combiner_weights_scalar_into(view, 0.05f, w);
+        benchmark::DoNotOptimize(&w);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(m));
+}
+BENCHMARK(BM_CombinerWeightsScalar)->Arg(4);
 
 /** Antenna combining of one SC-FDMA symbol into one layer. */
 void

@@ -25,7 +25,7 @@ from_db(double db)
 }
 
 /** @return the smallest power of two >= n (n >= 1). */
-inline std::size_t
+constexpr std::size_t
 next_pow2(std::size_t n)
 {
     std::size_t p = 1;

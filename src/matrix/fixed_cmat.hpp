@@ -7,8 +7,11 @@
  * loop runs one of these per subcarrier with zero heap traffic.
  *
  * inverse() is Gauss-Jordan elimination with partial pivoting; its
- * float-op order is part of the pinned digests, so the SIMD and scalar
- * combiner paths both solve through it.
+ * float-op order is part of the pinned digests.  The scalar combiner
+ * and the SIMD path's tail subcarriers solve through it; the SIMD
+ * path's lane-parallel solve (solve_lanes in phy/combiner.cpp) repeats
+ * the same operations in the same order, so any change here must be
+ * mirrored there.
  */
 #ifndef LTE_MATRIX_FIXED_CMAT_HPP
 #define LTE_MATRIX_FIXED_CMAT_HPP

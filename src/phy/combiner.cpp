@@ -50,8 +50,13 @@ namespace {
  *  fits comfortably inside the per-thread kernel scratch. */
 constexpr std::size_t kWeightsTile = 256;
 
-/** Upper-triangle entry count of a kMaxLayers x kMaxLayers Gram. */
-constexpr std::size_t kMaxGramPairs = kMaxLayers * (kMaxLayers + 1) / 2;
+/** Upper-triangle entry count of the largest Gram the kernel accepts
+ *  (FixedCMat::kMaxDim layers). */
+constexpr std::size_t kMaxGramPairs =
+    matrix::FixedCMat::kMaxDim * (matrix::FixedCMat::kMaxDim + 1) / 2;
+
+static_assert(kMaxGramPairs * kWeightsTile <= kernel_scratch_samples(),
+              "the Gram tile must fit in the per-thread kernel scratch");
 
 /**
  * Single-layer MMSE weights, fully vectorized: the Gram is the scalar
@@ -92,11 +97,120 @@ weights_simd_single_layer(const ChannelView &ch, float noise_var,
 }
 
 /**
+ * The add-noise / invert / W = G^-1 H^H solve of kLanes consecutive
+ * subcarriers, one per lane, on split-complex stack matrices.  Each
+ * lane performs exactly the float operations, in the same order, of
+ * FixedCMat::add_scaled_identity(noise_var).inverse() and the scalar
+ * twin's product, so its weights are bit-identical to a
+ * one-subcarrier-at-a-time solve:
+ *   - the pivot search compares simd::cabs (std::abs bit for bit)
+ *     with the scalar's strict `mag > best` and swaps rows by masked
+ *     select, so every lane picks the row the scalar would;
+ *   - the pivot row scale is simd::crecip (cf32(1) / z bit for bit);
+ *   - lanes whose elimination factor is zero keep their row, as the
+ *     scalar's `factor == 0` skip does.
+ * Throws std::invalid_argument if any lane's pivot is not above
+ * 1e-20, like the scalar solve.
+ *
+ * @p j is the first lane's index in the Gram tile, @p sc its
+ * subcarrier.
+ */
+template <std::size_t N>
+void
+solve_lanes(const ChannelView &ch, const SplitSpan &gram, std::size_t j,
+            std::size_t sc, float noise_var, CombinerWeights &out)
+{
+    using simd::cvf;
+    using simd::vf;
+    const vf zero = vf::zero();
+
+    cvf a[N][N]{}, inv[N][N]{}; // inv: all +0, identity set below
+    std::size_t idx = 0;
+    for (std::size_t r = 0; r < N; ++r) {
+        for (std::size_t c = r; c < N; ++c, ++idx) {
+            const cvf v{vf::load(gram.re.data() + idx * kWeightsTile + j),
+                        vf::load(gram.im.data() + idx * kWeightsTile + j)};
+            a[r][c] = v;
+            // std::conj flips the sign bit, of a zero too; 0 - x would
+            // not.
+            if (c != r)
+                a[c][r] = {v.re, v.im * vf::set1(-1.0f)};
+        }
+    }
+    for (std::size_t i = 0; i < N; ++i) {
+        a[i][i] = a[i][i] + cvf{vf::set1(noise_var), zero};
+        inv[i][i].re = vf::set1(1.0f);
+    }
+
+    for (std::size_t col = 0; col < N; ++col) {
+        // pick[r]: the lanes whose pivot is row r (first strict max).
+        vf best = simd::cabs(a[col][col]);
+        vf pick[N]{};
+        for (std::size_t r = col + 1; r < N; ++r) {
+            const vf mag = simd::cabs(a[r][col]);
+            pick[r] = simd::vgt(mag, best);
+            best = simd::vselect(pick[r], mag, best);
+            for (std::size_t q = col + 1; q < r; ++q)
+                pick[q] = simd::vselect(pick[r], zero, pick[q]);
+        }
+        float best_lane[simd::kLanes];
+        best.store(best_lane);
+        for (const float b : best_lane)
+            LTE_CHECK(b > 1e-20f, "matrix is singular");
+        for (std::size_t r = col + 1; r < N; ++r) {
+            for (std::size_t c = 0; c < N; ++c) {
+                const cvf x = a[col][c], y = inv[col][c];
+                a[col][c] = simd::cselect(pick[r], a[r][c], x);
+                a[r][c] = simd::cselect(pick[r], x, a[r][c]);
+                inv[col][c] = simd::cselect(pick[r], inv[r][c], y);
+                inv[r][c] = simd::cselect(pick[r], y, inv[r][c]);
+            }
+        }
+
+        const cvf scale = simd::crecip(a[col][col]);
+        for (std::size_t c = 0; c < N; ++c) {
+            a[col][c] = simd::cmul(a[col][c], scale);
+            inv[col][c] = simd::cmul(inv[col][c], scale);
+        }
+
+        for (std::size_t r = 0; r < N; ++r) {
+            if (r == col)
+                continue;
+            const cvf factor = a[r][col];
+            const vf skip = simd::vselect(simd::veq(factor.re, zero),
+                                          simd::veq(factor.im, zero), zero);
+            for (std::size_t c = 0; c < N; ++c) {
+                a[r][c] = simd::cselect(
+                    skip, a[r][c],
+                    a[r][c] - simd::cmul(factor, a[col][c]));
+                inv[r][c] = simd::cselect(
+                    skip, inv[r][c],
+                    inv[r][c] - simd::cmul(factor, inv[col][c]));
+            }
+        }
+    }
+
+    // W(l, a) = sum_l2 inv(l, l2) * conj(H(a, l2)), stored straight
+    // into the contiguous (l, a) weight plane.
+    for (std::size_t l = 0; l < N; ++l) {
+        for (std::size_t ant = 0; ant < ch.antennas; ++ant) {
+            cvf acc = cvf::zero();
+            for (std::size_t l2 = 0; l2 < N; ++l2) {
+                const cvf h = simd::cload(&ch.at(ant, l2, sc));
+                acc = acc + simd::cmul_conj(inv[l][l2], h);
+            }
+            simd::cstore(out.plane(l, ant) + sc, acc);
+        }
+    }
+}
+
+/**
  * Multi-layer MMSE weights: the Gram accumulation G = H^H H runs
  * vectorized across subcarriers into a split-complex tile carved from
  * the per-thread kernel scratch (upper triangle only; G is Hermitian),
- * then each subcarrier's add-noise / invert / W = G^-1 H^H solve runs
- * on the stack matrices exactly like the scalar twin.
+ * then the add-noise / invert / W = G^-1 H^H solve runs kLanes
+ * subcarriers at a time (solve_lanes).  Tail subcarriers solve one at a
+ * time on FixedCMat stack matrices like the scalar twin.
  */
 void
 weights_simd_tiled(const ChannelView &ch, float noise_var,
@@ -145,8 +259,24 @@ weights_simd_tiled(const ChannelView &ch, float noise_var,
             }
         }
 
-        // Per-subcarrier solve on the tiled Gram values.
-        for (std::size_t j = 0; j < cnt; ++j) {
+        // Lane-parallel solve over the full vector blocks.
+        const std::size_t vec_cnt = cnt - cnt % simd::kLanes;
+        for (std::size_t j = 0; j < vec_cnt; j += simd::kLanes) {
+            switch (layers) {
+            case 2:
+                solve_lanes<2>(ch, gram, j, base + j, noise_var, out);
+                break;
+            case 3:
+                solve_lanes<3>(ch, gram, j, base + j, noise_var, out);
+                break;
+            default:
+                solve_lanes<4>(ch, gram, j, base + j, noise_var, out);
+                break;
+            }
+        }
+
+        // Tail: per-subcarrier solve on the tiled Gram values.
+        for (std::size_t j = vec_cnt; j < cnt; ++j) {
             const std::size_t sc = base + j;
             matrix::FixedCMat g(layers, layers);
             idx = 0;
@@ -374,9 +504,7 @@ apply_mmse_bias_into(const ChannelView &channel,
         const simd::vf inv = one / simd::vmax(n2, tiny);
         const simd::cvf corrected =
             simd::cscale(simd::cmul_conj(c, bias), inv);
-        simd::cstore(combined.data() + sc,
-                     {simd::vselect(mask, corrected.re, c.re),
-                      simd::vselect(mask, corrected.im, c.im)});
+        simd::cstore(combined.data() + sc, simd::cselect(mask, corrected, c));
     }
     for (; sc < n_sc; ++sc) {
         cf32 bias(0.0f, 0.0f);

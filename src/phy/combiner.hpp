@@ -108,10 +108,12 @@ struct ChannelView
 /**
  * Compute MMSE combiner weights from per-(antenna, layer) channel
  * estimates; @p out is re-shaped to match (allocation-free once at
- * capacity).  With LTE_SIMD=ON the Gram accumulation H^H H runs
- * vectorized across subcarriers (the per-subcarrier matrix inverse
- * stays on fixed-capacity stack matrices); single-layer allocations
- * take a fully vectorized matched-filter path.
+ * capacity).  With LTE_SIMD=ON the Gram accumulation H^H H and the
+ * add-noise / inverse / G^-1 H^H solve run kLanes subcarriers at a
+ * time, bit-identical to solving each subcarrier's Gram on its own
+ * FixedCMat (which is what the tail subcarriers still do);
+ * single-layer allocations take a fully vectorized matched-filter
+ * path.
  *
  * @param channel   non-null view with 1..FixedCMat::kMaxDim antennas
  *                  and layers

@@ -34,7 +34,7 @@ inline constexpr std::size_t kMaxScPerSlot =
  * vector plus worst-case FFT plan scratch (a Bluestein transform of
  * kMaxScPerSlot points needs 2x its power-of-two convolution size).
  */
-inline std::size_t
+constexpr std::size_t
 kernel_scratch_samples()
 {
     return kMaxScPerSlot + 2 * next_pow2(2 * kMaxScPerSlot - 1);

@@ -5,9 +5,10 @@
  * The receive-chain buffers store interleaved std::complex<float>; the
  * SIMD kernels want separate real/imaginary registers so a complex
  * multiply is plain mul/add lanes.  `cload`/`cstore` convert between
- * the two layouts with shuffles (one vld2/vst2 on NEON), and
+ * the two layouts with shuffles (one vld2/vst2 on NEON),
  * `cload_strided` gathers kLanes complex values at a constant stride
- * (FFT twiddle access patterns).
+ * (FFT twiddle access patterns), and `cabs`/`crecip` are lane twins of
+ * std::abs and cf32(1) / z that round bit for bit like the library.
  */
 #ifndef LTE_SIMD_COMPLEX_HPP
 #define LTE_SIMD_COMPLEX_HPP
@@ -50,6 +51,13 @@ inline vf cnorm(cvf a) { return a.re * a.re + a.im * a.im; }
 
 /** Scale by a real vector. */
 inline cvf cscale(cvf a, vf s) { return {a.re * s, a.im * s}; }
+
+/** Per-lane select: mask ? a : b (mask lanes all-ones/zero). */
+inline cvf
+cselect(vf mask, cvf a, cvf b)
+{
+    return {vselect(mask, a.re, b.re), vselect(mask, a.im, b.im)};
+}
 
 // ---------------------------------------------------------------------------
 // Interleaved <-> split-complex conversions
@@ -190,6 +198,146 @@ cstore(cf32 *p, cvf v)
 {
     store_interleaved2(reinterpret_cast<float *>(p), v.re, v.im);
 }
+
+// ---------------------------------------------------------------------------
+// Lane twins of the std::complex library calls
+//
+// cabs(z) is bit-identical to std::abs(cf32) and crecip(z) to
+// cf32(1) / z, lane by lane, for finite z (crecip: z != 0).  GCC lowers
+// std::abs to glibc's cabsf, i.e. hypotf, which rounds
+// sqrt((double)re^2 + (double)im^2) to float; cf32(1) / z is libgcc's
+// __divsc3, which (GCC 12 on) divides in double with the plain formula
+//   den = c^2 + d^2,  x = (a c + b d) / den,  y = (b c - a d) / den
+// at a = 1, b = 0 and rounds x and y to float.  Both squares are exact
+// in double, so the x86 and aarch64 backends widen each half of the
+// vector to double and repeat those operations; the b d = 0 d and
+// b c = 0 c terms stay literal because they fix the sign of a zero
+// result.  Backends without double lanes (scalar, armv7 NEON) call
+// the library per lane.  Contracted multiply-adds (-mfma) would break
+// the match, so the exactness holds for the portable builds.
+// ---------------------------------------------------------------------------
+
+#if defined(LTE_SIMD_BACKEND_AVX2) || defined(LTE_SIMD_BACKEND_SSE2) ||      \
+    (defined(LTE_SIMD_BACKEND_NEON) && defined(__aarch64__))
+
+namespace detail {
+
+#  if defined(LTE_SIMD_BACKEND_AVX2)
+using vd = __m256d;
+inline vd dadd(vd a, vd b) { return _mm256_add_pd(a, b); }
+inline vd dsub(vd a, vd b) { return _mm256_sub_pd(a, b); }
+inline vd dmul(vd a, vd b) { return _mm256_mul_pd(a, b); }
+inline vd ddiv(vd a, vd b) { return _mm256_div_pd(a, b); }
+inline vd dsqrt(vd a) { return _mm256_sqrt_pd(a); }
+inline vd dzero() { return _mm256_setzero_pd(); }
+inline vd
+widen_lo(vf x)
+{
+    return _mm256_cvtps_pd(_mm256_castps256_ps128(x.raw));
+}
+inline vd
+widen_hi(vf x)
+{
+    return _mm256_cvtps_pd(_mm256_extractf128_ps(x.raw, 1));
+}
+inline vf
+narrow(vd lo, vd hi)
+{
+    return {_mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
+                                 _mm256_cvtpd_ps(hi), 1)};
+}
+#  elif defined(LTE_SIMD_BACKEND_SSE2)
+using vd = __m128d;
+inline vd dadd(vd a, vd b) { return _mm_add_pd(a, b); }
+inline vd dsub(vd a, vd b) { return _mm_sub_pd(a, b); }
+inline vd dmul(vd a, vd b) { return _mm_mul_pd(a, b); }
+inline vd ddiv(vd a, vd b) { return _mm_div_pd(a, b); }
+inline vd dsqrt(vd a) { return _mm_sqrt_pd(a); }
+inline vd dzero() { return _mm_setzero_pd(); }
+inline vd widen_lo(vf x) { return _mm_cvtps_pd(x.raw); }
+inline vd widen_hi(vf x) { return _mm_cvtps_pd(_mm_movehl_ps(x.raw, x.raw)); }
+inline vf
+narrow(vd lo, vd hi)
+{
+    return {_mm_movelh_ps(_mm_cvtpd_ps(lo), _mm_cvtpd_ps(hi))};
+}
+#  else // aarch64 NEON
+using vd = float64x2_t;
+inline vd dadd(vd a, vd b) { return vaddq_f64(a, b); }
+inline vd dsub(vd a, vd b) { return vsubq_f64(a, b); }
+inline vd dmul(vd a, vd b) { return vmulq_f64(a, b); }
+inline vd ddiv(vd a, vd b) { return vdivq_f64(a, b); }
+inline vd dsqrt(vd a) { return vsqrtq_f64(a); }
+inline vd dzero() { return vdupq_n_f64(0.0); }
+inline vd widen_lo(vf x) { return vcvt_f64_f32(vget_low_f32(x.raw)); }
+inline vd widen_hi(vf x) { return vcvt_high_f64_f32(x.raw); }
+inline vf
+narrow(vd lo, vd hi)
+{
+    return {vcvt_high_f32_f64(vcvt_f32_f64(lo), hi)};
+}
+#  endif
+
+/** sqrt(re^2 + im^2) on one double half. */
+inline vd
+dabs(vd re, vd im)
+{
+    return dsqrt(dadd(dmul(re, re), dmul(im, im)));
+}
+
+} // namespace detail
+
+/** |z| per lane, bit-identical to std::abs (see above). */
+inline vf
+cabs(cvf z)
+{
+    using namespace detail;
+    return narrow(dabs(widen_lo(z.re), widen_lo(z.im)),
+                  dabs(widen_hi(z.re), widen_hi(z.im)));
+}
+
+/** 1 / z per lane, bit-identical to cf32(1) / z (see above). */
+inline cvf
+crecip(cvf z)
+{
+    using namespace detail;
+    const vd c[2] = {widen_lo(z.re), widen_hi(z.re)};
+    const vd d[2] = {widen_lo(z.im), widen_hi(z.im)};
+    vd x[2], y[2];
+    for (int h = 0; h < 2; ++h) {
+        const vd den = dadd(dmul(c[h], c[h]), dmul(d[h], d[h]));
+        x[h] = ddiv(dadd(c[h], dmul(dzero(), d[h])), den);
+        y[h] = ddiv(dsub(dmul(dzero(), c[h]), d[h]), den);
+    }
+    return {narrow(x[0], x[1]), narrow(y[0], y[1])};
+}
+
+#else // scalar backend, armv7 NEON
+
+/** |z| per lane: std::abs on each lane. */
+inline vf
+cabs(cvf z)
+{
+    float re[kLanes], im[kLanes];
+    z.re.store(re);
+    z.im.store(im);
+    for (std::size_t i = 0; i < kLanes; ++i)
+        re[i] = std::abs(cf32(re[i], im[i]));
+    return vf::load(re);
+}
+
+/** 1 / z per lane: cf32(1) / z on each lane. */
+inline cvf
+crecip(cvf z)
+{
+    cf32 v[kLanes];
+    cstore(v, z);
+    for (std::size_t i = 0; i < kLanes; ++i)
+        v[i] = cf32(1.0f, 0.0f) / v[i];
+    return cload(v);
+}
+
+#endif
 
 } // namespace lte::simd
 

@@ -107,6 +107,8 @@ inline vf vneg(vf a) { return {_mm256_sub_ps(_mm256_setzero_ps(), a.raw)}; }
 
 /** Lane mask: a > b ? all-ones : zero. */
 inline vf vgt(vf a, vf b) { return {_mm256_cmp_ps(a.raw, b.raw, _CMP_GT_OQ)}; }
+/** Lane mask: a == b ? all-ones : zero (false on NaN; -0 == +0). */
+inline vf veq(vf a, vf b) { return {_mm256_cmp_ps(a.raw, b.raw, _CMP_EQ_OQ)}; }
 /** Per-lane select: mask ? a : b (mask lanes all-ones/zero). */
 inline vf
 vselect(vf mask, vf a, vf b)
@@ -135,6 +137,7 @@ inline vf vmax(vf a, vf b) { return {_mm_max_ps(a.raw, b.raw)}; }
 inline vf vneg(vf a) { return {_mm_sub_ps(_mm_setzero_ps(), a.raw)}; }
 
 inline vf vgt(vf a, vf b) { return {_mm_cmpgt_ps(a.raw, b.raw)}; }
+inline vf veq(vf a, vf b) { return {_mm_cmpeq_ps(a.raw, b.raw)}; }
 inline vf
 vselect(vf mask, vf a, vf b)
 {
@@ -179,6 +182,11 @@ inline vf
 vgt(vf a, vf b)
 {
     return {vreinterpretq_f32_u32(vcgtq_f32(a.raw, b.raw))};
+}
+inline vf
+veq(vf a, vf b)
+{
+    return {vreinterpretq_f32_u32(vceqq_f32(a.raw, b.raw))};
 }
 inline vf
 vselect(vf mask, vf a, vf b)
@@ -247,8 +255,11 @@ vneg(vf a)
     return r;
 }
 
+namespace detail {
+
+/** Lane mask from a per-lane predicate (all-ones where it holds). */
 inline vf
-vgt(vf a, vf b)
+lane_mask(bool (*pred)(float, float), vf a, vf b)
 {
     vf r;
     for (std::size_t i = 0; i < kLanes; ++i) {
@@ -257,10 +268,23 @@ vgt(vf a, vf b)
             float f;
             unsigned u;
         } m;
-        m.u = a.raw[i] > b.raw[i] ? 0xFFFFFFFFu : 0u;
+        m.u = pred(a.raw[i], b.raw[i]) ? 0xFFFFFFFFu : 0u;
         r.raw[i] = m.f;
     }
     return r;
+}
+
+} // namespace detail
+
+inline vf
+vgt(vf a, vf b)
+{
+    return detail::lane_mask([](float x, float y) { return x > y; }, a, b);
+}
+inline vf
+veq(vf a, vf b)
+{
+    return detail::lane_mask([](float x, float y) { return x == y; }, a, b);
 }
 inline vf
 vselect(vf mask, vf a, vf b)

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -203,7 +204,7 @@ TEST_P(CombinerParity, BiasCorrectionMatchesScalar)
             apply_mmse_bias_into(view, w, l, simd_c);
             apply_mmse_bias_scalar_into(view, w, l, scalar_c);
             for (std::size_t sc = 0; sc < n_sc; ++sc) {
-                // Scalar complex division (libgcc's Smith algorithm)
+                // Scalar complex division (libgcc's __divsc3, in double)
                 // vs multiply-by-reciprocal differ by a few ULP.
                 expect_ulp_close(simd_c[sc], scalar_c[sc], 1e-4f,
                                  "bias-corrected");
@@ -216,6 +217,102 @@ INSTANTIATE_TEST_SUITE_P(
     LayerAntennaSweep, CombinerParity,
     ::testing::Values(MimoShape{1, 2}, MimoShape{2, 2}, MimoShape{1, 4},
                       MimoShape{2, 4}, MimoShape{3, 4}, MimoShape{4, 4}));
+
+#if !defined(__FMA__)
+// Contracted multiply-adds (native builds) round differently, so the
+// pinned digest holds only for the default portable builds.
+
+/** FNV-1a over the raw bytes of every weight in @p w, continuing from
+ *  @p h. */
+std::uint64_t
+fnv1a(std::uint64_t h, const CombinerWeights &w)
+{
+    const auto *p = reinterpret_cast<const unsigned char *>(w.plane(0, 0));
+    const std::size_t n =
+        w.n_subcarriers() * w.layers() * w.antennas() * sizeof(cf32);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(CombinerParity, WeightsDigestPinned)
+{
+    // Every multi-layer MMSE weight bit, over each size in kOddSizes
+    // (vector blocks and scalar tails) and four noise levels.  Besides
+    // the channel as drawn, one variant scales layer 0 by 1e-2 (its
+    // Gram diagonal is then the smallest, so the pivot search swaps
+    // rows) and one zeroes layer 0 on every third subcarrier (so the
+    // elimination skips zero factors).  The digest was recorded with
+    // the one-subcarrier-at-a-time FixedCMat solve; the lane-parallel
+    // solve must reproduce them bit for bit.  On these inputs the
+    // SIMD and scalar builds' multi-layer Gram and solve round
+    // identically, so 4-lane, 8-lane and LTE_SIMD=OFF builds share one
+    // digest.
+    const MimoShape shapes[] = {{2, 4}, {3, 4}, {4, 4}};
+    const float noises[] = {1e-8f, 1e-3f, 0.5f, 1e4f};
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const MimoShape &shape : shapes) {
+        for (std::size_t n_sc : kOddSizes) {
+            const auto drawn = random_channel(shape, n_sc, 10000 + n_sc);
+            for (int variant = 0; variant < 3; ++variant) {
+                std::vector<cf32> ch = drawn;
+                for (std::size_t a = 0; a < shape.antennas; ++a) {
+                    cf32 *layer0 = ch.data() + a * shape.layers * n_sc;
+                    for (std::size_t sc = 0; sc < n_sc; ++sc) {
+                        if (variant == 1)
+                            layer0[sc] *= 1e-2f;
+                        else if (variant == 2 && sc % 3 == 0)
+                            layer0[sc] = cf32(0.0f, 0.0f);
+                    }
+                }
+                const ChannelView view{ch.data(), shape.antennas,
+                                       shape.layers, n_sc};
+                for (float nv : noises) {
+                    CombinerWeights w;
+                    compute_combiner_weights_into(view, nv, w);
+                    h = fnv1a(h, w);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(h, 0x42cc44b3fcc6910eull) << std::hex << "digest 0x" << h;
+}
+#endif
+
+TEST(CombinerParity, SingularSubcarrierThrowsFromBothPaths)
+{
+    // An all-zero subcarrier at noise_var = 1e-21 leaves a Gram of
+    // 1e-21 * I, below the solve's 1e-20 pivot floor.  Both paths must
+    // refuse it, whether it falls inside a vector block or in the
+    // scalar tail; the same channel without it solves cleanly.
+    const std::size_t n_sc = 2 * simd::kLanes + 3;
+    const float nv = 1e-21f;
+    for (const MimoShape shape :
+         {MimoShape{2, 4}, MimoShape{3, 4}, MimoShape{4, 4}}) {
+        const auto drawn = random_channel(shape, n_sc, 11000);
+        CombinerWeights w;
+        const ChannelView clean{drawn.data(), shape.antennas,
+                                shape.layers, n_sc};
+        EXPECT_NO_THROW(compute_combiner_weights_into(clean, nv, w));
+        EXPECT_NO_THROW(compute_combiner_weights_scalar_into(clean, nv, w));
+        for (const std::size_t zero_sc : {std::size_t{1}, n_sc - 1}) {
+            std::vector<cf32> ch = drawn;
+            for (std::size_t al = 0; al < shape.antennas * shape.layers;
+                 ++al)
+                ch[al * n_sc + zero_sc] = cf32(0.0f, 0.0f);
+            const ChannelView view{ch.data(), shape.antennas,
+                                   shape.layers, n_sc};
+            EXPECT_THROW(compute_combiner_weights_into(view, nv, w),
+                         std::invalid_argument)
+                << shape.layers << " layers, subcarrier " << zero_sc;
+            EXPECT_THROW(compute_combiner_weights_scalar_into(view, nv, w),
+                         std::invalid_argument)
+                << shape.layers << " layers, subcarrier " << zero_sc;
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Channel estimator matched filter
@@ -325,6 +422,73 @@ TEST(SimdPrimitives, LoadStoreRoundTripAndSelect)
     EXPECT_STREQ(backend_name(), simd::enabled() ? backend_name()
                                                  : "scalar");
 }
+
+#if !defined(__FMA__)
+// The lane twins reproduce the library calls only without contracted
+// multiply-adds (see simd/complex.hpp).
+TEST(SimdPrimitives, CabsAndCrecipMatchLibraryBitForBit)
+{
+    using namespace lte::simd;
+    // 2^20 seeded inputs: magnitudes 1e-30..1e30 drawn independently
+    // for the real and imaginary parts, with an eighth of them each
+    // carrying a signed-zero real part, a signed-zero imaginary part,
+    // or a |re| == |im| tie.
+    Rng rng(2012);
+    const auto draw = [&rng] {
+        const double mant = 1.0 + 9.0 * rng.next_double();
+        const double e = static_cast<double>(rng.next_in(-30, 30));
+        const float v = static_cast<float>(mant * std::pow(10.0, e));
+        return rng.next_below(2) ? -v : v;
+    };
+    std::size_t mismatches = 0;
+    std::size_t re_below_im = 0, re_not_below_im = 0;
+    constexpr std::size_t kInputs = std::size_t{1} << 20;
+    for (std::size_t n = 0; n < kInputs; n += kLanes) {
+        cf32 z[kLanes];
+        for (cf32 &zi : z) {
+            float re = draw(), im = draw();
+            switch (rng.next_below(8)) {
+            case 0:
+                re = rng.next_below(2) ? -0.0f : 0.0f;
+                break;
+            case 1:
+                im = rng.next_below(2) ? -0.0f : 0.0f;
+                break;
+            case 2:
+                im = rng.next_below(2) ? -re : re;
+                break;
+            default:
+                break;
+            }
+            zi = cf32(re, im);
+            ++(std::fabs(re) < std::fabs(im) ? re_below_im
+                                              : re_not_below_im);
+        }
+        float mag[kLanes];
+        cabs(cload(z)).store(mag);
+        cf32 rec[kLanes];
+        cstore(rec, crecip(cload(z)));
+        for (std::size_t i = 0; i < kLanes; ++i) {
+            const float ref_mag = std::abs(z[i]);
+            const cf32 ref_rec = cf32(1.0f, 0.0f) / z[i];
+            const bool same =
+                std::memcmp(&mag[i], &ref_mag, sizeof ref_mag) == 0 &&
+                std::memcmp(&rec[i], &ref_rec, sizeof ref_rec) == 0;
+            if (!same && mismatches++ < 5) {
+                ADD_FAILURE() << "z = (" << z[i].real() << ", "
+                              << z[i].imag() << "): |z| " << mag[i]
+                              << " vs " << ref_mag << ", 1/z " << rec[i]
+                              << " vs " << ref_rec;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    // Both orderings of |re| and |im| (the two branches of a Smith
+    // divide, should a library use one) are well covered.
+    EXPECT_GT(re_below_im, kInputs / 4);
+    EXPECT_GT(re_not_below_im, kInputs / 4);
+}
+#endif
 
 } // namespace
 } // namespace lte::phy
