@@ -60,16 +60,18 @@ BM_Fft(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 
-// One size or more per code path: 5-smooth sizes (12, 144, 300, 1200),
+// One size or more per code path: 5-smooth sizes (12, 108, 144, 300,
+// 1200; 108 and 144 are with 132 the Fig. 6 mix's heaviest sizes),
 // powers of two (the pure radix-4/radix-2 butterflies), direct-DFT
-// leaves for primes 7..61 (84 = 12*7, 492 = 12*41, 708 = 12*59,
+// leaves for primes 7..61 (84 = 12*7, 132 = 12*11 under two radix-2
+// levels narrower than a vector, 492 = 12*41, 708 = 12*59,
 // 732 = 12*61), the runtime-radix combine (924 = 12*7*11) and
 // Bluestein (804 = 12*67, 1164 = 12*97).
 void
 fft_sizes(benchmark::internal::Benchmark *b)
 {
-    for (int n : {12, 144, 300, 1200, 256, 1024, 84, 492, 708, 732, 924,
-                  804, 1164})
+    for (int n : {12, 108, 144, 300, 1200, 256, 1024, 84, 132, 492, 708,
+                  732, 924, 804, 1164})
         b->Arg(n);
 }
 BENCHMARK_TEMPLATE(BM_Fft, false)->Name("BM_FftForward")->Apply(fft_sizes);

@@ -1,6 +1,8 @@
 #include "fft/fft.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <mutex>
 #include <numbers>
 
@@ -15,10 +17,6 @@ namespace {
 /** Largest prime factor handled by the direct-DFT base case; sizes with
  *  a bigger prime factor go through Bluestein. */
 constexpr std::size_t kMaxDirectPrime = 61;
-
-/** Smallest prime whose direct-DFT leaf reads a precomputed leaf
- *  matrix; the 2-, 3- and 5-point leaves are a handful of MACs. */
-constexpr std::size_t kMinLeafPrime = 7;
 
 /** @return the smallest prime factor of n (n >= 2). */
 std::size_t
@@ -47,6 +45,34 @@ largest_prime_factor(std::size_t n)
     return largest;
 }
 
+/**
+ * The radix a sub-transform of length @p len splits off; len itself
+ * when len is prime (the direct-DFT base).
+ *
+ * The SIMD order is chosen for the vector combines: odd factors 3 and 5
+ * come first, where their combine spans the widest columns, and the
+ * remaining power of two runs radix-4 while len > 4.  Past 3 and 5 the
+ * smallest-factor-first order takes over, which leaves the largest
+ * prime as the direct-DFT base.  The scalar build keeps smallest factor
+ * first throughout.  The order fixes the rounding of every output, so
+ * it stays as is even though radix p > 5 combines vectorize too.
+ */
+std::size_t
+next_radix(std::size_t len)
+{
+#if defined(LTE_SIMD_ENABLED)
+    if ((len & (len - 1)) == 0)
+        return (len > 4 && len % 4 == 0) ? 4 : smallest_factor(len);
+    std::size_t odd = len;
+    while (odd % 2 == 0)
+        odd /= 2;
+    const std::size_t po = smallest_factor(odd);
+    return po <= 5 ? po : smallest_factor(len);
+#else
+    return smallest_factor(len);
+#endif
+}
+
 /** Approximate flop costs of complex primitives. */
 constexpr std::uint64_t kCplxMulFlops = 6;
 constexpr std::uint64_t kCplxAddFlops = 2;
@@ -68,12 +94,96 @@ mixed_radix_ops(std::size_t n)
     return p * mixed_radix_ops(m) + combine;
 }
 
+inline cf32 mul(cf32 a, cf32 b) { return a * b; }
+
+/** d * -i (forward) or d * +i (inverse), negating like unary minus. */
+template <bool Inverse>
+cf32
+rotate_quarter(cf32 d)
+{
+    return Inverse ? cf32(-d.imag(), d.real()) : cf32(d.imag(), -d.real());
+}
+
+#if defined(LTE_SIMD_ENABLED)
+inline simd::cvf mul(simd::cvf a, simd::cvf b) { return simd::cmul(a, b); }
+#endif
+
+/**
+ * One output column of a radix-P combine, in place on x[0..p):
+ *   X[r] = sum_q W_p^(q*r) * (W^(q*k) * Y_q),
+ * with x[q] = Y_q on entry, w[q] = W^(q*k) for q >= 1 and wp[e] =
+ * W_p^e.  V is cf32 for a scalar column or simd::cvf for kLanes
+ * columns or blocks; every lane does the scalar column's operations in
+ * the same order.  Radix 2 is one butterfly (the generic formula's
+ * arithmetic, half-turn multiply included); radix 4 uses the exact
+ * quarter-turn @p rot instead of a W_4 lookup.  P is the radix when it
+ * is known at compile time or 0 for a runtime prime p > 5.
+ */
+template <std::size_t P, class V, class Rot>
+inline void
+butterfly(V *x, const V *w, const V *wp, std::size_t p, Rot rot)
+{
+    if constexpr (P == 2) {
+        const V t0 = x[0];
+        const V t1 = mul(x[1], w[1]);
+        x[0] = t0 + t1;
+        x[1] = t0 + mul(t1, wp[1]);
+    } else if constexpr (P == 4) {
+        const V y1 = mul(x[1], w[1]);
+        const V y2 = mul(x[2], w[2]);
+        const V y3 = mul(x[3], w[3]);
+        const V a = x[0] + y2;
+        const V b = x[0] - y2;
+        const V c = y1 + y3;
+        const V wd = rot(y1 - y3);
+        x[0] = a + c;
+        x[1] = b + wd;
+        x[2] = a - c;
+        x[3] = b - wd;
+    } else {
+        constexpr std::size_t kMaxP = P != 0 ? P : kMaxDirectPrime;
+        if constexpr (P != 0)
+            p = P; // a compile-time radix lets the q/r loops unroll
+        V t[kMaxP];
+        t[0] = x[0];
+        for (std::size_t q = 1; q < p; ++q)
+            t[q] = mul(x[q], w[q]);
+        V acc0 = t[0];
+        for (std::size_t q = 1; q < p; ++q)
+            acc0 = acc0 + t[q];
+        x[0] = acc0;
+        for (std::size_t r = 1; r < p; ++r) {
+            V acc = t[0];
+            std::size_t exp = 0; // (q * r) mod p
+            for (std::size_t q = 1; q < p; ++q) {
+                exp += r;
+                if (exp >= p)
+                    exp -= p;
+                acc = acc + mul(t[q], wp[exp]);
+            }
+            x[r] = acc;
+        }
+    }
+}
+
 } // namespace
 
 /**
- * Private implementation: either a mixed-radix recursive Cooley-Tukey
- * transform (all prime factors <= kMaxDirectPrime) or a Bluestein
- * chirp-z transform built on a power-of-two plan.
+ * Private implementation: either a mixed-radix Cooley-Tukey transform
+ * (all prime factors <= kMaxDirectPrime) compiled into a level plan,
+ * or a Bluestein chirp-z transform built on a power-of-two plan.
+ *
+ * The level plan unrolls the recursion "split off radix p, transform
+ * the p decimated subsequences, combine".  Level i splits
+ * sub-transforms of length p*m into p of length m; it has `blocks` =
+ * p_0 * ... * p_(i-1) blocks, block b occupying out[b*p*m, (b+1)*p*m).
+ * Below the last level sit n/L direct DFTs of the prime base length L:
+ * the one fed by input residue o reads in[o + j*n/L] and writes its L
+ * bins at out[leaf_pos[o]] (the mixed-radix digit reversal of o).
+ * Blocks of one level are disjoint, so running the leaves and then
+ * each level across all of its blocks, bottom-up, gives every output
+ * the inputs and operations a depth-first recursion over the same
+ * factors would.
  */
 struct Fft::Impl
 {
@@ -85,64 +195,41 @@ struct Fft::Impl
     std::size_t scratch_size() const { return use_bluestein ? 2 * conv_n : n; }
 
     // --- mixed radix ---
-    template <bool Inverse>
-    void
-    recurse(const cf32 *in, std::size_t in_stride, cf32 *out,
-            std::size_t n, std::size_t root_stride) const;
-
-    /** roots[index], conjugated for the inverse direction.  The caller
-     *  guarantees index < n (strides are chosen so no reduction is
-     *  needed — avoiding a modulo on every twiddle access). */
-    template <bool Inverse>
-    cf32
-    root(std::size_t index) const
+    struct Level
     {
-        const cf32 w = roots[index];
-        if constexpr (Inverse)
-            return std::conj(w);
-        return w;
-    }
+        std::size_t p;      ///< radix
+        std::size_t m;      ///< sub-transform length = columns per block
+        std::size_t blocks; ///< blocks; also the twiddle root stride
+        std::size_t tw;     ///< offset of the level's twiddles in Tables::tw
+    };
 
-    /** Direct DFT of the prime leaf_p through the leaf matrix: the
-     *  vector build computes kLanes output bins at a time, each
-     *  accumulated over j in the same order as the scalar tail.  Kept
-     *  out of line so its code does not bloat recurse(). */
+    /** Twiddles of one direction (the inverse holds the conjugates). */
+    struct Tables
+    {
+        /** Per level, at Level::tw: W^(q*k) = roots[q*k*blocks] at
+         *  [(q-1)*m + k] for q in [1, p), k in [0, m), then the p
+         *  constants W_p^e = roots[e*m*blocks]. */
+        std::vector<cf32> tw;
+        /** leaf[j*L + k] = W_L^(j*k) = roots[(j*k mod L) * n/L]. */
+        std::vector<cf32> leaf;
+    };
+
+    /** Run the plan: the leaf DFTs, then every level bottom-up. */
     template <bool Inverse>
-    [[gnu::noinline]] void
-    leaf_dft(const cf32 *in, std::size_t in_stride, cf32 *out) const;
+    void execute(const cf32 *in, cf32 *out) const;
 
-#if defined(LTE_SIMD_ENABLED)
-    /** Vectorized radix-2 combine (same arithmetic as the scalar fast
-     *  path, kLanes butterflies at a time plus a scalar tail). */
+    /** The n/L direct DFTs of length L, each bin accumulated from zero
+     *  in j order.  SIMD builds vectorize over kLanes bins of a block
+     *  while they last, and the remaining bins across kLanes blocks. */
     template <bool Inverse>
-    void combine2(cf32 *out, std::size_t m, std::size_t root_stride) const;
+    void leaf_pass(const cf32 *in, cf32 *out) const;
 
-    /** Vectorized radix-4 combine.  Uses the exact +-i rotation for
-     *  W_4 instead of a twiddle lookup, so a radix-4 level costs three
-     *  complex multiplies per output column instead of the four the
-     *  generic combine would spend on two radix-2 levels. */
-    template <bool Inverse>
-    void combine4(cf32 *out, std::size_t m, std::size_t root_stride) const;
-
-    /** Vectorized odd-radix combine (the generic formula with the W_p
-     *  constants broadcast).  P is the radix when it is known at
-     *  compile time (3 and 5, which the odd-factor-first ordering
-     *  places at wide columns) or 0 for a runtime radix p. */
+    /** One level's combine over all of its blocks.  SIMD builds
+     *  vectorize over kLanes columns of a block while they last
+     *  (k < floor(m/kLanes)*kLanes) and the remaining columns across
+     *  kLanes blocks; only blocks left over from that run scalar. */
     template <std::size_t P, bool Inverse>
-    void combinep(cf32 *out, std::size_t p, std::size_t m,
-                  std::size_t root_stride) const;
-
-    /** combinep<0> for a prime 5 < p <= kMaxDirectPrime that is not the
-     *  leaf.  Kept out of line: inlined into recurse() it slows the
-     *  2/3/5-smooth sizes, which never call it. */
-    template <bool Inverse>
-    [[gnu::noinline]] void
-    combine_odd(cf32 *out, std::size_t p, std::size_t m,
-                std::size_t root_stride) const
-    {
-        combinep<0, Inverse>(out, p, m, root_stride);
-    }
-#endif
+    void combine(cf32 *out, const Level &lv) const;
 
     // --- Bluestein ---
     void bluestein(const cf32 *in, cf32 *out, bool inverse,
@@ -151,17 +238,10 @@ struct Fft::Impl
     std::size_t n;
     bool use_bluestein;
 
-    /** exp(-2*pi*i*k/n) for k in [0, n) (forward direction). */
-    std::vector<cf32> roots;
-
-    /** Leaf matrix of the largest prime factor leaf_p when
-     *  kMinLeafPrime <= leaf_p <= kMaxDirectPrime, else empty (leaf_p
-     *  0).  Both factor orders divide primes above 5 out smallest
-     *  first, so such a largest prime is always the direct-DFT leaf.
-     *  leaf[j*leaf_p + k] = W^(j*k) = roots[(j*k mod leaf_p) *
-     *  (n/leaf_p)], the exact twiddles the leaf would index. */
-    std::size_t leaf_p = 0;
-    std::vector<cf32> leaf;
+    std::vector<Level> levels;          ///< top-down
+    std::size_t base_len = 1;           ///< L, the prime leaf length
+    std::vector<std::uint32_t> leaf_pos; ///< residue -> leaf output offset
+    Tables tables[2];                   ///< [0] forward, [1] inverse
 
     // Bluestein state (empty unless use_bluestein).
     std::size_t conv_n = 0;              ///< power-of-two convolution size
@@ -174,29 +254,66 @@ Fft::Impl::Impl(std::size_t size)
     : n(size)
 {
     LTE_CHECK(n >= 1, "FFT size must be >= 1");
-    const std::size_t largest = largest_prime_factor(n);
-    use_bluestein = largest > kMaxDirectPrime;
+    LTE_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+              "FFT size must fit in 32 bits");
+    use_bluestein = largest_prime_factor(n) > kMaxDirectPrime;
 
-    roots.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-        const double angle =
-            -2.0 * std::numbers::pi * static_cast<double>(k) /
-            static_cast<double>(n);
-        roots[k] = cf32(static_cast<float>(std::cos(angle)),
-                        static_cast<float>(std::sin(angle)));
-    }
-
-    if (largest >= kMinLeafPrime && !use_bluestein) {
-        leaf_p = largest;
-        leaf.resize(leaf_p * leaf_p);
-        const std::size_t stride = n / leaf_p;
-        for (std::size_t j = 0; j < leaf_p; ++j) {
-            for (std::size_t k = 0; k < leaf_p; ++k)
-                leaf[j * leaf_p + k] = roots[((j * k) % leaf_p) * stride];
+    if (!use_bluestein) {
+        // exp(-2*pi*i*k/n) for k in [0, n): every twiddle below is one
+        // of these values.
+        std::vector<cf32> roots(n);
+        for (std::size_t k = 0; k < n; ++k) {
+            const double angle =
+                -2.0 * std::numbers::pi * static_cast<double>(k) /
+                static_cast<double>(n);
+            roots[k] = cf32(static_cast<float>(std::cos(angle)),
+                            static_cast<float>(std::sin(angle)));
         }
-    }
 
-    if (use_bluestein) {
+        // Walk the factor order top-down, tracking each
+        // sub-transform's input residue and output offset.
+        Tables &fwd = tables[0];
+        std::vector<std::uint32_t> pos{0};
+        std::size_t len = n;
+        std::size_t blocks = 1;
+        for (std::size_t p = next_radix(len); p != len; p = next_radix(len)) {
+            const std::size_t m = len / p;
+            levels.push_back({p, m, blocks, fwd.tw.size()});
+            for (std::size_t q = 1; q < p; ++q) {
+                for (std::size_t k = 0; k < m; ++k)
+                    fwd.tw.push_back(roots[q * k * blocks]);
+            }
+            for (std::size_t e = 0; e < p; ++e)
+                fwd.tw.push_back(roots[e * m * blocks]);
+            // Sub-transform q of residue o reads residue o + q*blocks
+            // and writes at offset pos[o] + q*m.
+            std::vector<std::uint32_t> next(pos.size() * p);
+            for (std::size_t o = 0; o < pos.size(); ++o) {
+                for (std::size_t q = 0; q < p; ++q)
+                    next[o + q * blocks] =
+                        static_cast<std::uint32_t>(pos[o] + q * m);
+            }
+            pos.swap(next);
+            blocks *= p;
+            len = m;
+        }
+        base_len = len;
+        leaf_pos = std::move(pos);
+        fwd.leaf.resize(len * len);
+        for (std::size_t j = 0; j < len; ++j) {
+            for (std::size_t k = 0; k < len; ++k)
+                fwd.leaf[j * len + k] = roots[((j * k) % len) * blocks];
+        }
+
+        // The inverse tables conjugate with std::conj.  No twiddle has
+        // a +0 imaginary part (only roots[0]'s is zero, and it is -0),
+        // so this matches conjugating with a vector 0 - x bit for bit.
+        Tables &inv = tables[1];
+        for (const cf32 w : fwd.tw)
+            inv.tw.push_back(std::conj(w));
+        for (const cf32 w : fwd.leaf)
+            inv.leaf.push_back(std::conj(w));
+    } else {
         conv_n = next_pow2(2 * n - 1);
         conv_fft = std::make_unique<Fft>(conv_n);
 
@@ -225,328 +342,160 @@ Fft::Impl::Impl(std::size_t size)
 
 template <bool Inverse>
 void
-Fft::Impl::recurse(const cf32 *in, std::size_t in_stride, cf32 *out,
-                   std::size_t len, std::size_t root_stride) const
+Fft::Impl::execute(const cf32 *in, cf32 *out) const
 {
+    leaf_pass<Inverse>(in, out);
+    for (auto lv = levels.rbegin(); lv != levels.rend(); ++lv) {
+        switch (lv->p) {
+        case 2:
+            combine<2, Inverse>(out, *lv);
+            break;
+        case 3:
+            combine<3, Inverse>(out, *lv);
+            break;
+        case 4:
+            combine<4, Inverse>(out, *lv);
+            break;
+        case 5:
+            combine<5, Inverse>(out, *lv);
+            break;
+        default:
+            combine<0, Inverse>(out, *lv);
+            break;
+        }
+    }
+}
+
+template <bool Inverse>
+void
+Fft::Impl::leaf_pass(const cf32 *in, cf32 *out) const
+{
+    const std::size_t len = base_len;
     if (len == 1) {
-        out[0] = in[0];
+        out[0] = in[0]; // n == 1
         return;
     }
-
+    // X[k] = sum_j x[j] * W_L^(j*k), each bin accumulated from zero in
+    // j order, so every path below does the same additions on the same
+    // twiddles.
+    const std::size_t blocks = n / len; // also the input stride
+    const cf32 *w = tables[Inverse].leaf.data();
+    const std::uint32_t *pos = leaf_pos.data();
+    std::size_t kv = 0; // bins vectorized within a block
+    std::size_t o0 = 0; // first block of the scalar remainder
 #if defined(LTE_SIMD_ENABLED)
-    // Factor order is chosen for the vector combines: odd factors are
-    // pulled to the top of the recursion, where their combine spans
-    // the widest columns (m = len/p stays large), and the remaining
-    // power-of-two subtrees run the radix-4/radix-2 vector butterflies
-    // down to trivial leaves.  The scalar build keeps the original
-    // smallest-factor-first order.
-    std::size_t p;
-    if ((len & (len - 1)) == 0) {
-        // Pure power of two: radix-4 while possible.
-        p = (len > 4 && len % 4 == 0) ? 4 : smallest_factor(len);
-    } else {
-        std::size_t odd = len;
-        while (odd % 2 == 0)
-            odd /= 2;
-        const std::size_t po = smallest_factor(odd);
-        // Past 3 and 5 the original smallest-factor-first order takes
-        // over, which leaves the largest prime as the direct-DFT leaf.
-        // The order fixes the rounding of every output, so it stays
-        // as is even though radix p > 5 combines vectorize too.
-        p = po <= 5 ? po : smallest_factor(len);
-    }
-#else
-    const std::size_t p = smallest_factor(len);
-#endif
-    const std::size_t m = len / p;
-
-    if (p == len) {
-        if (len == leaf_p) {
-            leaf_dft<Inverse>(in, in_stride, out);
-            return;
+    using simd::cvf;
+    constexpr std::size_t kL = simd::kLanes;
+    kv = len / kL * kL;
+    for (std::size_t o = 0; kv != 0 && o < blocks; ++o) {
+        cf32 *dst = out + pos[o];
+        for (std::size_t k = 0; k < kv; k += kL) {
+            cvf acc = cvf::zero();
+            for (std::size_t j = 0; j < len; ++j)
+                acc = acc + simd::cmul(cvf::set1(in[o + j * blocks]),
+                                       simd::cload(w + j * len + k));
+            simd::cstore(dst + k, acc);
         }
-        // Small prime base case: direct DFT using the master root table.
-        // W_len^(jk) == roots[(j*k mod len) * root_stride].
-        for (std::size_t k = 0; k < len; ++k) {
+    }
+    for (; kv < len && o0 + kL <= blocks; o0 += kL) {
+        // Lane i is block o0 + i: consecutive residues, so the inputs
+        // load contiguously and each lane stores to its own block.
+        for (std::size_t k = kv; k < len; ++k) {
+            cvf acc = cvf::zero();
+            for (std::size_t j = 0; j < len; ++j)
+                acc = acc + simd::cmul(simd::cload(in + o0 + j * blocks),
+                                       cvf::set1(w[j * len + k]));
+            cf32 lane[kL];
+            simd::cstore(lane, acc);
+            for (std::size_t i = 0; i < kL; ++i)
+                out[pos[o0 + i] + k] = lane[i];
+        }
+    }
+#endif
+    for (std::size_t o = o0; kv < len && o < blocks; ++o) {
+        cf32 *dst = out + pos[o];
+        for (std::size_t k = kv; k < len; ++k) {
             cf32 acc(0.0f, 0.0f);
-            for (std::size_t j = 0; j < len; ++j) {
-                const std::size_t idx = ((j * k) % len) * root_stride;
-                acc += in[j * in_stride] * root<Inverse>(idx);
-            }
-            out[k] = acc;
+            for (std::size_t j = 0; j < len; ++j)
+                acc += in[o + j * blocks] * w[j * len + k];
+            dst[k] = acc;
         }
-        return;
-    }
-
-    // Transform the p decimated subsequences.
-    for (std::size_t q = 0; q < p; ++q) {
-        recurse<Inverse>(in + q * in_stride, in_stride * p, out + q * m,
-                         m, root_stride * p);
-    }
-
-#if defined(LTE_SIMD_ENABLED)
-    if (p == 4) {
-        combine4<Inverse>(out, m, root_stride);
-        return;
-    }
-    if (p == 2) {
-        combine2<Inverse>(out, m, root_stride);
-        return;
-    }
-    if (p == 3)
-        combinep<3, Inverse>(out, p, m, root_stride);
-    else if (p == 5)
-        combinep<5, Inverse>(out, p, m, root_stride);
-    else
-        combine_odd<Inverse>(out, p, m, root_stride);
-#else
-    if (p == 2) {
-        // Radix-2 fast path: the combine below collapses to one
-        // butterfly per output pair.  Same arithmetic as the generic
-        // code (including the multiply by the half-turn root, which is
-        // not exactly -1 in float), just without per-element index
-        // reductions.
-        const cf32 w_half = root<Inverse>(m * root_stride);
-        std::size_t tw = 0; // k * root_stride
-        for (std::size_t k = 0; k < m; ++k, tw += root_stride) {
-            const cf32 t0 = out[k];
-            const cf32 t1 = out[m + k] * root<Inverse>(tw);
-            out[k] = t0 + t1;
-            out[m + k] = t0 + t1 * w_half;
-        }
-        return;
-    }
-
-    // Combine: X[k + r*m] = sum_q W_len^(q*k) * W_p^(q*r) * Y_q[k].
-    // All root indices stay below n by construction: q*k*root_stride
-    // <= (p-1)*(m-1)*root_stride < len*root_stride = n, and the W_p
-    // exponent is reduced mod p incrementally.
-    cf32 t[kMaxDirectPrime];
-    std::size_t base = 0; // k * root_stride
-    for (std::size_t k = 0; k < m; ++k, base += root_stride) {
-        t[0] = out[k];
-        for (std::size_t q = 1; q < p; ++q)
-            t[q] = out[q * m + k] * root<Inverse>(q * base);
-        cf32 acc0 = t[0];
-        for (std::size_t q = 1; q < p; ++q)
-            acc0 += t[q];
-        out[k] = acc0;
-        for (std::size_t r = 1; r < p; ++r) {
-            cf32 acc = t[0];
-            std::size_t exp = 0; // (q * r) mod p
-            for (std::size_t q = 1; q < p; ++q) {
-                exp += r;
-                if (exp >= p)
-                    exp -= p;
-                acc += t[q] * root<Inverse>(exp * m * root_stride);
-            }
-            out[k + r * m] = acc;
-        }
-    }
-#endif
-}
-
-template <bool Inverse>
-void
-Fft::Impl::leaf_dft(const cf32 *in, std::size_t in_stride, cf32 *out) const
-{
-    // X[k] = sum_j x[j] * W^(j*k), each bin accumulated from zero in
-    // j order: the additions of the modulo-indexed base case, in the
-    // same order, on the same twiddles, so the outputs match it bit for
-    // bit.  The vector blocks hold kLanes consecutive bins.
-    const std::size_t p = leaf_p;
-    const cf32 *w = leaf.data();
-    std::size_t k = 0;
-#if defined(LTE_SIMD_ENABLED)
-    for (; k + simd::kLanes <= p; k += simd::kLanes) {
-        simd::cvf acc = simd::cvf::zero();
-        for (std::size_t j = 0; j < p; ++j) {
-            simd::cvf wj = simd::cload(w + j * p + k);
-            if constexpr (Inverse)
-                wj = simd::cconj(wj);
-            acc = acc + simd::cmul(simd::cvf::set1(in[j * in_stride]), wj);
-        }
-        simd::cstore(out + k, acc);
-    }
-#endif
-    for (; k < p; ++k) {
-        cf32 acc(0.0f, 0.0f);
-        for (std::size_t j = 0; j < p; ++j) {
-            const cf32 wj = w[j * p + k];
-            acc += in[j * in_stride] * (Inverse ? std::conj(wj) : wj);
-        }
-        out[k] = acc;
-    }
-}
-
-#if defined(LTE_SIMD_ENABLED)
-
-template <bool Inverse>
-void
-Fft::Impl::combine2(cf32 *out, std::size_t m, std::size_t root_stride) const
-{
-    const cf32 w_half = root<Inverse>(m * root_stride);
-    const simd::cvf wh = simd::cvf::set1(w_half);
-    const cf32 *rt = roots.data();
-    std::size_t k = 0;
-    for (; k + simd::kLanes <= m; k += simd::kLanes) {
-        // Twiddles sit at stride root_stride in the master table; at
-        // the outermost level the stride is 1 and a contiguous load
-        // beats the gather.
-        simd::cvf w = root_stride == 1
-                          ? simd::cload(rt + k)
-                          : simd::cload_strided(rt + k * root_stride,
-                                                root_stride);
-        if constexpr (Inverse)
-            w = simd::cconj(w);
-        const simd::cvf t0 = simd::cload(out + k);
-        const simd::cvf t1 = simd::cmul(simd::cload(out + m + k), w);
-        simd::cstore(out + k, t0 + t1);
-        simd::cstore(out + m + k, t0 + simd::cmul(t1, wh));
-    }
-    std::size_t tw = k * root_stride;
-    for (; k < m; ++k, tw += root_stride) {
-        const cf32 t0 = out[k];
-        const cf32 t1 = out[m + k] * root<Inverse>(tw);
-        out[k] = t0 + t1;
-        out[m + k] = t0 + t1 * w_half;
-    }
-}
-
-template <bool Inverse>
-void
-Fft::Impl::combine4(cf32 *out, std::size_t m, std::size_t root_stride) const
-{
-    // X[k + r*m] combines the four sub-transforms with twiddles
-    // W_len^(q*k) and the exact fourth roots of unity.  The largest
-    // twiddle index is 3*(m-1)*root_stride < len*root_stride = n, so
-    // no index reduction is needed.  The forward W_4 = -i rotation is
-    // (re, im) -> (im, -re); the inverse flips the sign.
-    const cf32 *rt = roots.data();
-    std::size_t k = 0;
-    for (; k + simd::kLanes <= m; k += simd::kLanes) {
-        simd::cvf w1 = root_stride == 1
-                           ? simd::cload(rt + k)
-                           : simd::cload_strided(rt + k * root_stride,
-                                                 root_stride);
-        simd::cvf w2 = simd::cload_strided(rt + 2 * k * root_stride,
-                                           2 * root_stride);
-        simd::cvf w3 = simd::cload_strided(rt + 3 * k * root_stride,
-                                           3 * root_stride);
-        if constexpr (Inverse) {
-            w1 = simd::cconj(w1);
-            w2 = simd::cconj(w2);
-            w3 = simd::cconj(w3);
-        }
-        const simd::cvf x0 = simd::cload(out + k);
-        const simd::cvf x1 = simd::cmul(simd::cload(out + m + k), w1);
-        const simd::cvf x2 = simd::cmul(simd::cload(out + 2 * m + k), w2);
-        const simd::cvf x3 = simd::cmul(simd::cload(out + 3 * m + k), w3);
-        const simd::cvf a = x0 + x2;
-        const simd::cvf b = x0 - x2;
-        const simd::cvf c = x1 + x3;
-        const simd::cvf d = x1 - x3;
-        const simd::cvf wd = Inverse
-                                 ? simd::cvf{simd::vneg(d.im), d.re}
-                                 : simd::cvf{d.im, simd::vneg(d.re)};
-        simd::cstore(out + k, a + c);
-        simd::cstore(out + m + k, b + wd);
-        simd::cstore(out + 2 * m + k, a - c);
-        simd::cstore(out + 3 * m + k, b - wd);
-    }
-    for (; k < m; ++k) {
-        const std::size_t base = k * root_stride;
-        const cf32 x0 = out[k];
-        const cf32 x1 = out[m + k] * root<Inverse>(base);
-        const cf32 x2 = out[2 * m + k] * root<Inverse>(2 * base);
-        const cf32 x3 = out[3 * m + k] * root<Inverse>(3 * base);
-        const cf32 a = x0 + x2;
-        const cf32 b = x0 - x2;
-        const cf32 c = x1 + x3;
-        const cf32 d = x1 - x3;
-        const cf32 wd = Inverse ? cf32(-d.imag(), d.real())
-                                : cf32(d.imag(), -d.real());
-        out[k] = a + c;
-        out[m + k] = b + wd;
-        out[2 * m + k] = a - c;
-        out[3 * m + k] = b - wd;
     }
 }
 
 template <std::size_t P, bool Inverse>
 void
-Fft::Impl::combinep(cf32 *out, std::size_t p, std::size_t m,
-                    std::size_t root_stride) const
+Fft::Impl::combine(cf32 *out, const Level &lv) const
 {
-    // The generic combine vectorized across the column index k: the
-    // inner W_p constants W_p^(q*r) = roots[((q*r mod p) * m *
-    // root_stride)] are broadcast once, and each block evaluates
-    //   X[k + r*m] = sum_q W_len^(q*k) * W_p^(q*r) * Y_q[k]
-    // in the same accumulation order as the scalar loop.  The largest
-    // twiddle index is (p-1)*(m-1)*root_stride < len*root_stride = n.
     constexpr std::size_t kMaxP = P != 0 ? P : kMaxDirectPrime;
-    if constexpr (P != 0)
-        p = P; // a compile-time radix lets the q/r loops unroll
-    simd::cvf wp[kMaxP];
+    const std::size_t p = P != 0 ? P : lv.p;
+    const std::size_t m = lv.m;
+    const std::size_t len = p * m;
+    const cf32 *tw = tables[Inverse].tw.data() + lv.tw;
+    const cf32 *wp = tw + (p - 1) * m;
+    std::size_t kv = 0; // columns vectorized within a block
+    std::size_t b0 = 0; // first block of the scalar remainder
+#if defined(LTE_SIMD_ENABLED)
+    using simd::cvf;
+    constexpr std::size_t kL = simd::kLanes;
+    cvf wpv[kMaxP];
     for (std::size_t e = 0; e < p; ++e)
-        wp[e] = simd::cvf::set1(root<Inverse>(e * m * root_stride));
-
-    const cf32 *rt = roots.data();
-    std::size_t k = 0;
-    for (; k + simd::kLanes <= m; k += simd::kLanes) {
-        simd::cvf t[kMaxP];
-        t[0] = simd::cload(out + k);
-        for (std::size_t q = 1; q < p; ++q) {
-            simd::cvf w =
-                q * root_stride == 1
-                    ? simd::cload(rt + k)
-                    : simd::cload_strided(rt + q * k * root_stride,
-                                          q * root_stride);
-            if constexpr (Inverse)
-                w = simd::cconj(w);
-            t[q] = simd::cmul(simd::cload(out + q * m + k), w);
-        }
-        simd::cvf acc0 = t[0];
-        for (std::size_t q = 1; q < p; ++q)
-            acc0 = acc0 + t[q];
-        simd::cstore(out + k, acc0);
-        for (std::size_t r = 1; r < p; ++r) {
-            simd::cvf acc = t[0];
-            std::size_t exp = 0; // (q * r) mod p
-            for (std::size_t q = 1; q < p; ++q) {
-                exp += r;
-                if (exp >= p)
-                    exp -= p;
-                acc = acc + simd::cmul(t[q], wp[exp]);
-            }
-            simd::cstore(out + r * m + k, acc);
+        wpv[e] = cvf::set1(wp[e]);
+    kv = m / kL * kL;
+    for (std::size_t b = 0; kv != 0 && b < lv.blocks; ++b) {
+        cf32 *blk = out + b * len;
+        for (std::size_t k = 0; k < kv; k += kL) {
+            cvf x[kMaxP], w[kMaxP];
+            for (std::size_t q = 0; q < p; ++q)
+                x[q] = simd::cload(blk + q * m + k);
+            for (std::size_t q = 1; q < p; ++q)
+                w[q] = simd::cload(tw + (q - 1) * m + k);
+            // This path's rotation negates as 0 - x, which the pinned
+            // digests were recorded with (it differs from -x on a +0).
+            butterfly<P>(x, w, wpv, p, [](cvf d) {
+                return Inverse ? cvf{simd::vneg(d.im), d.re}
+                               : cvf{d.im, simd::vneg(d.re)};
+            });
+            for (std::size_t q = 0; q < p; ++q)
+                simd::cstore(blk + q * m + k, x[q]);
         }
     }
-    std::size_t base = k * root_stride;
-    for (; k < m; ++k, base += root_stride) {
-        cf32 t[kMaxP];
-        t[0] = out[k];
-        for (std::size_t q = 1; q < p; ++q)
-            t[q] = out[q * m + k] * root<Inverse>(q * base);
-        cf32 acc0 = t[0];
-        for (std::size_t q = 1; q < p; ++q)
-            acc0 += t[q];
-        out[k] = acc0;
-        for (std::size_t r = 1; r < p; ++r) {
-            cf32 acc = t[0];
-            std::size_t exp = 0; // (q * r) mod p
-            for (std::size_t q = 1; q < p; ++q) {
-                exp += r;
-                if (exp >= p)
-                    exp -= p;
-                acc += t[q] * root<Inverse>(exp * m * root_stride);
-            }
-            out[k + r * m] = acc;
+    for (; kv < m && b0 + kL <= lv.blocks; b0 += kL) {
+        // Lane i is block b0 + i, at stride len; the twiddle is shared.
+        cf32 *blk = out + b0 * len;
+        for (std::size_t k = kv; k < m; ++k) {
+            cvf x[kMaxP], w[kMaxP];
+            for (std::size_t q = 0; q < p; ++q)
+                x[q] = simd::cload_strided(blk + q * m + k, len);
+            for (std::size_t q = 1; q < p; ++q)
+                w[q] = cvf::set1(tw[(q - 1) * m + k]);
+            // The scalar column negates with unary minus; x * -1
+            // matches it on every non-NaN value, +0 included, where
+            // 0 - x would not.
+            butterfly<P>(x, w, wpv, p, [](cvf d) {
+                const simd::vf neg = simd::vf::set1(-1.0f);
+                return Inverse ? cvf{d.im * neg, d.re}
+                               : cvf{d.im, d.re * neg};
+            });
+            for (std::size_t q = 0; q < p; ++q)
+                simd::cstore_strided(blk + q * m + k, len, x[q]);
+        }
+    }
+#endif
+    for (std::size_t b = b0; kv < m && b < lv.blocks; ++b) {
+        cf32 *blk = out + b * len;
+        for (std::size_t k = kv; k < m; ++k) {
+            cf32 x[kMaxP], w[kMaxP];
+            for (std::size_t q = 0; q < p; ++q)
+                x[q] = blk[q * m + k];
+            for (std::size_t q = 1; q < p; ++q)
+                w[q] = tw[(q - 1) * m + k];
+            butterfly<P>(x, w, wp, p, rotate_quarter<Inverse>);
+            for (std::size_t q = 0; q < p; ++q)
+                blk[q * m + k] = x[q];
         }
     }
 }
-
-#endif // LTE_SIMD_ENABLED
 
 void
 Fft::Impl::bluestein(const cf32 *in, cf32 *out, bool inverse,
@@ -631,20 +580,18 @@ Fft::Impl::transform(const cf32 *in, cf32 *out, bool inverse,
 {
     if (use_bluestein) {
         bluestein(in, out, inverse, scratch);
-    } else if (in == out) {
-        LTE_ASSERT(scratch.size() >= n, "in-place FFT scratch too small");
-        cf32 *tmp = scratch.data();
-        for (std::size_t k = 0; k < n; ++k)
-            tmp[k] = in[k];
-        if (inverse)
-            recurse<true>(tmp, 1, out, n, 1);
-        else
-            recurse<false>(tmp, 1, out, n, 1);
     } else {
+        if (in == out) {
+            LTE_ASSERT(scratch.size() >= n, "in-place FFT scratch too small");
+            cf32 *tmp = scratch.data();
+            for (std::size_t k = 0; k < n; ++k)
+                tmp[k] = in[k];
+            in = tmp;
+        }
         if (inverse)
-            recurse<true>(in, 1, out, n, 1);
+            execute<true>(in, out);
         else
-            recurse<false>(in, 1, out, n, 1);
+            execute<false>(in, out);
     }
 
     if (inverse) {
@@ -750,10 +697,11 @@ Fft::op_count(std::size_t n)
         return 0;
     if (largest_prime_factor(n) <= kMaxDirectPrime)
         return mixed_radix_ops(n);
-    // Bluestein: two forward + one inverse transform of conv_n, plus
-    // the pointwise chirp multiplies.
+    // Bluestein: one forward and one inverse transform of conv_n (the
+    // chirp's spectrum is computed once, at plan time), plus the
+    // pointwise chirp multiplies.
     const std::size_t conv_n = next_pow2(2 * n - 1);
-    return 3 * mixed_radix_ops(conv_n) +
+    return 2 * mixed_radix_ops(conv_n) +
            (2 * n + conv_n) * kCplxMulFlops;
 }
 

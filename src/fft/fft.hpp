@@ -22,18 +22,24 @@ namespace lte::fft {
 /**
  * A planned complex FFT of a fixed size.
  *
- * The plan precomputes twiddle tables: the n roots of unity, a leaf
- * matrix W[j*p + k] = W_p^(j*k) when the largest prime factor p is
- * 7..61 (the direct-DFT leaf), and, for Bluestein sizes, the chirp
- * sequence and its transform.  forward() computes the unnormalised
- * DFT; inverse() applies the 1/N scale so that
- * inverse(forward(x)) == x.
+ * A mixed-radix plan compiles the Cooley-Tukey factorisation once: a
+ * top-down list of levels (radix p, sub-transform length m, block
+ * count), the prime base length L with its leaf matrix
+ * W[j*L + k] = W_L^(j*k), a table mapping each input residue to the
+ * output offset of its leaf DFT, and one contiguous twiddle table per
+ * level in each direction.  A transform runs breadth-first: all n/L
+ * leaf DFTs, then each level's combine across all of its blocks,
+ * bottom-up.  Bluestein sizes precompute the chirp sequence and its
+ * transform instead.  forward() computes the unnormalised DFT;
+ * inverse() applies the 1/N scale so that inverse(forward(x)) == x.
  *
- * In SIMD builds every combine, including radix p > 5, and the prime
- * leaf vectorize across the output index.  The vector code does the
- * scalar loops' arithmetic lane for lane: the same factor order, the
- * same per-output accumulation order and no FMA, so outputs are bit
- * for bit those of the scalar formulation in the same factor order.
+ * In SIMD builds the leaf DFTs and every combine vectorize over kLanes
+ * output bins or columns of one block while a full vector fits, and
+ * run the remaining bins or columns with one block per lane.  Every
+ * lane does a scalar column's arithmetic: the same factor order, the
+ * same per-output accumulation order, the same twiddle values and no
+ * FMA, so outputs are bit for bit those of the scalar formulation in
+ * the same factor order.
  *
  * Plans are immutable after construction, and both transform methods
  * are const and safe to call concurrently from multiple threads.

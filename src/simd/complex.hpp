@@ -6,9 +6,10 @@
  * SIMD kernels want separate real/imaginary registers so a complex
  * multiply is plain mul/add lanes.  `cload`/`cstore` convert between
  * the two layouts with shuffles (one vld2/vst2 on NEON),
- * `cload_strided` gathers kLanes complex values at a constant stride
- * (FFT twiddle access patterns), and `cabs`/`crecip` are lane twins of
- * std::abs and cf32(1) / z that round bit for bit like the library.
+ * `cload_strided`/`cstore_strided` gather and scatter kLanes complex
+ * values at a constant stride (FFT lanes that span blocks), and
+ * `cabs`/`crecip` are lane twins of std::abs and cf32(1) / z that
+ * round bit for bit like the library.
  */
 #ifndef LTE_SIMD_COMPLEX_HPP
 #define LTE_SIMD_COMPLEX_HPP
@@ -197,6 +198,17 @@ inline void
 cstore(cf32 *p, cvf v)
 {
     store_interleaved2(reinterpret_cast<float *>(p), v.re, v.im);
+}
+
+/** Scatter kLanes complex values to p[i * stride] (the store twin of
+ *  cload_strided, for FFT lanes that span blocks). */
+inline void
+cstore_strided(cf32 *p, std::size_t stride, cvf v)
+{
+    cf32 lanes[kLanes];
+    cstore(lanes, v);
+    for (std::size_t i = 0; i < kLanes; ++i)
+        p[i * stride] = lanes[i];
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <thread>
 
@@ -219,6 +220,16 @@ TEST(Fft, OpCountRoughlyNLogN)
     }
 }
 
+TEST(Fft, OpCountBluesteinChargesTwoConvolutionTransforms)
+{
+    // 804 = 12*67 runs Bluestein on a 2048-point plan.  A call runs one
+    // forward and one inverse 2048-point transform (the chirp spectrum
+    // is computed once, at plan time) plus the 2n + conv_n chirp
+    // multiplies at 6 flops each.
+    EXPECT_EQ(Fft::op_count(804),
+              2 * Fft::op_count(2048) + (2 * 804 + 2048) * 6u);
+}
+
 /** FNV-1a over the raw bytes of @p v, continuing from @p h. */
 std::uint64_t
 fnv1a(std::uint64_t h, const CVec &v)
@@ -256,6 +267,58 @@ TEST(FftBitExact, AllocationSizesMatchSeedDigest)
     }
     const std::uint64_t expected =
         simd::enabled() ? 0x0240e635f53dd01eull : 0xbc8b851a6af95b53ull;
+    EXPECT_EQ(h, expected) << std::hex << "digest 0x" << h;
+}
+
+/** The channel estimator's delay buffer: @p x with the bins between
+ *  the kept front and back of the window zeroed (the formula of
+ *  phy::window_extent at a 1/8 window). */
+CVec
+windowed(CVec x)
+{
+    const std::size_t n = x.size();
+    const auto total = std::clamp<std::size_t>(
+        static_cast<std::size_t>(0.125 * static_cast<double>(n)), 1, n);
+    const std::size_t back = total / 4;
+    const std::size_t front = total - back;
+    for (std::size_t i = front; i < n - back; ++i)
+        x[i] = cf32(0.0f, 0.0f);
+    return x;
+}
+
+TEST(FftBitExact, EverySizeMatchesSeedDigest)
+{
+    // Every size 1..1300 plus 2048 and 4096, forward and inverse, on a
+    // random input, the same input zeroed like the channel estimator's
+    // windowed delay buffer (long exact-zero runs, where the sign of a
+    // zero could tell two rotation formulas apart) and a two-impulse
+    // input.  The digests were recorded before the FFT moved from a
+    // depth-first recursion to the level-batched executor.  SIMD
+    // builds (SSE2 and AVX2 alike) and scalar builds use different
+    // factor orders, so each has its own.
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 1300; ++n)
+        sizes.push_back(n);
+    sizes.push_back(2048);
+    sizes.push_back(4096);
+
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::size_t n : sizes) {
+        const CVec noise = random_signal(n, 7000 + n);
+        CVec impulses(n, cf32(0.0f, 0.0f));
+        impulses[n / 3] += cf32(1.0f, 0.0f);
+        impulses[n - 1] += cf32(-0.5f, 0.25f);
+        Fft plan(n);
+        CVec out(n);
+        for (const CVec &x : {noise, windowed(noise), impulses}) {
+            plan.forward(x.data(), out.data());
+            h = fnv1a(h, out);
+            plan.inverse(x.data(), out.data());
+            h = fnv1a(h, out);
+        }
+    }
+    const std::uint64_t expected =
+        simd::enabled() ? 0xb65c1b6026ee259bull : 0x2c786b361395e28eull;
     EXPECT_EQ(h, expected) << std::hex << "digest 0x" << h;
 }
 #endif
