@@ -79,24 +79,30 @@ done
 echo "==> release MAC offloaded-io leg (LTE_MAC=pf LTE_MAC_IO=offload)"
 LTE_MAC=pf LTE_MAC_IO=offload ./build/tests/test_mac
 
-# City-scale fleet smoke: placement -> per-slice calibration ->
-# per-chip policy optimisation end to end on a tiny fleet (the
-# headline 100-cell study is the same binary without --smoke).
-echo "==> city-scale fleet smoke"
-./build/bench/city_scale --smoke
-
 # Study-bench leg: every simulated figure/table bench, the ablations,
-# the DVFS and diurnal studies and the multi-cell scaling study run end
-# to end on a short protocol, so they are executed, not only compiled.
-# obs_trace_dump writes its six files into a scratch directory.
-echo "==> simulated study benches (--subframes 680)"
-for bench in table1_dynamic_power table2_total_power fig12_estimation \
-             fig13_active_cores fig14_nap_power fig15_techniques \
-             fig16_power_gating diurnal_study ablation_domains \
-             ablation_margin ablation_wake_period dvfs_study \
-             multicell_scaling; do
-    ./build/bench/"${bench}" --subframes 680 > /dev/null
+# the DVFS and diurnal studies, the multi-cell scaling study and the
+# city-scale fleet smoke (placement -> per-slice calibration -> per-chip
+# policy optimisation on a tiny fleet) run end to end on a short
+# protocol.  The simulator runs no PHY kernel, so the stdout of every
+# bench that prints no wall-clock value is pinned byte for byte by
+# scripts/study_bench.sha256 (the same hashes for LTE_SIMD=ON and OFF).
+# multicell_scaling and obs_trace_dump print wall-clock values and are
+# only run; obs_trace_dump writes its six files into a scratch
+# directory.
+echo "==> simulated study benches (--subframes 680, pinned stdout)"
+study_dir="$(mktemp -d)"
+for bench in table1_dynamic_power table2_total_power fig11_calibration \
+             fig12_estimation fig13_active_cores fig14_nap_power \
+             fig15_techniques fig16_power_gating diurnal_study \
+             ablation_domains ablation_margin ablation_wake_period \
+             dvfs_study; do
+    ./build/bench/"${bench}" --subframes 680 > "${study_dir}/${bench}.txt"
 done
+./build/bench/city_scale --smoke > "${study_dir}/city_scale_smoke.txt"
+study_pins="$(pwd)/scripts/study_bench.sha256"
+(cd "${study_dir}" && sha256sum -c "${study_pins}")
+rm -rf "${study_dir}"
+./build/bench/multicell_scaling --subframes 680 > /dev/null
 obs_dir="$(mktemp -d)"
 ./build/bench/obs_trace_dump --subframes 680 --csv "${obs_dir}" > /dev/null
 rm -rf "${obs_dir}"

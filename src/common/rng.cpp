@@ -52,12 +52,6 @@ Rng::next_double()
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-float
-Rng::next_float()
-{
-    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
-}
-
 std::uint64_t
 Rng::next_below(std::uint64_t bound)
 {

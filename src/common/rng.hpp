@@ -34,9 +34,6 @@ class Rng
     /** @return a uniform double in [0, 1). Matches the paper's random(). */
     double next_double();
 
-    /** @return a uniform float in [0, 1). */
-    float next_float();
-
     /** @return a uniform integer in [0, bound) using rejection sampling. */
     std::uint64_t next_below(std::uint64_t bound);
 

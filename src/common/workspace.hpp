@@ -107,7 +107,6 @@ class Workspace
         return n * sizeof(T) + alignof(T) - 1;
     }
 
-    std::size_t bytes_used() const { return used_; }
     std::size_t capacity() const { return buffer_.size(); }
 
   private:

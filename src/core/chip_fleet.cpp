@@ -186,26 +186,6 @@ ChipFleet::place_cells() const
     return plans;
 }
 
-StudyConfig
-ChipFleet::cell_slice(std::size_t n_cells) const
-{
-    // Equal static slices, domain-aligned — the same apportionment
-    // UplinkStudy::run_policy_multicell uses for one chip.
-    const auto n = static_cast<std::uint32_t>(std::max<std::size_t>(
-        1, n_cells));
-    StudyConfig slice = config_.chip;
-    slice.sim.n_workers =
-        std::max(1u, config_.chip.sim.n_workers / n);
-    slice.power.total_cores = std::max(
-        config_.chip.power.domain_size,
-        (config_.chip.power.total_cores / n /
-         config_.chip.power.domain_size) *
-            config_.chip.power.domain_size);
-    slice.power.base_power_w =
-        config_.chip.power.base_power_w / static_cast<double>(n);
-    return slice;
-}
-
 mac::MacConfig
 ChipFleet::cell_mac(std::size_t cell, std::uint32_t prb_budget) const
 {
@@ -242,7 +222,7 @@ ChipFleet::run_chip(const ChipPlan &plan, const Calibration &calibration,
                     ChipOutcome &out,
                     std::vector<LoadBucket> &buckets) const
 {
-    const StudyConfig slice = cell_slice(plan.cells.size());
+    const StudyConfig slice = config_.chip.slice(plan.cells.size());
     // A cell's PRB share mirrors its worker share of the full chip,
     // scaled by the radio-side oversubscription factor.
     const auto prb_budget = static_cast<std::uint32_t>(std::max<double>(
@@ -325,7 +305,7 @@ ChipFleet::run()
         const std::size_t key = plan.cells.size();
         if (calibrations.count(key) != 0)
             continue;
-        UplinkStudy probe(cell_slice(key));
+        UplinkStudy probe(config_.chip.slice(key));
         probe.prepare();
         calibrations.emplace(key, probe.calibration());
     }

@@ -196,10 +196,6 @@ class ChipFleet
     /** Greedy heaviest-first placement onto the least-loaded chip. */
     std::vector<ChipPlan> place_cells() const;
 
-    /** The sliced per-cell study config for a chip serving @p n_cells
-     *  cells. */
-    StudyConfig cell_slice(std::size_t n_cells) const;
-
     /** MAC config of one cell under a given PRB slice. */
     mac::MacConfig cell_mac(std::size_t cell,
                             std::uint32_t prb_budget) const;

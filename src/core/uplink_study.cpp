@@ -24,6 +24,20 @@ StudyConfig::scale_to(std::uint64_t n)
                static_cast<double>(model.prob_update_interval) * scale));
 }
 
+StudyConfig
+StudyConfig::slice(std::size_t n_cells) const
+{
+    const auto n =
+        static_cast<std::uint32_t>(std::max<std::size_t>(1, n_cells));
+    StudyConfig cell = *this;
+    cell.sim.n_workers = std::max(1u, sim.n_workers / n);
+    cell.power.total_cores = std::max(
+        power.domain_size,
+        (power.total_cores / n / power.domain_size) * power.domain_size);
+    cell.power.base_power_w = power.base_power_w / static_cast<double>(n);
+    return cell;
+}
+
 UplinkStudy::UplinkStudy(const StudyConfig &config)
     : config_(config),
       metrics_(std::make_unique<obs::MetricsRegistry>())
@@ -208,17 +222,7 @@ UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
     outcome.policy = policy;
     outcome.cells.reserve(n_cells);
 
-    // Equal static slices; the domain slice rounds down to whole
-    // domains so every cell's gating plan stays domain-aligned.
-    const auto n = static_cast<std::uint32_t>(n_cells);
-    StudyConfig cell_cfg = config_;
-    cell_cfg.sim.n_workers = std::max(1u, config_.sim.n_workers / n);
-    cell_cfg.power.total_cores = std::max(
-        config_.power.domain_size,
-        (config_.power.total_cores / n / config_.power.domain_size) *
-            config_.power.domain_size);
-    cell_cfg.power.base_power_w =
-        config_.power.base_power_w / static_cast<double>(n_cells);
+    StudyConfig cell_cfg = config_.slice(n_cells);
 
     std::vector<std::uint32_t> peak_demand(n_cells, 0);
     for (std::size_t c = 0; c < n_cells; ++c) {

@@ -48,6 +48,14 @@ struct StudyConfig
      * proportionally so the triangular load shape is preserved.
      */
     void scale_to(std::uint64_t n);
+
+    /**
+     * One cell's equal static slice of this chip when @p n_cells cells
+     * share it (0 counts as 1): workers / n, cores rounded down to
+     * whole power domains but at least one domain, so every cell's
+     * gating plan stays domain-aligned, and base power / n.
+     */
+    StudyConfig slice(std::size_t n_cells) const;
 };
 
 /**

@@ -788,11 +788,4 @@ FftCache::get(std::size_t n)
     return it->second;
 }
 
-std::size_t
-FftCache::plan_count() const
-{
-    std::shared_lock lock(mutex_);
-    return plans_.size();
-}
-
 } // namespace lte::fft

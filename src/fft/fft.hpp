@@ -150,9 +150,6 @@ class FftCache
     /** @return a shared plan for size @p n, creating it if needed. */
     std::shared_ptr<const Fft> get(std::size_t n);
 
-    /** Number of distinct plans currently cached. */
-    std::size_t plan_count() const;
-
   private:
     FftCache() = default;
 

@@ -737,16 +737,6 @@ MacScheduler::stats() const
     return stats_;
 }
 
-std::uint64_t
-MacScheduler::queued_bits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (std::uint32_t idx : active_)
-        total += ues_[idx].queue_bits;
-    return total;
-}
-
 std::size_t
 MacScheduler::active_ues() const
 {

@@ -234,9 +234,6 @@ class MacScheduler final : public runtime::SubframeFeedbackSink
     /** Snapshot of the counters (thread-safe). */
     MacStats stats() const;
 
-    /** Bits currently queued across all UEs (thread-safe). */
-    std::uint64_t queued_bits() const;
-
     /** UEs currently on the active list (thread-safe). */
     std::size_t active_ues() const;
 

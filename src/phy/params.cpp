@@ -47,16 +47,6 @@ capacity_bits(const UserParams &params)
     return bits;
 }
 
-std::size_t
-turbo_info_bits(std::size_t capacity)
-{
-    LTE_CHECK(capacity >= 3 * 8 + 12,
-              "allocation too small for a turbo block");
-    std::size_t k = (capacity - 12) / 3;
-    k &= ~std::size_t{7}; // round down to the spec's multiple-of-8 grid
-    return k;
-}
-
 void
 ReceiverConfig::validate() const
 {

@@ -78,13 +78,6 @@ struct SubframeParams
 std::size_t capacity_bits(const UserParams &params);
 
 /**
- * Information block size for real-turbo mode: the largest multiple of
- * 8 (K >= 8) such that the rate-1/3 output (3K + 12) fits the capacity.
- * Throws if the capacity cannot host a minimal block.
- */
-std::size_t turbo_info_bits(std::size_t capacity);
-
-/**
  * How far a user's processing chain is degraded under deadline
  * pressure (the admission controllers' shed ladder, ordered by
  * increasing severity).  kReducedIterations swaps the MMSE solve for

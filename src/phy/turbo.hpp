@@ -172,8 +172,6 @@ class TurboWorkspace
     /** Ensure capacity for a @p k-bit constituent block (grow-only). */
     void reserve(std::size_t k);
 
-    std::size_t block_capacity() const { return block_capacity_; }
-
     // Decoder scratch, sized by reserve(); see turbo.cpp for roles.
     // The trellis recursions run in saturating 16-bit fixed point
     // (quantized per pass), so metric scratch is int16.

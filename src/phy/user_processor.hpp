@@ -221,15 +221,6 @@ class UserProcessor
     void set_degrade(DegradeLevel level) { degrade_ = level; }
     DegradeLevel degrade() const { return degrade_; }
 
-    /** Legacy boolean view of the ladder: true = full bypass. */
-    void
-    set_degraded(bool degraded)
-    {
-        degrade_ =
-            degraded ? DegradeLevel::kBypass : DegradeLevel::kNone;
-    }
-    bool degraded() const { return degrade_ != DegradeLevel::kNone; }
-
     const UserParams &params() const { return params_; }
     const ReceiverConfig &config() const { return config_; }
 
@@ -240,9 +231,6 @@ class UserProcessor
      */
     CfView equalised(std::size_t slot, std::size_t layer,
                      std::size_t data_symbol) const;
-
-    /** Workspace high-water mark in bytes (observability/tests). */
-    std::size_t workspace_bytes() const { return arena_.capacity(); }
 
   private:
     void demod_one(std::size_t slot, std::size_t data_symbol,

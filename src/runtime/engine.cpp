@@ -21,6 +21,14 @@ namespace lte::runtime {
 
 namespace {
 
+/**
+ * ShedPolicy::kDegrade with a real-turbo receiver: fraction of the
+ * deadline past which a queued subframe is degraded all the way to
+ * the decode bypass instead of the reduced iteration budget (the
+ * ladder's first step fires at half).
+ */
+constexpr double kDegradeBypassFraction = 0.75;
+
 void
 bump(obs::Counter *counter, std::uint64_t n = 1)
 {
@@ -135,9 +143,6 @@ EngineConfig::validate() const
     LTE_CHECK(delta_ms >= 0.0, "delta must be non-negative");
     LTE_CHECK(deadline_ms >= 0.0, "deadline must be non-negative");
     LTE_CHECK(admission_queue >= 1, "need at least one admission slot");
-    LTE_CHECK(degrade_bypass_fraction >= 0.5 &&
-                  degrade_bypass_fraction <= 1.0,
-              "bypass fraction must be in [0.5, 1]");
     LTE_CHECK(receiver.cell_id == input.cell_id,
               "receiver and input generator must serve the same cell");
     receiver.validate();
@@ -518,8 +523,7 @@ Engine::admit_one(Lane &lane)
         // Over half the budget gone waiting: trade EVM for latency
         // rather than risk a drop, up the ShedPolicy::kDegrade ladder.
         const bool bypass = !lane.receiver.use_real_turbo ||
-                            age_ms > e.degrade_bypass_fraction *
-                                         e.deadline_ms;
+                            age_ms > kDegradeBypassFraction * e.deadline_ms;
         const phy::DegradeLevel level =
             bypass ? phy::DegradeLevel::kBypass
                    : phy::DegradeLevel::kReducedIterations;

@@ -86,8 +86,8 @@ enum class ShedPolicy : std::uint8_t
      *  receive chain to shorten the queue instead of dropping further
      *  subframes.  Real-turbo receivers climb a ladder: MRC combining
      *  plus a reduced decode iteration budget first, and the full
-     *  decode bypass only past degrade_bypass_fraction of the
-     *  deadline; pass-through receivers go straight to the bypass
+     *  decode bypass only past three quarters of the deadline;
+     *  pass-through receivers go straight to the bypass
      *  (the two levels coincide in output there). */
     kDegrade,
 };
@@ -152,13 +152,6 @@ struct EngineConfig
     std::size_t admission_queue = 8;
     /** Reaction to overload. */
     ShedPolicy shed_policy = ShedPolicy::kDropNewest;
-    /**
-     * ShedPolicy::kDegrade with a real-turbo receiver: fraction of the
-     * deadline past which a queued subframe is degraded all the way to
-     * the decode bypass instead of the reduced iteration budget (must
-     * be in [0.5, 1]; the ladder's first step fires at half).
-     */
-    double degrade_bypass_fraction = 0.75;
     /**
      * Observability: when obs.enabled the engine owns a span tracer
      * (one ring per worker plus the dispatch thread), a per-subframe

@@ -141,29 +141,6 @@ struct SimResult
                   (static_cast<double>(n_workers) * wall_s)
             : 0.0;
     }
-
-    /**
-     * Average measured activity over fixed windows of @p seconds
-     * (the paper uses one second = 200 subframes for Fig. 12).
-     */
-    std::vector<double>
-    activity_per_window(double seconds) const
-    {
-        std::vector<double> out;
-        double window_busy = 0.0, window_dur = 0.0;
-        for (const auto &iv : intervals) {
-            window_busy += iv.busy_cs;
-            window_dur += iv.dur;
-            if (window_dur >= seconds - 1e-9) {
-                out.push_back(window_busy /
-                              (static_cast<double>(n_workers) *
-                               window_dur));
-                window_busy = 0.0;
-                window_dur = 0.0;
-            }
-        }
-        return out;
-    }
 };
 
 } // namespace lte::sim

@@ -9,9 +9,7 @@
  * (fixed-point decode, DESIGN.md Sec. 3h): saturating add/subtract
  * and 8-lane max are one instruction each, which is precisely the
  * arithmetic a portable scalar implementation has to emulate with
- * explicit clamping.  A float `v8f` variant (one AVX2 register or two
- * 4-lane `vf` halves) is kept for kernels that want unquantized
- * metrics.
+ * explicit clamping.
  * Besides the lane-wise arithmetic, the recursions need three fixed
  * cross-lane permutations (DESIGN.md Sec. 3h):
  *
@@ -31,9 +29,9 @@
  * vectors of the forward and backward updates, so the recursion loops
  * perform no arithmetic to build metrics — just a load and a shuffle
  * off the critical path.
- * Every operation is an exact lane selection or the same IEEE add/mul
- * the scalar twin performs, so scalar and SIMD decodes are
- * bit-identical (tests/test_turbo.cpp parity suite).
+ * Every operation is an exact lane selection or the same saturating
+ * add/subtract (`sat16`) the scalar twin performs, so scalar and SIMD
+ * decodes are bit-identical (tests/test_turbo.cpp parity suite).
  */
 #ifndef LTE_SIMD_TRELLIS_HPP
 #define LTE_SIMD_TRELLIS_HPP
@@ -44,294 +42,6 @@
 #include "simd/simd.hpp"
 
 namespace lte::simd {
-
-#if defined(LTE_SIMD_BACKEND_AVX2)
-
-/** One float per trellis state; a single 8-lane register on AVX2. */
-struct v8f
-{
-    __m256 raw;
-
-    static v8f set1(float x) { return {_mm256_set1_ps(x)}; }
-    static v8f load(const float *p) { return {_mm256_loadu_ps(p)}; }
-    void store(float *p) const { _mm256_storeu_ps(p, raw); }
-};
-
-inline v8f operator+(v8f a, v8f b) { return {_mm256_add_ps(a.raw, b.raw)}; }
-inline v8f operator-(v8f a, v8f b) { return {_mm256_sub_ps(a.raw, b.raw)}; }
-inline v8f operator*(v8f a, v8f b) { return {_mm256_mul_ps(a.raw, b.raw)}; }
-inline v8f v8max(v8f a, v8f b) { return {_mm256_max_ps(a.raw, b.raw)}; }
-
-inline v8f
-dup_low_pairs(v8f x)
-{
-    const __m256i idx = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
-    return {_mm256_permutevar8x32_ps(x.raw, idx)};
-}
-
-inline v8f
-dup_high_pairs(v8f x)
-{
-    const __m256i idx = _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
-    return {_mm256_permutevar8x32_ps(x.raw, idx)};
-}
-
-inline v8f
-perm_next0(v8f x)
-{
-    const __m256i idx = _mm256_setr_epi32(0, 2, 5, 7, 1, 3, 4, 6);
-    return {_mm256_permutevar8x32_ps(x.raw, idx)};
-}
-
-inline v8f
-perm_next1(v8f x)
-{
-    const __m256i idx = _mm256_setr_epi32(1, 3, 4, 6, 0, 2, 5, 7);
-    return {_mm256_permutevar8x32_ps(x.raw, idx)};
-}
-
-inline float
-hmax(v8f x)
-{
-    __m128 m = _mm_max_ps(_mm256_castps256_ps128(x.raw),
-                          _mm256_extractf128_ps(x.raw, 1));
-    m = _mm_max_ps(m, _mm_shuffle_ps(m, m, _MM_SHUFFLE(1, 0, 3, 2)));
-    m = _mm_max_ps(m, _mm_shuffle_ps(m, m, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtss_f32(m);
-}
-
-inline v8f
-dup_lane0(v8f x)
-{
-    return {_mm256_permutevar8x32_ps(x.raw, _mm256_setzero_si256())};
-}
-
-inline v8f
-load_fwd_metrics(const float *row)
-{
-    const __m128 r = _mm_loadu_ps(row);
-    const __m128 rev = _mm_shuffle_ps(r, r, _MM_SHUFFLE(0, 1, 2, 3));
-    return {_mm256_insertf128_ps(_mm256_castps128_ps256(r), rev, 1)};
-}
-
-inline v8f
-load_bwd_metrics(const float *row)
-{
-    const __m128 r = _mm_loadu_ps(row);
-    const __m128 g = _mm_shuffle_ps(r, r, _MM_SHUFFLE(0, 2, 2, 0));
-    return {_mm256_insertf128_ps(_mm256_castps128_ps256(g), g, 1)};
-}
-
-#elif defined(LTE_SIMD_BACKEND_SSE2)
-
-/** One float per trellis state; two 4-lane `vf` halves on SSE2. */
-struct v8f
-{
-    vf lo; ///< states 0..3
-    vf hi; ///< states 4..7
-
-    static v8f set1(float x) { return {vf::set1(x), vf::set1(x)}; }
-    static v8f load(const float *p) { return {vf::load(p), vf::load(p + 4)}; }
-    void
-    store(float *p) const
-    {
-        lo.store(p);
-        hi.store(p + 4);
-    }
-};
-
-inline v8f operator+(v8f a, v8f b) { return {a.lo + b.lo, a.hi + b.hi}; }
-inline v8f operator-(v8f a, v8f b) { return {a.lo - b.lo, a.hi - b.hi}; }
-inline v8f operator*(v8f a, v8f b) { return {a.lo * b.lo, a.hi * b.hi}; }
-inline v8f
-v8max(v8f a, v8f b)
-{
-    return {vmax(a.lo, b.lo), vmax(a.hi, b.hi)};
-}
-
-inline v8f
-dup_low_pairs(v8f x)
-{
-    return {{_mm_unpacklo_ps(x.lo.raw, x.lo.raw)},
-            {_mm_unpackhi_ps(x.lo.raw, x.lo.raw)}};
-}
-
-inline v8f
-dup_high_pairs(v8f x)
-{
-    return {{_mm_unpacklo_ps(x.hi.raw, x.hi.raw)},
-            {_mm_unpackhi_ps(x.hi.raw, x.hi.raw)}};
-}
-
-inline v8f
-perm_next0(v8f x)
-{
-    // [x0,x2,x5,x7 | x1,x3,x4,x6]
-    return {{_mm_shuffle_ps(x.lo.raw, x.hi.raw, _MM_SHUFFLE(3, 1, 2, 0))},
-            {_mm_shuffle_ps(x.lo.raw, x.hi.raw, _MM_SHUFFLE(2, 0, 3, 1))}};
-}
-
-inline v8f
-perm_next1(v8f x)
-{
-    // perm_next0 with the successor's low bit flipped: halves swap.
-    return {{_mm_shuffle_ps(x.lo.raw, x.hi.raw, _MM_SHUFFLE(2, 0, 3, 1))},
-            {_mm_shuffle_ps(x.lo.raw, x.hi.raw, _MM_SHUFFLE(3, 1, 2, 0))}};
-}
-
-inline float
-hmax(v8f x)
-{
-    __m128 m = _mm_max_ps(x.lo.raw, x.hi.raw);
-    m = _mm_max_ps(m, _mm_shuffle_ps(m, m, _MM_SHUFFLE(1, 0, 3, 2)));
-    m = _mm_max_ps(m, _mm_shuffle_ps(m, m, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtss_f32(m);
-}
-
-inline v8f
-dup_lane0(v8f x)
-{
-    const __m128 l0 =
-        _mm_shuffle_ps(x.lo.raw, x.lo.raw, _MM_SHUFFLE(0, 0, 0, 0));
-    return {{l0}, {l0}};
-}
-
-inline v8f
-load_fwd_metrics(const float *row)
-{
-    const __m128 r = _mm_loadu_ps(row);
-    return {{r}, {_mm_shuffle_ps(r, r, _MM_SHUFFLE(0, 1, 2, 3))}};
-}
-
-inline v8f
-load_bwd_metrics(const float *row)
-{
-    const __m128 r = _mm_loadu_ps(row);
-    const __m128 g = _mm_shuffle_ps(r, r, _MM_SHUFFLE(0, 2, 2, 0));
-    return {{g}, {g}};
-}
-
-#else // NEON and scalar: 8 plain floats, permutes by lane table
-
-/** One float per trellis state; plain lanes on NEON/scalar builds
- *  (NEON lacks generic cross-register shuffles; the decoder's scalar
- *  twin is the performance path there). */
-struct v8f
-{
-    float raw[8];
-
-    static v8f
-    set1(float x)
-    {
-        v8f r;
-        for (std::size_t i = 0; i < 8; ++i)
-            r.raw[i] = x;
-        return r;
-    }
-    static v8f
-    load(const float *p)
-    {
-        v8f r;
-        for (std::size_t i = 0; i < 8; ++i)
-            r.raw[i] = p[i];
-        return r;
-    }
-    void
-    store(float *p) const
-    {
-        for (std::size_t i = 0; i < 8; ++i)
-            p[i] = raw[i];
-    }
-};
-
-#  define LTE_SIMD_V8F_OP(name, expr)                                        \
-      inline v8f name(v8f a, v8f b)                                          \
-      {                                                                      \
-          v8f r;                                                             \
-          for (std::size_t i = 0; i < 8; ++i)                                \
-              r.raw[i] = (expr);                                             \
-          return r;                                                          \
-      }
-LTE_SIMD_V8F_OP(operator+, a.raw[i] + b.raw[i])
-LTE_SIMD_V8F_OP(operator-, a.raw[i] - b.raw[i])
-LTE_SIMD_V8F_OP(operator*, a.raw[i] * b.raw[i])
-LTE_SIMD_V8F_OP(v8max, a.raw[i] > b.raw[i] ? a.raw[i] : b.raw[i])
-#  undef LTE_SIMD_V8F_OP
-
-inline v8f
-permute8(v8f x, const int (&idx)[8])
-{
-    v8f r;
-    for (std::size_t i = 0; i < 8; ++i)
-        r.raw[i] = x.raw[idx[i]];
-    return r;
-}
-
-inline v8f
-dup_low_pairs(v8f x)
-{
-    static constexpr int idx[8] = {0, 0, 1, 1, 2, 2, 3, 3};
-    return permute8(x, idx);
-}
-
-inline v8f
-dup_high_pairs(v8f x)
-{
-    static constexpr int idx[8] = {4, 4, 5, 5, 6, 6, 7, 7};
-    return permute8(x, idx);
-}
-
-inline v8f
-perm_next0(v8f x)
-{
-    static constexpr int idx[8] = {0, 2, 5, 7, 1, 3, 4, 6};
-    return permute8(x, idx);
-}
-
-inline v8f
-perm_next1(v8f x)
-{
-    static constexpr int idx[8] = {1, 3, 4, 6, 0, 2, 5, 7};
-    return permute8(x, idx);
-}
-
-inline float
-hmax(v8f x)
-{
-    float m = x.raw[0];
-    for (std::size_t i = 1; i < 8; ++i)
-        m = x.raw[i] > m ? x.raw[i] : m;
-    return m;
-}
-
-inline v8f
-dup_lane0(v8f x)
-{
-    return v8f::set1(x.raw[0]);
-}
-
-inline v8f
-load_fwd_metrics(const float *row)
-{
-    v8f r;
-    for (std::size_t i = 0; i < 4; ++i) {
-        r.raw[i] = row[i];
-        r.raw[4 + i] = row[3 - i];
-    }
-    return r;
-}
-
-inline v8f
-load_bwd_metrics(const float *row)
-{
-    v8f r;
-    static constexpr int idx[8] = {0, 2, 2, 0, 0, 2, 2, 0};
-    for (std::size_t i = 0; i < 8; ++i)
-        r.raw[i] = row[idx[i]];
-    return r;
-}
-
-#endif
 
 // ---------------------------------------------------------------------------
 // v8s: eight saturating int16 metrics — the fixed-point decode column.

@@ -260,19 +260,6 @@ TEST(Machine, DeterministicAcrossRuns)
     }
 }
 
-TEST(Machine, ActivityPerWindowAveragesCorrectly)
-{
-    SimConfig cfg = calibrated_config();
-    workload::SteadyModel model(user(100, 2, Modulation::k16Qam));
-    Machine machine(cfg);
-    const SimResult result = machine.run(model, 200); // 1 s
-    const auto windows = result.activity_per_window(0.25);
-    ASSERT_GE(windows.size(), 3u);
-    // Steady workload: windows should agree with the run average.
-    for (std::size_t i = 1; i < windows.size(); ++i)
-        EXPECT_NEAR(windows[i], result.activity(), 0.1);
-}
-
 TEST(Machine, RejectsBadConfig)
 {
     SimConfig cfg;

@@ -11,6 +11,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -23,6 +25,7 @@
 #include "phy/combiner.hpp"
 #include "phy/modulation.hpp"
 #include "simd/complex.hpp"
+#include "simd/trellis.hpp"
 
 namespace lte::phy {
 namespace {
@@ -421,6 +424,72 @@ TEST(SimdPrimitives, LoadStoreRoundTripAndSelect)
 
     EXPECT_STREQ(backend_name(), simd::enabled() ? backend_name()
                                                  : "scalar");
+}
+
+TEST(SimdPrimitives, TrellisV8sMatchesLaneTables)
+{
+    using namespace lte::simd;
+    using Lanes = std::array<std::int16_t, 8>;
+    const auto lanes = [](v8s x) {
+        Lanes out;
+        x.store(out.data());
+        return out;
+    };
+    const auto permuted = [](const Lanes &x, const int (&idx)[8]) {
+        Lanes out;
+        for (std::size_t i = 0; i < 8; ++i)
+            out[i] = x[static_cast<std::size_t>(idx[i])];
+        return out;
+    };
+    const Lanes x = {11, -22, 33, -44, 55, -66, 77, -88};
+    const v8s vx = v8s::load(x.data());
+    EXPECT_EQ(lanes(vx), x);
+
+    // The cross-lane tables of the trellis recursions (trellis.hpp).
+    static constexpr int kLowPairs[8] = {0, 0, 1, 1, 2, 2, 3, 3};
+    static constexpr int kHighPairs[8] = {4, 4, 5, 5, 6, 6, 7, 7};
+    static constexpr int kNext0[8] = {0, 2, 5, 7, 1, 3, 4, 6};
+    static constexpr int kNext1[8] = {1, 3, 4, 6, 0, 2, 5, 7};
+    static constexpr int kLane0[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    EXPECT_EQ(lanes(dup_low_pairs(vx)), permuted(x, kLowPairs));
+    EXPECT_EQ(lanes(dup_high_pairs(vx)), permuted(x, kHighPairs));
+    EXPECT_EQ(lanes(perm_next0(vx)), permuted(x, kNext0));
+    EXPECT_EQ(lanes(perm_next1(vx)), permuted(x, kNext1));
+    EXPECT_EQ(lanes(dup_lane0(vx)), permuted(x, kLane0));
+
+    // One branch-metric row [A, -A, B, -B] expands to the forward
+    // column [A, -A, B, -B, -B, B, -A, A] and the backward column
+    // [A, B, B, A, A, B, B, A].
+    const std::int16_t row[4] = {5, -5, 9, -9};
+    static constexpr int kFwd[8] = {0, 1, 2, 3, 3, 2, 1, 0};
+    static constexpr int kBwd[8] = {0, 2, 2, 0, 0, 2, 2, 0};
+    const Lanes row_lanes = {row[0], row[1], row[2], row[3], 0, 0, 0, 0};
+    EXPECT_EQ(lanes(load_fwd_metrics(row)), permuted(row_lanes, kFwd));
+    EXPECT_EQ(lanes(load_bwd_metrics(row)), permuted(row_lanes, kBwd));
+
+    // hmax finds the maximum wherever it sits, extremes included.
+    for (std::size_t at = 0; at < 8; ++at) {
+        Lanes y;
+        y.fill(-32768);
+        y[at] = static_cast<std::int16_t>(-32767 + static_cast<int>(at));
+        EXPECT_EQ(hmax(v8s::load(y.data())), y[at]) << "at=" << at;
+        y[at] = 32767;
+        EXPECT_EQ(hmax(v8s::load(y.data())), 32767) << "at=" << at;
+    }
+
+    // adds/subs saturate exactly like sat16; v8smax is lane-wise.
+    const Lanes a = {32767, 32767, -32768, -32768, 0, 32767, -32768, 1};
+    const Lanes b = {1, 32767, -1, -32768, -32768, -32768, 32767, -1};
+    const Lanes sum = lanes(adds(v8s::load(a.data()), v8s::load(b.data())));
+    const Lanes diff =
+        lanes(subs(v8s::load(a.data()), v8s::load(b.data())));
+    const Lanes mx =
+        lanes(v8smax(v8s::load(a.data()), v8s::load(b.data())));
+    for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(sum[i], sat16(int{a[i]} + int{b[i]})) << "i=" << i;
+        EXPECT_EQ(diff[i], sat16(int{a[i]} - int{b[i]})) << "i=" << i;
+        EXPECT_EQ(mx[i], std::max(a[i], b[i])) << "i=" << i;
+    }
 }
 
 #if !defined(__FMA__)

@@ -393,11 +393,12 @@ TEST(StreamingOverload, DegradedResultsDifferButRemainDeterministic)
         params.subframe_index = 0;
         params.users.push_back(heavy_user());
         // Reach the degraded path via a direct processor, mirroring
-        // what SubframeJob::set_degraded() does per user.
+        // what SubframeJob::set_degrade(kBypass) does per user.
         auto &input = engine->input();
         const auto signals = input.signals_for(params);
         phy::UserProcessor proc(cfg.receiver);
-        proc.set_degraded(degraded);
+        proc.set_degrade(degraded ? phy::DegradeLevel::kBypass
+                                  : phy::DegradeLevel::kNone);
         proc.bind(params.users.at(0), signals.at(0));
         return proc.process_all().checksum;
     };
