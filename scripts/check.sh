@@ -9,6 +9,8 @@
 # LTE_SIMD=ON|OFF (default ON) selects the SIMD kernel configuration
 # for every preset, so the whole gate can be run in both modes:
 #   LTE_SIMD=OFF scripts/check.sh --ubsan
+# Every preset builds with LTE_WERROR=ON: a compiler warning fails the
+# gate.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,7 +20,7 @@ LTE_SIMD="${LTE_SIMD:-ON}"
 run_preset() {
     local preset="$1"
     echo "==> configure/build/test preset '${preset}' (LTE_SIMD=${LTE_SIMD})"
-    cmake --preset "${preset}" -DLTE_SIMD="${LTE_SIMD}"
+    cmake --preset "${preset}" -DLTE_SIMD="${LTE_SIMD}" -DLTE_WERROR=ON
     cmake --build --preset "${preset}" -j "$(nproc)"
     ctest --preset "${preset}"
 }

@@ -8,15 +8,27 @@
 
 namespace lte::channel {
 
+namespace {
+
+/** Multipath taps per (antenna, layer) link. */
+constexpr std::size_t kTaps = 3;
+
+/**
+ * Maximum tap delay as a fraction of the allocation size; must be
+ * comfortably inside the channel estimator's window (the window keeps
+ * ~9% causal delay bins).
+ */
+constexpr double kDelaySpreadFraction = 0.02;
+static_assert(kDelaySpreadFraction >= 0.0 && kDelaySpreadFraction < 0.05,
+              "delay spread must stay inside the estimator window");
+
+} // namespace
+
 void
 ChannelConfig::validate() const
 {
     LTE_CHECK(n_antennas >= 1 && n_antennas <= kMaxRxAntennas,
               "antennas must be 1..4");
-    LTE_CHECK(n_taps >= 1, "need at least one tap");
-    LTE_CHECK(delay_spread_fraction >= 0.0 &&
-              delay_spread_fraction < 0.05,
-              "delay spread must stay inside the estimator window");
     LTE_CHECK(snr_db > -20.0 && snr_db < 100.0, "unreasonable SNR");
 }
 
@@ -27,17 +39,17 @@ MimoChannel::MimoChannel(const ChannelConfig &cfg, std::size_t layers,
     cfg_.validate();
     LTE_CHECK(layers >= 1 && layers <= kMaxLayers, "layers must be 1..4");
 
-    const double per_tap_power = 1.0 / static_cast<double>(cfg_.n_taps);
+    const double per_tap_power = 1.0 / static_cast<double>(kTaps);
     taps_.resize(cfg_.n_antennas);
     for (auto &per_antenna : taps_) {
         per_antenna.resize(layers_);
         for (auto &link : per_antenna) {
-            link.resize(cfg_.n_taps);
-            for (std::size_t t = 0; t < cfg_.n_taps; ++t) {
+            link.resize(kTaps);
+            for (std::size_t t = 0; t < kTaps; ++t) {
                 // First tap at delay 0, the rest uniform in the spread.
                 const double frac =
                     t == 0 ? 0.0
-                           : rng.next_double() * cfg_.delay_spread_fraction;
+                           : rng.next_double() * kDelaySpreadFraction;
                 const double scale = std::sqrt(per_tap_power / 2.0);
                 link[t].delay_fraction = frac;
                 link[t].gain = cf32(

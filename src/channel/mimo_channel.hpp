@@ -31,14 +31,6 @@ struct ChannelConfig
     std::size_t n_antennas = 4;
     /** Per-layer SNR in dB (noise variance = 10^(-snr/10)). */
     double snr_db = 30.0;
-    /** Multipath taps per (antenna, layer) link. */
-    std::size_t n_taps = 3;
-    /**
-     * Maximum tap delay as a fraction of the allocation size; must be
-     * comfortably inside the channel estimator's window (default
-     * window keeps ~9% causal delay bins).
-     */
-    double delay_spread_fraction = 0.02;
 
     void validate() const;
 };

@@ -257,7 +257,6 @@ ChipFleet::run_chip(const ChipPlan &plan, const Calibration &calibration,
             peak_demand.push_back(peak);
             // Miss-vs-load: bucket every user by the cell's offered
             // load at its dispatch TTI.
-            const double deadline = slice.deadline_periods;
             for (std::size_t i = 0; i < run.sim.user_latency.size();
                  ++i) {
                 const double load =
@@ -267,7 +266,7 @@ ChipFleet::run_chip(const ChipPlan &plan, const Calibration &calibration,
                 b = std::min(b, kLoadBuckets - 1);
                 ++trial_buckets[b].users;
                 trial_buckets[b].misses +=
-                    run.sim.user_latency[i] > deadline;
+                    run.sim.user_latency[i] > kDeadlinePeriods;
             }
         }
         const bool meets_slo = worst_miss <= config_.slo_miss_rate;

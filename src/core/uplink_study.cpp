@@ -202,7 +202,7 @@ UplinkStudy::run_on(sim::SimConfig sim_cfg,
     if (machine.estimator().has_value())
         outcome.estimator_stats = machine.estimator()->stats();
     outcome.deadline_miss_rate =
-        1.0 - outcome.sim.deadline_hit_rate(config_.deadline_periods);
+        1.0 - outcome.sim.deadline_hit_rate(kDeadlinePeriods);
     record_run_metrics(outcome);
     return outcome;
 }

@@ -25,6 +25,14 @@
 
 namespace lte::core {
 
+/**
+ * Responsiveness budget in subframe periods: a user whose
+ * dispatch-to-completion latency exceeds this misses its deadline (the
+ * paper keeps two to three subframes in flight, so the budget is three
+ * periods).
+ */
+inline constexpr double kDeadlinePeriods = 3.0;
+
 /** Full study configuration; defaults follow the paper. */
 struct StudyConfig
 {
@@ -35,13 +43,6 @@ struct StudyConfig
     std::size_t n_antennas = 4;
     /** Subframes per policy run (paper: 68 000 = 340 s). */
     std::uint64_t subframes = 68000;
-    /**
-     * Responsiveness budget in subframe periods: a user whose
-     * dispatch-to-completion latency exceeds this misses its deadline
-     * (the paper keeps two to three subframes in flight, so three
-     * periods is the default budget).
-     */
-    double deadline_periods = 3.0;
 
     /**
      * Scale the run to @p n subframes, shrinking the workload ramp
@@ -82,7 +83,7 @@ struct StrategyOutcome
     std::vector<std::uint32_t> powered;
     double avg_power_w = 0.0;
     double avg_dynamic_w = 0.0; ///< avg_power - base power
-    /** Fraction of users finishing past config.deadline_periods. */
+    /** Fraction of users finishing past kDeadlinePeriods. */
     double deadline_miss_rate = 0.0;
     /** Eq. 3-5 decision tallies from the run's estimator (if any). */
     mgmt::EstimatorStats estimator_stats;

@@ -27,6 +27,10 @@ enum class SourceKind : std::uint8_t
     kReplay = 1,
 };
 
+/** Seed of the arrival-jitter stream (independent of the signal
+ *  seed); lane c draws from cell_stream_seed(kJitterSeed, cell id). */
+inline constexpr std::uint64_t kJitterSeed = 1;
+
 struct IoConfig
 {
     /** Off by default: the dispatch thread pulls input inline. */
@@ -49,10 +53,6 @@ struct IoConfig
      * required for bit-identical digest parity with the inline path.
      */
     double jitter_ms = 0.0;
-
-    /** Seed of the jitter stream (independent of the signal seed);
-     *  lane c draws from cell_stream_seed(jitter_seed, cell id). */
-    std::uint64_t jitter_seed = 1;
 
     /** Capture file to replay (source == kReplay). */
     std::string replay_path;

@@ -115,7 +115,7 @@ MultiSampleFeed::run(std::uint64_t n_subframes)
     std::vector<Rng> jitter_rngs;
     jitter_rngs.reserve(n_lanes);
     for (const FeedLane &lane : lanes_)
-        jitter_rngs.emplace_back(lane.jitter_seed);
+        jitter_rngs.emplace_back(lane.jitter_rng_seed);
     std::vector<bool> exhausted(n_lanes, false);
     /** This tick's (delivery time, lane) visit plan. */
     std::vector<std::pair<std::uint64_t, std::size_t>> order(n_lanes);

@@ -176,7 +176,7 @@ struct FeedLane
     /** Optional per-lane recorder tap (runs on the producer thread). */
     CaptureWriter *recorder = nullptr;
     /** Per-lane jitter stream so staggered cells stay decorrelated. */
-    std::uint64_t jitter_seed = 1;
+    std::uint64_t jitter_rng_seed = 1;
 };
 
 /**

@@ -10,6 +10,47 @@ namespace lte::mac {
 
 namespace {
 
+// --- grants ---
+/** Most users granted in one TTI. */
+constexpr std::uint32_t kMaxUsersPerTti =
+    static_cast<std::uint32_t>(kMaxUsersPerSubframe);
+static_assert(kMaxUsersPerTti >= 1 && kMaxUsersPerTti <= kMaxUsersPerSubframe,
+              "users per TTI must be 1..kMaxUsersPerSubframe");
+/** Retransmissions a NACKed block gets before it retires as residual. */
+constexpr std::uint32_t kMaxHarqRetx = 3;
+/** Outstanding grants older than this resolve as NACK (covers
+ *  sample-plane ticks lost before the engine ever saw them). */
+constexpr std::uint64_t kGrantTimeoutTtis = 256;
+
+// --- link adaptation ---
+/** Block error rate the OLLA loop converges on. */
+constexpr double kTargetBler = 0.1;
+static_assert(kTargetBler > 0.0 && kTargetBler < 1.0,
+              "target BLER must be in (0, 1)");
+/** OLLA up-step per ACK (dB); the down-step is derived from the
+ *  target BLER so the loop converges on it. */
+constexpr float kOllaStepDb = 0.05f;
+/** TTIs the preferred MCS must persist before a switch. */
+constexpr std::uint32_t kMcsDwellTtis = 8;
+/** EWMA weight of a fresh SNR observation. */
+constexpr float kSnrAlpha = 0.1f;
+static_assert(kSnrAlpha > 0.0f && kSnrAlpha <= 1.0f,
+              "SNR EWMA weight must be in (0, 1]");
+
+// --- modelled channel ---
+/** AR(1) coefficient per TTI and stationary deviation (dB). */
+constexpr float kSnrArRho = 0.995f;
+static_assert(kSnrArRho >= 0.0f && kSnrArRho < 1.0f,
+              "AR(1) coefficient must be in [0, 1)");
+constexpr float kSnrArSigmaDb = 2.0f;
+/** Logistic BLER waterfall slope (dB) for the modelled draw. */
+constexpr float kBlerSlopeDb = 1.0f;
+/** Noise (dB std) on modelled CQI reports. */
+constexpr float kCqiNoiseDb = 0.5f;
+/** PF averaging window (TTIs). */
+constexpr double kPfWindowTtis = 100.0;
+static_assert(kPfWindowTtis >= 1.0, "PF window must be at least one TTI");
+
 /**
  * Allocation sizes are granted from a small discrete ladder rather
  * than any of 2..200 PRBs — the spirit of LTE's resource-block-group
@@ -79,10 +120,6 @@ MacConfig::validate() const
         throw std::invalid_argument("MacConfig: packet_bits == 0");
     if (deadline_ttis == 0)
         throw std::invalid_argument("MacConfig: deadline_ttis == 0");
-    if (max_users_per_tti == 0 ||
-        max_users_per_tti > kMaxUsersPerSubframe)
-        throw std::invalid_argument(
-            "MacConfig: max_users_per_tti out of range");
     if (prb_budget < 2 || prb_budget > kMaxPrbPerSubframe)
         throw std::invalid_argument("MacConfig: prb_budget out of range");
     if (max_prb_per_grant < 2 || max_prb_per_grant > prb_budget)
@@ -90,14 +127,6 @@ MacConfig::validate() const
             "MacConfig: max_prb_per_grant out of range");
     if (fixed_mcs >= kNumMcs)
         throw std::invalid_argument("MacConfig: fixed_mcs out of range");
-    if (target_bler <= 0.0 || target_bler >= 1.0)
-        throw std::invalid_argument("MacConfig: target_bler not in (0,1)");
-    if (snr_alpha <= 0.0f || snr_alpha > 1.0f)
-        throw std::invalid_argument("MacConfig: snr_alpha not in (0,1]");
-    if (pf_window_ttis < 1.0)
-        throw std::invalid_argument("MacConfig: pf_window_ttis < 1");
-    if (snr_ar_rho < 0.0f || snr_ar_rho >= 1.0f)
-        throw std::invalid_argument("MacConfig: snr_ar_rho not in [0,1)");
     if (bler_gap_alpha <= 0.0 || bler_gap_alpha > 1.0)
         throw std::invalid_argument(
             "MacConfig: bler_gap_alpha not in (0,1]");
@@ -136,7 +165,7 @@ MacScheduler::init_population()
             config_.snr_mean_db +
             config_.snr_spread_db *
                 static_cast<float>(ue.rng.next_gaussian());
-        ue.snr_dev_db = config_.snr_ar_sigma_db *
+        ue.snr_dev_db = kSnrArSigmaDb *
                         static_cast<float>(ue.rng.next_gaussian());
         ue.snr_est_db = ue.snr_mean_db;
         ue.mcs = config_.adapt ? highest_mcs_for(ue.snr_est_db)
@@ -249,10 +278,10 @@ MacScheduler::snr_true_db(UeState &ue)
     const std::uint64_t k = tti_ - ue.snr_tti;
     if (k > 0) {
         const float rho_k =
-            std::pow(config_.snr_ar_rho, static_cast<float>(k));
+            std::pow(kSnrArRho, static_cast<float>(k));
         ue.snr_dev_db =
             rho_k * ue.snr_dev_db +
-            config_.snr_ar_sigma_db *
+            kSnrArSigmaDb *
                 std::sqrt(std::max(0.0f, 1.0f - rho_k * rho_k)) *
                 static_cast<float>(ue.rng.next_gaussian());
         ue.snr_tti = tti_;
@@ -267,7 +296,7 @@ MacScheduler::decay_avg_rate(UeState &ue)
 {
     const std::uint64_t k = tti_ - ue.rate_tti;
     if (k > 0) {
-        const double keep = 1.0 - 1.0 / config_.pf_window_ttis;
+        const double keep = 1.0 - 1.0 / kPfWindowTtis;
         ue.avg_rate = std::max(
             ue.avg_rate * std::pow(keep, static_cast<double>(k)), 1e-6);
         ue.rate_tti = tti_;
@@ -289,7 +318,7 @@ MacScheduler::update_mcs(UeState &ue)
     }
     // Hysteresis: the preference must persist for the dwell before the
     // ladder moves, so single noisy reports cannot thrash the MCS.
-    if (++ue.dwell >= config_.mcs_dwell_ttis) {
+    if (++ue.dwell >= kMcsDwellTtis) {
         ue.mcs = preferred;
         ue.dwell = 0;
     }
@@ -318,7 +347,7 @@ MacScheduler::resolve_tb(std::uint32_t ue_index, std::size_t h, bool ack)
         --ue.harq_active;
         return;
     }
-    if (proc.retx_count < config_.max_harq_retx) {
+    if (proc.retx_count < kMaxHarqRetx) {
         ++proc.retx_count;
         retx_push(GrantRef{ue_index, static_cast<std::uint8_t>(h)});
         return;
@@ -372,12 +401,12 @@ MacScheduler::next_tti_into(phy::SubframeParams &out)
     // without an index at the sample plane, end-of-window losses)
     // resolve as NACKs once they age past the grant timeout; the slot
     // about to be reused must be clear either way.
-    if (tti_ >= config_.grant_timeout_ttis) {
+    if (tti_ >= kGrantTimeoutTtis) {
         OutstandingTti &old =
-            outstanding_[(tti_ - config_.grant_timeout_ttis) %
+            outstanding_[(tti_ - kGrantTimeoutTtis) %
                          kOutstandingSlots];
         if (old.active &&
-            tti_ - old.subframe_index >= config_.grant_timeout_ttis) {
+            tti_ - old.subframe_index >= kGrantTimeoutTtis) {
             stats_.timeout_grants += old.n;
             resolve_outstanding_nack(old);
         }
@@ -396,7 +425,7 @@ MacScheduler::next_tti_into(phy::SubframeParams &out)
     //    entries (budget, one-TB-per-UE-per-TTI) rotate to the back.
     const std::size_t pending = retx_tail_ - retx_head_;
     for (std::size_t i = 0;
-         i < pending && out.users.size() < config_.max_users_per_tti;
+         i < pending && out.users.size() < kMaxUsersPerTti;
          ++i) {
         const GrantRef ref = retx_pop();
         UeState &ue = ues_[ref.ue];
@@ -462,8 +491,8 @@ MacScheduler::next_tti_into(phy::SubframeParams &out)
     // 3. Policy selection: the k smallest keys (deterministic
     //    tie-break on UE index), then grants while PRBs remain.
     const std::size_t room =
-        config_.max_users_per_tti > out.users.size()
-            ? config_.max_users_per_tti - out.users.size()
+        kMaxUsersPerTti > out.users.size()
+            ? kMaxUsersPerTti - out.users.size()
             : 0;
     const auto by_key = [](const Candidate &a, const Candidate &b) {
         return a.key != b.key ? a.key < b.key : a.ue < b.ue;
@@ -526,7 +555,7 @@ MacScheduler::next_tti_into(phy::SubframeParams &out)
         stats_.offered_bits += proc.tb_bits;
         if (config_.policy == SchedulerPolicy::kProportionalFair) {
             ue.avg_rate += static_cast<double>(proc.tb_bits) /
-                           config_.pf_window_ttis;
+                           kPfWindowTtis;
         }
         if (config_.policy == SchedulerPolicy::kRoundRobin)
             last_rr_key = std::max(last_rr_key, cand.key);
@@ -596,9 +625,9 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
         return;
     }
     const float down_step =
-        config_.olla_step_db *
-        static_cast<float>((1.0 - config_.target_bler) /
-                           config_.target_bler);
+        kOllaStepDb *
+        static_cast<float>((1.0 - kTargetBler) /
+                           kTargetBler);
     const std::uint64_t acks_before = stats_.acks;
     const std::uint64_t nacks_before = stats_.nacks;
     for (std::uint8_t i = 0; i < rec.n; ++i) {
@@ -627,7 +656,7 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
                     const float margin =
                         snr_true_db(ue) - kMcsTable[proc.mcs].req_snr_db;
                     const double predicted = static_cast<double>(
-                        modelled_bler(margin, config_.bler_slope_db));
+                        modelled_bler(margin, kBlerSlopeDb));
                     bler_gap_ += config_.bler_gap_alpha *
                                  ((ack ? 0.0 : 1.0) - predicted -
                                   bler_gap_);
@@ -646,23 +675,23 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
                 const float margin =
                     truth - kMcsTable[proc.mcs].req_snr_db;
                 double p = static_cast<double>(
-                    modelled_bler(margin, config_.bler_slope_db));
+                    modelled_bler(margin, kBlerSlopeDb));
                 if (config_.calibrate_bler)
                     p = std::clamp(p + bler_gap_, 0.0, 1.0);
                 ack = !ue.rng.next_bool(p);
                 snr_obs = truth +
-                          config_.cqi_noise_db *
+                          kCqiNoiseDb *
                               static_cast<float>(ue.rng.next_gaussian());
                 have_channel_info = true;
             }
         }
         if (have_channel_info) {
             ue.snr_est_db +=
-                config_.snr_alpha * (snr_obs - ue.snr_est_db);
+                kSnrAlpha * (snr_obs - ue.snr_est_db);
         }
         if (config_.adapt) {
             ue.olla_db = std::clamp(
-                ue.olla_db + (ack ? config_.olla_step_db : -down_step),
+                ue.olla_db + (ack ? kOllaStepDb : -down_step),
                 -10.0f, 10.0f);
         }
         if (ack)

@@ -93,46 +93,23 @@ struct MacConfig
     std::uint64_t deadline_ttis = 40;
 
     // --- grants ---
-    std::uint32_t max_users_per_tti =
-        static_cast<std::uint32_t>(kMaxUsersPerSubframe);
     std::uint32_t prb_budget =
         static_cast<std::uint32_t>(kMaxPrbPerSubframe);
     /** Cap on one grant's PRBs (keeps the carrier shareable). */
     std::uint32_t max_prb_per_grant = 100;
-    std::uint32_t max_harq_retx = 3;
-    /** Outstanding grants older than this resolve as NACK (covers
-     *  sample-plane ticks lost before the engine ever saw them). */
-    std::uint64_t grant_timeout_ttis = 256;
 
     // --- link adaptation ---
     /** false: pin every grant to fixed_mcs (the baseline the bench
      *  compares adaptation against). */
     bool adapt = true;
     std::uint8_t fixed_mcs = 4;
-    double target_bler = 0.1;
-    /** OLLA up-step per ACK (dB); the down-step is derived from the
-     *  target BLER so the loop converges on it. */
-    float olla_step_db = 0.05f;
-    /** TTIs the preferred MCS must persist before a switch. */
-    std::uint32_t mcs_dwell_ttis = 8;
-    /** EWMA weight of a fresh SNR observation. */
-    float snr_alpha = 0.1f;
 
     // --- modelled channel ---
     float snr_mean_db = 12.0f;
     /** Per-UE spread of long-term means (dB std). */
     float snr_spread_db = 4.0f;
-    /** AR(1) coefficient per TTI and stationary deviation (dB). */
-    float snr_ar_rho = 0.995f;
-    float snr_ar_sigma_db = 2.0f;
     /** Global mean drift per TTI (negative = degrading channel). */
     float snr_drift_db_per_tti = 0.0f;
-    /** Logistic BLER waterfall slope (dB) for the modelled draw. */
-    float bler_slope_db = 1.0f;
-    /** Noise (dB std) on modelled CQI reports. */
-    float cqi_noise_db = 0.5f;
-    /** PF averaging window (TTIs). */
-    double pf_window_ttis = 100.0;
 
     // --- online BLER calibration (DESIGN.md 3k) ---
     /**

@@ -104,24 +104,20 @@ WorkloadEstimator::shed_cost_ratio(const phy::UserParams &user,
     // real-turbo pricing that includes the full-budget decode stage,
     // so shrinking the iteration budget shows up as a ratio < 1 even
     // before the MRC weight saving.
-    phy::DecodeModel full;
-    if (decode_pricing_.real_turbo) {
-        full.real_turbo = true;
-        full.iterations = decode_pricing_.iterations;
-    }
+    const auto decode_at = [this](phy::DegradeLevel l) {
+        return real_turbo_
+                   ? phy::DecodeModel{true, phy::turbo_iterations_for(l)}
+                   : phy::DecodeModel{};
+    };
     const auto base =
-        phy::user_task_costs(user, kCalibrationAntennas, false, full)
+        phy::user_task_costs(user, kCalibrationAntennas, false,
+                             decode_at(phy::DegradeLevel::kNone))
             .total();
     if (base == 0)
         return 1.0;
-    phy::DecodeModel shed = full;
-    if (shed.real_turbo) {
-        shed.iterations = level == phy::DegradeLevel::kBypass
-                              ? 0
-                              : decode_pricing_.reduced_iterations;
-    }
     const auto degraded =
-        phy::user_task_costs(user, kCalibrationAntennas, true, shed)
+        phy::user_task_costs(user, kCalibrationAntennas, true,
+                             decode_at(level))
             .total();
     return static_cast<double>(degraded) / static_cast<double>(base);
 }

@@ -82,29 +82,8 @@ struct EstimatorStats
     std::uint64_t degraded_estimates = 0;
 };
 
-/**
- * How the estimator prices the turbo decode stage.  Mirrors the
- * receiver configuration (use_real_turbo and the iteration budgets) so
- * the analytical shed-ladder cost ratios are computed against the same
- * chain the calibration slopes were fitted on.  The default prices the
- * pass-through pipeline (no decode tasks).
- */
-struct DecodePricing
-{
-    bool real_turbo = false;
-    /** Full-chain iteration budget (ReceiverConfig::turbo_iterations). */
-    std::uint32_t iterations = 6;
-    /** Budget under DegradeLevel::kReducedIterations. */
-    std::uint32_t reduced_iterations = 2;
-};
-
-/** The pricing a receiver configuration implies. */
-inline DecodePricing
-decode_pricing_for(const phy::ReceiverConfig &config)
-{
-    return DecodePricing{config.use_real_turbo, config.turbo_iterations,
-                         config.turbo_reduced_iterations};
-}
+/** Over-provisioning margin of Eq. 5: the paper's two cores. */
+inline constexpr std::uint32_t kCoreMargin = 2;
 
 /** Implements Eqs. 3-5 of the paper. */
 class WorkloadEstimator
@@ -168,14 +147,19 @@ class WorkloadEstimator
                              std::size_t backlog,
                              phy::DegradeLevel level) const;
 
-    /** Price the decode stage into the shed-ladder cost ratios (set
-     *  from the engine's receiver configuration). */
-    void
-    set_decode_pricing(const DecodePricing &pricing)
-    {
-        decode_pricing_ = pricing;
-    }
-    const DecodePricing &decode_pricing() const { return decode_pricing_; }
+    /** Price the real turbo decode stage, at the shed ladder's
+     *  phy::turbo_iterations_for budgets, into the shed-ladder cost
+     *  ratios (set from the engine's receiver configuration).  Off
+     *  prices the pass-through pipeline (no decode tasks). */
+    void set_real_turbo(bool real_turbo) { real_turbo_ = real_turbo; }
+
+    /**
+     * Level-to-full analytical cost ratio of one user: the op-model
+     * cost of the chain at @p level (MRC weights, the level's decode
+     * budget) over the full chain's (MMSE weights, the full budget).
+     */
+    double shed_cost_ratio(const phy::UserParams &user,
+                           phy::DegradeLevel level) const;
 
     /**
      * Eq. 5: active cores = estimated activity x max_cores + margin
@@ -187,7 +171,7 @@ class WorkloadEstimator
      */
     std::uint32_t active_cores(double estimated_activity,
                                std::uint32_t max_cores,
-                               std::uint32_t margin = 2) const;
+                               std::uint32_t margin = kCoreMargin) const;
 
     const CalibrationTable &table() const { return table_; }
 
@@ -196,12 +180,8 @@ class WorkloadEstimator
     void reset_stats() { stats_ = EstimatorStats{}; }
 
   private:
-    /** Level-to-full analytical cost ratio of one user. */
-    double shed_cost_ratio(const phy::UserParams &user,
-                           phy::DegradeLevel level) const;
-
     CalibrationTable table_;
-    DecodePricing decode_pricing_;
+    bool real_turbo_ = false;
     mutable EstimatorStats stats_;
 };
 

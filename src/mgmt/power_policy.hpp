@@ -29,7 +29,10 @@
 #ifndef LTE_MGMT_POWER_POLICY_HPP
 #define LTE_MGMT_POWER_POLICY_HPP
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace lte::mgmt {
@@ -42,26 +45,53 @@ enum class DomainState : std::uint8_t
     kGated = 2,  ///< power-gated (no static power; slow costly wake)
 };
 
-/**
- * Latency and energy charged by the simulator for domain-state and
- * rung transitions (domain_machine mode only).  Defaults follow the
- * magnitudes of the paper's Sec. VI-C overhead discussion: waking a
- * power-gated domain costs tens of microseconds and a switching-energy
- * charge comparable to the 15 mW-for-one-subframe Eq. 9 term.
+/** Estimation headroom added before choosing a DVFS frequency or an
+ *  f-V rung. */
+inline constexpr double kDvfsMargin = 0.10;
+
+/** Lowest continuous-DVFS frequency as a fraction of the nominal
+ *  clock. */
+inline constexpr double kDvfsMinScale = 0.25;
+static_assert(kDvfsMinScale > 0.0 && kDvfsMinScale <= 1.0,
+              "DVFS floor must be in (0, 1]");
+
+// --- the per-domain power-state machine (domain_machine) ---
+
+/** Cores per power domain (the TILEPro64 grid has 8). */
+inline constexpr std::uint32_t kDomainSize = 8;
+
+/** Discrete f-V rungs: ascending fractions of the nominal clock, the
+ *  last one the nominal clock itself. */
+inline constexpr std::array<double, 4> kRungs = {0.25, 0.5, 0.75, 1.0};
+static_assert(kRungs.front() > 0.0 && kRungs.back() == 1.0 &&
+                  std::adjacent_find(kRungs.begin(), kRungs.end(),
+                                     std::greater_equal<>()) ==
+                      kRungs.end(),
+              "rungs must ascend within (0, 1] and end at 1.0");
+
+/** Dispatch intervals a domain must be surplus before it is
+ *  power-gated (hysteresis against gating thrash; it naps while
+ *  waiting). */
+inline constexpr std::uint32_t kGateHysteresis = 2;
+
+/*
+ * Latency and energy charged for domain-state and rung transitions.
+ * The values follow the magnitudes of the paper's Sec. VI-C overhead
+ * discussion: waking a power-gated domain costs tens of microseconds
+ * and a switching-energy charge comparable to the 15 mW-for-one-
+ * subframe Eq. 9 term.
  */
-struct TransitionCosts
-{
-    /** Latency before a power-gated domain's workers can take work. */
-    double gate_wake_s = 50e-6;
-    /** Energy charged per domain gate/ungate event (Eq. 9's 15 mW
-     *  x 5 ms per 8-core domain ~= 75 uJ). */
-    double gate_energy_j = 75e-6;
-    /** Chip-wide stall while the PLL/regulator settles on a new
-     *  f-V rung; new task starts are delayed by this much. */
-    double rung_switch_s = 10e-6;
-    /** Energy charged per rung switch per active domain. */
-    double rung_energy_j = 20e-6;
-};
+
+/** Latency before a power-gated domain's workers can take work. */
+inline constexpr double kGateWakeS = 50e-6;
+/** Energy charged per domain gate/ungate event (Eq. 9's 15 mW x 5 ms
+ *  per 8-core domain ~= 75 uJ). */
+inline constexpr double kGateEnergyJ = 75e-6;
+/** Chip-wide stall while the PLL/regulator settles on a new f-V rung;
+ *  new task starts are delayed by this much. */
+inline constexpr double kRungSwitchS = 10e-6;
+/** Energy charged per rung switch per active domain. */
+inline constexpr double kRungEnergyJ = 20e-6;
 
 /**
  * A power-management policy: which mechanisms are enabled and how the
@@ -79,26 +109,15 @@ struct PowerPolicy
     bool analytical_gating = false;
 
     // --- continuous DVFS (PR 7 extension) ---
+    /** Scale the clock each dispatch to the estimated work plus
+     *  kDvfsMargin, never below kDvfsMinScale. */
     bool dvfs = false;
-    /** Estimation headroom added before choosing the frequency. */
-    double dvfs_margin = 0.10;
-    /** Lowest allowed frequency as a fraction of the nominal clock. */
-    double dvfs_min_scale = 0.25;
 
     // --- per-domain power-state machine (PR 10) ---
-    /** Track 8-core domains as {active@rung, nap, gated} with inline
-     *  transition stalls and energy charges.  Requires proactive. */
+    /** Track kDomainSize-core domains as {active@rung, nap, gated}
+     *  over the kRungs ladder, with inline transition stalls and
+     *  energy charges.  Requires proactive. */
     bool domain_machine = false;
-    /** Cores per power domain (the TILEPro64 grid has 8). */
-    std::uint32_t domain_size = 8;
-    /** Discrete f-V rungs (ascending fractions of the nominal clock,
-     *  last entry 1.0).  Empty = single full-speed rung. */
-    std::vector<double> rungs;
-    /** Dispatch intervals a domain must be surplus before it is
-     *  power-gated (hysteresis against gating thrash; it naps while
-     *  waiting). */
-    std::uint32_t gate_hysteresis = 2;
-    TransitionCosts costs;
 
     /** Short display name, e.g. "NAP+IDLE" or "DOMAIN-DVFS"; the
      *  five paper presets use the paper's table labels (NONAP, IDLE,

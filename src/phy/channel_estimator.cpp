@@ -58,7 +58,6 @@ estimate_channel_scratch(std::size_t n)
 
 float
 estimate_channel_into(CfView received_ref, CfView layer_ref,
-                      const ChannelEstimatorConfig &cfg,
                       CfSpan freq_response, CfSpan scratch)
 {
     LTE_CHECK(!received_ref.empty(), "empty reference symbol");
@@ -66,8 +65,6 @@ estimate_channel_into(CfView received_ref, CfView layer_ref,
               "reference length mismatch");
     LTE_CHECK(freq_response.size() == received_ref.size(),
               "output length mismatch");
-    LTE_CHECK(cfg.window_fraction > 0.0 && cfg.window_fraction <= 1.0,
-              "window fraction out of range");
 
     const std::size_t n = received_ref.size();
     const fft::Fft &plan = fft::FftCache::instance().plan(n);
@@ -85,7 +82,7 @@ estimate_channel_into(CfView received_ref, CfView layer_ref,
     // Noise bins: the guard region between this layer's window and the
     // next cyclic-shift bin at n/4, which holds neither this layer's
     // taps nor any other layer's.
-    const auto [front, back] = window_extent(n, cfg.window_fraction);
+    const auto [front, back] = window_extent(n, kWindowFraction);
     double noise_energy = 0.0;
     std::size_t noise_bins = 0;
     const std::size_t guard = n / 32;
@@ -109,7 +106,7 @@ estimate_channel_into(CfView received_ref, CfView layer_ref,
     // has per-bin variance 1/n, so scale back up by n to express the
     // estimate per subcarrier.  noise_var stays 0 when the allocation
     // is too small to have guard bins; the caller falls back to its
-    // configured default.
+    // fixed default.
     if (noise_bins > 0) {
         return static_cast<float>(noise_energy /
                                   static_cast<double>(noise_bins) *

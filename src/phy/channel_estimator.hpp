@@ -26,17 +26,14 @@
 
 namespace lte::phy {
 
-/** Tuning knobs for the estimator window. */
-struct ChannelEstimatorConfig
-{
-    /**
-     * Fraction of delay bins kept (split 3:1 between causal taps at
-     * the start and pre-cursor taps at the end of the delay axis).
-     * Must keep the window inside +-N/8 so 4 cyclic-shifted layers
-     * stay separable.
-     */
-    double window_fraction = 0.125;
-};
+/**
+ * Fraction of delay bins kept (split 3:1 between causal taps at the
+ * start and pre-cursor taps at the end of the delay axis).  Must keep
+ * the window inside +-N/8 so 4 cyclic-shifted layers stay separable.
+ */
+inline constexpr double kWindowFraction = 0.125;
+static_assert(kWindowFraction > 0.0 && 0.75 * kWindowFraction <= 1.0 / 8,
+              "the causal window must stay inside +-N/8");
 
 /**
  * Estimate the channel seen by one layer on one antenna: writes the
@@ -48,12 +45,10 @@ struct ChannelEstimatorConfig
  *                     (allocated subcarriers only)
  * @param layer_ref    the known layer-specific DMRS sequence (same
  *                     length; unit-magnitude samples)
- * @param cfg          window configuration
  * @param scratch      at least estimate_channel_scratch(n) samples;
  *                     must not overlap the other buffers
  */
 float estimate_channel_into(CfView received_ref, CfView layer_ref,
-                            const ChannelEstimatorConfig &cfg,
                             CfSpan freq_response, CfSpan scratch);
 
 /** Scratch samples estimate_channel_into() needs for an @p n-point

@@ -116,29 +116,15 @@ UserTaskCosts user_task_costs(const UserParams &params,
 /**
  * The DecodeModel a receiver configuration implies at a shed-ladder
  * level: pass-through receivers price no decode stage; real-turbo
- * receivers price the full budget at kNone, the reduced budget at
- * kReducedIterations and the bypass at kBypass.
+ * receivers price turbo_iterations_for(level).
  */
 inline DecodeModel
 decode_model(const ReceiverConfig &config,
              DegradeLevel level = DegradeLevel::kNone)
 {
-    DecodeModel decode;
-    if (config.use_real_turbo) {
-        decode.real_turbo = true;
-        switch (level) {
-          case DegradeLevel::kNone:
-            decode.iterations = config.turbo_iterations;
-            break;
-          case DegradeLevel::kReducedIterations:
-            decode.iterations = config.turbo_reduced_iterations;
-            break;
-          case DegradeLevel::kBypass:
-            decode.iterations = 0;
-            break;
-        }
-    }
-    return decode;
+    if (!config.use_real_turbo)
+        return {};
+    return DecodeModel{true, turbo_iterations_for(level)};
 }
 
 } // namespace lte::phy

@@ -54,13 +54,6 @@ ReceiverConfig::validate() const
               "antennas must be 1..4");
     LTE_CHECK(cell_id >= 1 && cell_id <= 511,
               "cell id must be 1..511 (9 scrambler bits)");
-    LTE_CHECK(window_fraction > 0.0 && window_fraction <= 1.0,
-              "window fraction must be in (0, 1]");
-    LTE_CHECK(default_noise_var > 0.0f, "noise variance must be positive");
-    LTE_CHECK(turbo_iterations >= 1, "need at least one turbo iteration");
-    LTE_CHECK(turbo_reduced_iterations >= 1 &&
-                  turbo_reduced_iterations <= turbo_iterations,
-              "reduced iteration budget must be 1..turbo_iterations");
     LTE_CHECK(decode_sample_rate >= 0.0 && decode_sample_rate <= 1.0,
               "decode sample rate must be in [0, 1]");
 }

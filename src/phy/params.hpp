@@ -94,6 +94,32 @@ enum class DegradeLevel : std::uint8_t
     kBypass = 2,
 };
 
+/**
+ * The shed ladder's per-codeblock max-log-MAP iteration budget (real
+ * turbo only; CRC early termination usually stops well short of it):
+ * the full budget at kNone, the reduced budget at kReducedIterations,
+ * no decode at kBypass.  The receiver, the op model and the workload
+ * estimator all read the budget here.
+ */
+constexpr std::uint32_t
+turbo_iterations_for(DegradeLevel level)
+{
+    switch (level) {
+      case DegradeLevel::kNone:
+        return 6;
+      case DegradeLevel::kReducedIterations:
+        return 2;
+      case DegradeLevel::kBypass:
+        break;
+    }
+    return 0;
+}
+
+static_assert(turbo_iterations_for(DegradeLevel::kReducedIterations) >= 1 &&
+                  turbo_iterations_for(DegradeLevel::kReducedIterations) <=
+                      turbo_iterations_for(DegradeLevel::kNone),
+              "the reduced budget must be 1..the full budget");
+
 /** Receiver-side static configuration. */
 struct ReceiverConfig
 {
@@ -104,24 +130,8 @@ struct ReceiverConfig
      *  the descrambling sequence and the expected DMRS roots. */
     std::uint32_t cell_id = 1;
 
-    /**
-     * Fraction of the time-domain channel-estimate samples kept by the
-     * windowing stage (per layer delay bin).
-     */
-    double window_fraction = 0.125;
-
-    /** MMSE diagonal loading when no noise estimate is available. */
-    float default_noise_var = 0.05f;
-
     /** Run the real turbo decoder instead of the paper's pass-through. */
     bool use_real_turbo = false;
-
-    /** Per-codeblock max-log-MAP iteration budget (real turbo only;
-     *  CRC early termination usually stops well short of it). */
-    std::uint32_t turbo_iterations = 6;
-
-    /** Iteration budget under DegradeLevel::kReducedIterations. */
-    std::uint32_t turbo_reduced_iterations = 2;
 
     /**
      * Fraction of users that keep a real (reduced-iteration) decode

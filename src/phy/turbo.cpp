@@ -17,6 +17,9 @@ namespace lte::phy {
 
 namespace {
 
+/** Extrinsic damping factor, the standard max-log correction. */
+constexpr float kExtrinsicScale = 0.75f;
+
 /** 8-state RSC trellis: g0 = 1 + D^2 + D^3 (feedback),
  *  g1 = 1 + D + D^3 (parity). State = (r1, r2, r3), r1 most recent. */
 struct Trellis
@@ -675,7 +678,7 @@ turbo_decode_block_into(LlrView coded, std::size_t k,
                  ws.post.data(), cfg.force_scalar);
         for (std::size_t i = 0; i < k; ++i)
             ws.ext12[i] =
-                cfg.extrinsic_scale * (ws.post[i] - ws.in[i]);
+                kExtrinsicScale * (ws.post[i] - ws.in[i]);
 
         // Decoder 2: a priori from decoder 1 (interleaved).
         for (std::size_t i = 0; i < k; ++i)
@@ -685,7 +688,7 @@ turbo_decode_block_into(LlrView coded, std::size_t k,
                  ws.post.data(), cfg.force_scalar);
         for (std::size_t i = 0; i < k; ++i) {
             ws.ext21[pi.map(i)] =
-                cfg.extrinsic_scale * (ws.post[i] - ws.in[i]);
+                kExtrinsicScale * (ws.post[i] - ws.in[i]);
             ws.post_deint[pi.map(i)] = ws.post[i];
         }
         result.iterations_run = static_cast<std::uint32_t>(it + 1);

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "phy/params.hpp"
 
 namespace lte::phy {
 
@@ -151,9 +152,7 @@ std::vector<std::uint8_t> turbo_encode(const std::vector<std::uint8_t> &info);
 /** Decoder configuration. */
 struct TurboDecoderConfig
 {
-    std::size_t iterations = 6;
-    /** Extrinsic damping factor, the standard max-log correction. */
-    float extrinsic_scale = 0.75f;
+    std::size_t iterations = turbo_iterations_for(DegradeLevel::kNone);
     /** Run the scalar twin even when the SIMD backend is available
      *  (parity tests and the scalar benchmark baseline). */
     bool force_scalar = false;

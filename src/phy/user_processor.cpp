@@ -20,6 +20,10 @@ namespace lte::phy {
 
 namespace {
 
+/** MMSE diagonal loading when no noise estimate is available. */
+constexpr float kDefaultNoiseVar = 0.05f;
+static_assert(kDefaultNoiseVar > 0.0f, "noise variance must be positive");
+
 /** Map a data-symbol index (0..5) to its slot position (skips DMRS). */
 std::size_t
 data_symbol_position(std::size_t data_symbol)
@@ -214,14 +218,11 @@ UserProcessor::run_chanest_task(std::size_t task_index)
     const std::size_t antenna = task_index / params_.layers;
     const std::size_t layer = task_index % params_.layers;
 
-    ChannelEstimatorConfig est_cfg;
-    est_cfg.window_fraction = config_.window_fraction;
-
     for (std::size_t slot = 0; slot < kSlotsPerSubframe; ++slot) {
         const CVec &received =
             signal_->antennas[antenna].slots[slot][kRefSymbolIndex];
         task_noise_[task_index * kSlotsPerSubframe + slot] =
-            estimate_channel_into(received, dmrs_[slot][layer], est_cfg,
+            estimate_channel_into(received, dmrs_[slot][layer],
                                   channel_slice(slot, antenna, layer),
                                   kernel_scratch());
     }
@@ -231,7 +232,7 @@ void
 UserProcessor::compute_weights()
 {
     LTE_CHECK(bound_, "processor is not bound to a subframe");
-    // Pool the per-task noise estimates; fall back to the configured
+    // Pool the per-task noise estimates; fall back to the fixed
     // default when the allocation was too small to provide guard bins.
     const std::size_t n_noise =
         n_chanest_tasks() * kSlotsPerSubframe;
@@ -244,7 +245,7 @@ UserProcessor::compute_weights()
         }
     }
     noise_var_ = n > 0 ? static_cast<float>(sum / static_cast<double>(n))
-                       : config_.default_noise_var;
+                       : kDefaultNoiseVar;
     noise_var_ = std::max(noise_var_, 1e-6f);
 
     for (std::size_t slot = 0; slot < kSlotsPerSubframe; ++slot) {
@@ -386,11 +387,7 @@ UserProcessor::run_decode_task(std::size_t block)
         block * seg_.block_coded_bits(), seg_.block_coded_bits());
 
     TurboDecoderConfig cfg;
-    cfg.iterations = config_.turbo_iterations;
-    if (degrade_ == DegradeLevel::kReducedIterations)
-        cfg.iterations = config_.turbo_reduced_iterations;
-    else if (degrade_ == DegradeLevel::kBypass)
-        cfg.iterations = 0;
+    cfg.iterations = turbo_iterations_for(degrade_);
 
     // Segmented blocks each end in CRC-24B; a lone block *is* the
     // transport block, whose CRC-24A doubles as the stop condition.

@@ -373,10 +373,8 @@ Engine::shed_stats(std::size_t cell) const
 void
 Engine::set_estimator(std::optional<mgmt::WorkloadEstimator> estimator)
 {
-    if (estimator.has_value()) {
-        estimator->set_decode_pricing(
-            mgmt::decode_pricing_for(config_.engine.receiver));
-    }
+    if (estimator.has_value())
+        estimator->set_real_turbo(config_.engine.receiver.use_real_turbo);
     for (auto &lane : lanes_)
         lane->estimator = estimator;
     estimator_ = std::move(estimator);
@@ -410,8 +408,7 @@ Engine::update_active_workers()
         total += std::max(0.0, lane->last_estimate);
     total = std::min(1.0, total);
     pool_->set_active_workers(estimator_->active_cores(
-        total, static_cast<std::uint32_t>(pool_->n_workers()),
-        config_.engine.core_margin));
+        total, static_cast<std::uint32_t>(pool_->n_workers())));
 }
 
 // ----------------------------------------------------------- admission
@@ -805,8 +802,8 @@ Engine::open_sample_plane(SamplePlane &plane,
             feed_lane.recorder = &plane.recorders.emplace_back(
                 path, config_.engine.receiver.n_antennas);
         }
-        feed_lane.jitter_seed =
-            cell_stream_seed(io_cfg.jitter_seed, lane.cell_id);
+        feed_lane.jitter_rng_seed =
+            cell_stream_seed(io::kJitterSeed, lane.cell_id);
         feed_lanes.push_back(feed_lane);
     }
     io::FeedConfig feed_config;

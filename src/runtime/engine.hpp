@@ -138,8 +138,6 @@ struct EngineConfig
      *  proactive).  Without it estimates are still computed and
      *  published, but every worker stays active. */
     bool proactive = false;
-    /** Over-provisioning margin for Eq. 5. */
-    std::uint32_t core_margin = 2;
     /**
      * Arrival-to-completion deadline in milliseconds.  0 means
      * infinite — the engine never sheds and applies backpressure

@@ -9,6 +9,13 @@
 
 namespace lte::runtime {
 
+namespace {
+
+/** Seed of the per-worker victim-selection streams. */
+constexpr std::uint64_t kStealSeed = 1;
+
+} // namespace
+
 double
 ActivitySnapshot::activity(std::size_t n_workers) const
 {
@@ -262,7 +269,7 @@ WorkerPool::try_help(std::size_t wid)
         return true;
     }
     // Steal from a pseudo-random victim; one full scan per attempt.
-    thread_local Rng rng(config_.steal_seed * 1000003 + wid);
+    thread_local Rng rng(kStealSeed * 1000003 + wid);
     const std::size_t n = deques_.size();
     if (n <= 1)
         return false;

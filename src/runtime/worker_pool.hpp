@@ -50,7 +50,6 @@ struct WorkerPoolConfig
     std::chrono::microseconds idle_poll_period{200};
     /** Periodic wake-up of a NAP-deactivated worker. */
     std::chrono::microseconds nap_poll_period{500};
-    std::uint64_t steal_seed = 1;
     /**
      * Optional span tracer (not owned; must outlive the pool).  Worker
      * w records into tracer slot w, so the tracer needs at least

@@ -33,7 +33,7 @@ calibrate_cycles_per_op(const SimConfig &config, std::size_t n_antennas,
     const double mean_ops = total_ops / static_cast<double>(samples);
     const double capacity_cycles =
         static_cast<double>(config.n_workers) * config.delta_s *
-        config.clock_hz;
+        kClockHz;
     return capacity_cycles / mean_ops;
 }
 

@@ -169,7 +169,7 @@ Machine::start_task(std::uint32_t w, double t, const SimTask &task)
     const double freq = n_domains_ > 0 ? domains_[domain_of(w)].freq
                                        : freq_scale_;
     const double begin = std::max(t, stall_until_);
-    const double duration = task.cycles / (config_.clock_hz * freq);
+    const double duration = task.cycles / (kClockHz * freq);
     push_event(begin + duration, Event::Kind::kTaskDone, w);
 }
 
@@ -230,29 +230,25 @@ Machine::apply_watermark(double t)
 void
 Machine::update_domains(double t, double est, SimInterval &iv)
 {
-    const mgmt::PowerPolicy &pol = config_.policy;
     const std::uint32_t needed_cores = std::max<std::uint32_t>(
         1, std::min(watermark_, config_.n_workers));
     const std::uint32_t needed_domains = std::min<std::uint32_t>(
-        n_domains_,
-        (needed_cores + pol.domain_size - 1) / pol.domain_size);
+        n_domains_, (needed_cores + mgmt::kDomainSize - 1) /
+                        mgmt::kDomainSize);
 
     // Pick the slowest f-V rung that still fits the estimated work
     // (plus headroom) into the dispatch period; the requirement is
     // normalised to the active set exactly as continuous DVFS does.
-    double rung = 1.0;
-    if (!pol.rungs.empty()) {
-        const double active = static_cast<double>(
-            needed_domains * pol.domain_size);
-        const double required =
-            est * static_cast<double>(config_.n_workers) / active +
-            pol.dvfs_margin;
-        rung = pol.rungs.back();
-        for (double r : pol.rungs) {
-            if (r >= required) {
-                rung = r;
-                break;
-            }
+    const double active =
+        static_cast<double>(needed_domains * mgmt::kDomainSize);
+    const double required =
+        est * static_cast<double>(config_.n_workers) / active +
+        mgmt::kDvfsMargin;
+    double rung = mgmt::kRungs.back();
+    for (double r : mgmt::kRungs) {
+        if (r >= required) {
+            rung = r;
+            break;
         }
     }
 
@@ -265,9 +261,9 @@ Machine::update_domains(double t, double est, SimInterval &iv)
                 // Begin waking: workers stay gated (taking no work)
                 // until the wake latency elapses.
                 dom.state = mgmt::DomainState::kActive;
-                iv.transition_energy_j += pol.costs.gate_energy_j;
+                iv.transition_energy_j += mgmt::kGateEnergyJ;
                 ++iv.gate_transitions;
-                push_event(t + pol.costs.gate_wake_s,
+                push_event(t + mgmt::kGateWakeS,
                            Event::Kind::kDomainReady, d);
             } else if (dom.state == mgmt::DomainState::kNap) {
                 dom.state = mgmt::DomainState::kActive;
@@ -281,17 +277,17 @@ Machine::update_domains(double t, double est, SimInterval &iv)
                 break;
               case mgmt::DomainState::kNap: {
                 ++dom.surplus_streak;
-                const std::uint32_t lo = d * pol.domain_size;
+                const std::uint32_t lo = d * mgmt::kDomainSize;
                 const std::uint32_t hi =
-                    std::min((d + 1) * pol.domain_size,
+                    std::min((d + 1) * mgmt::kDomainSize,
                              config_.n_workers);
                 bool draining = false;
                 for (std::uint32_t w = lo; w < hi; ++w)
                     draining |= workers_[w].state == WState::kBusy;
-                if (dom.surplus_streak >= pol.gate_hysteresis &&
+                if (dom.surplus_streak >= mgmt::kGateHysteresis &&
                     !draining) {
                     dom.state = mgmt::DomainState::kGated;
-                    iv.transition_energy_j += pol.costs.gate_energy_j;
+                    iv.transition_energy_j += mgmt::kGateEnergyJ;
                     ++iv.gate_transitions;
                     for (std::uint32_t w = lo; w < hi; ++w) {
                         accumulate(w, t);
@@ -309,13 +305,11 @@ Machine::update_domains(double t, double est, SimInterval &iv)
     // Apply the rung chip-wide to the active domains; a switch stalls
     // new task starts while the PLL/regulator settles and charges
     // energy per active domain.
-    if (!pol.rungs.empty() && rung != freq_scale_) {
+    if (rung != freq_scale_) {
         ++iv.rung_transitions;
         iv.transition_energy_j +=
-            pol.costs.rung_energy_j *
-            static_cast<double>(active_domains);
-        stall_until_ = std::max(stall_until_,
-                                t + pol.costs.rung_switch_s);
+            mgmt::kRungEnergyJ * static_cast<double>(active_domains);
+        stall_until_ = std::max(stall_until_, t + mgmt::kRungSwitchS);
         freq_scale_ = rung;
     }
     for (std::uint32_t d = 0; d < n_domains_; ++d) {
@@ -329,14 +323,13 @@ Machine::update_domains(double t, double est, SimInterval &iv)
 void
 Machine::handle_domain_ready(double t, std::uint32_t d)
 {
-    const mgmt::PowerPolicy &pol = config_.policy;
     DomainRt &dom = domains_[d];
     if (dom.state != mgmt::DomainState::kActive)
         return; // re-gated while waking (stale event)
-    const bool idle_naps = pol.reactive_idle;
-    const std::uint32_t lo = d * pol.domain_size;
+    const bool idle_naps = config_.policy.reactive_idle;
+    const std::uint32_t lo = d * mgmt::kDomainSize;
     const std::uint32_t hi =
-        std::min((d + 1) * pol.domain_size, config_.n_workers);
+        std::min((d + 1) * mgmt::kDomainSize, config_.n_workers);
     for (std::uint32_t w = lo; w < hi; ++w) {
         Worker &worker = workers_[w];
         if (!worker.gated)
@@ -382,8 +375,8 @@ Machine::handle_dispatch(double t, workload::ParameterModel &model)
             std::max<std::uint32_t>(watermark_, 1));
         const double required =
             est * static_cast<double>(config_.n_workers) / active;
-        freq_scale_ = std::clamp(required + config_.policy.dvfs_margin,
-                                 config_.policy.dvfs_min_scale, 1.0);
+        freq_scale_ = std::clamp(required + mgmt::kDvfsMargin,
+                                 mgmt::kDvfsMinScale, 1.0);
     }
 
     // Metadata is indexed by dispatch count, not by floor(t / delta):
@@ -411,11 +404,8 @@ Machine::handle_dispatch(double t, workload::ParameterModel &model)
     }
 
     // Expand users into task DAGs.
-    const phy::DecodeModel decode{config_.turbo_iterations > 0,
-                                  config_.turbo_iterations};
     for (const auto &user : params.users) {
-        const auto costs =
-            phy::user_task_costs(user, n_antennas_, false, decode);
+        const auto costs = phy::user_task_costs(user, n_antennas_);
         const std::uint32_t dag_idx = alloc_dag();
         Dag &dag = dags_[dag_idx];
         dag.chanest_cycles = static_cast<double>(costs.chanest_task) *
@@ -426,8 +416,6 @@ Machine::handle_dispatch(double t, workload::ParameterModel &model)
                            config_.cycles_per_op;
         dag.tail_task_cycles = static_cast<double>(costs.tail_task) *
                                config_.cycles_per_op;
-        dag.decode_task_cycles = static_cast<double>(costs.decode_task) *
-                                 config_.cycles_per_op;
         dag.reduce_cycles = static_cast<double>(costs.tail_reduce) *
                             config_.cycles_per_op;
         dag.chanest_left = costs.n_chanest_tasks;
@@ -435,8 +423,6 @@ Machine::handle_dispatch(double t, workload::ParameterModel &model)
         dag.demod_left = costs.n_demod_tasks;
         dag.tail_total = costs.n_tail_tasks;
         dag.tail_left = costs.n_tail_tasks;
-        dag.decode_total = costs.n_decode_tasks;
-        dag.decode_left = costs.n_decode_tasks;
         dag.dispatch_time = t;
         dag.dispatch_index = static_cast<std::uint32_t>(dispatched_);
         dag.in_use = true;
@@ -480,15 +466,8 @@ Machine::complete_stage(double t, const SimTask &task)
         break;
       case 3:
         LTE_ASSERT(dag.tail_left > 0, "tail underflow");
-        if (--dag.tail_left == 0) {
-            if (dag.decode_total > 0) {
-                for (std::uint32_t i = 0; i < dag.decode_total; ++i)
-                    ready_.push_back(
-                        SimTask{dag.decode_task_cycles, task.dag, 5});
-            } else {
-                ready_.push_back(SimTask{dag.reduce_cycles, task.dag, 4});
-            }
-        }
+        if (--dag.tail_left == 0)
+            ready_.push_back(SimTask{dag.reduce_cycles, task.dag, 4});
         break;
       case 4:
         dag.in_use = false;
@@ -498,11 +477,6 @@ Machine::complete_stage(double t, const SimTask &task)
         free_dags_.push_back(task.dag);
         LTE_ASSERT(active_dags_ > 0, "dag underflow");
         --active_dags_;
-        break;
-      case 5:
-        LTE_ASSERT(dag.decode_left > 0, "decode underflow");
-        if (--dag.decode_left == 0)
-            ready_.push_back(SimTask{dag.reduce_cycles, task.dag, 4});
         break;
       default:
         LTE_ASSERT(false, "unknown task stage");
@@ -573,9 +547,8 @@ Machine::run(workload::ParameterModel &model, std::uint64_t n_subframes)
     n_domains_ = 0;
     domains_.clear();
     if (config_.policy.domain_machine) {
-        n_domains_ = (config_.n_workers + config_.policy.domain_size -
-                      1) /
-                     config_.policy.domain_size;
+        n_domains_ =
+            (config_.n_workers + mgmt::kDomainSize - 1) / mgmt::kDomainSize;
         domains_.assign(n_domains_, DomainRt{});
         result_.n_domains = n_domains_;
     }

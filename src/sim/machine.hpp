@@ -15,7 +15,7 @@
  * paper's reactive/proactive napping, the continuous-DVFS extension,
  * and (PR 10) the per-domain power-state machine — each 8-core domain
  * is {active @ f-V rung, nap, gated}; waking a gated domain stalls
- * its workers for gate_wake_s, rung switches stall new task starts,
+ * its workers for mgmt::kGateWakeS, rung switches stall new task starts,
  * and every transition charges energy into the interval trace.
  */
 #ifndef LTE_SIM_MACHINE_HPP
@@ -75,15 +75,12 @@ class Machine
         double weights_cycles = 0.0;
         double demod_cycles = 0.0;
         double tail_task_cycles = 0.0; ///< one tail codeblock
-        double decode_task_cycles = 0.0; ///< one turbo code block
         double reduce_cycles = 0.0;
         std::uint32_t chanest_left = 0;
         std::uint32_t demod_total = 0;
         std::uint32_t demod_left = 0;
         std::uint32_t tail_total = 0;
         std::uint32_t tail_left = 0;
-        std::uint32_t decode_total = 0;
-        std::uint32_t decode_left = 0;
         bool in_use = false;
     };
 
@@ -91,9 +88,7 @@ class Machine
     {
         double cycles = 0.0;
         std::uint32_t dag = 0;
-        /** 0 chanest, 1 weights, 2 demod, 3 tail codeblock, 4 reduce,
-         *  5 turbo decode (turbo_iterations > 0; runs between the
-         *  tail codeblocks and the reduce). */
+        /** 0 chanest, 1 weights, 2 demod, 3 tail codeblock, 4 reduce. */
         std::uint8_t stage = 0;
     };
 
@@ -164,7 +159,7 @@ class Machine
     std::uint32_t
     domain_of(std::uint32_t w) const
     {
-        return w / config_.policy.domain_size;
+        return w / mgmt::kDomainSize;
     }
 
     SimConfig config_;

@@ -17,18 +17,19 @@
 #include <cstdint>
 
 #include "common/check.hpp"
+#include "mgmt/estimator.hpp"
 #include "mgmt/power_policy.hpp"
 
 namespace lte::sim {
+
+/** Core clock in Hz (TILEPro64). */
+inline constexpr double kClockHz = 700e6;
 
 struct SimConfig
 {
     /** Worker cores (the chip has 64; one runs drivers, one the
      *  maintenance thread — Sec. V-B). */
     std::uint32_t n_workers = 62;
-
-    /** Core clock in Hz (TILEPro64). */
-    double clock_hz = 700e6;
 
     /** Subframe dispatch period in seconds (the TILEPro64 sustains
      *  one subframe per 5 ms at maximum workload). */
@@ -50,21 +51,13 @@ struct SimConfig
     double idle_wake_period_s = 200e-6;
 
     /** Over-provisioning margin of Eq. 5. */
-    std::uint32_t core_margin = 2;
-
-    /** Price a real max-log-MAP turbo decode stage into the task DAG:
-     *  every LTE code block of a user's allocation adds one decode
-     *  task of this iteration budget between the tail codeblocks and
-     *  the closing reduce.  0 reproduces the pass-through pipeline:
-     *  no decode stage at all. */
-    std::uint32_t turbo_iterations = 0;
+    std::uint32_t core_margin = mgmt::kCoreMargin;
 
     void
     validate() const
     {
         LTE_CHECK(n_workers >= 1 && n_workers <= 64,
                   "workers must be 1..64");
-        LTE_CHECK(clock_hz > 0.0, "clock must be positive");
         LTE_CHECK(delta_s > 0.0, "delta must be positive");
         LTE_CHECK(cycles_per_op > 0.0, "cycles/op must be positive");
         LTE_CHECK(idle_wake_period_s > 0.0,

@@ -198,7 +198,6 @@ expect_zero_alloc_steady_state(EngineKind kind, bool tracing = false,
         // per-thread turbo workspaces and the QPP interleaver cache
         // reach their high-water mark during warm-up.
         cfg.receiver.use_real_turbo = true;
-        cfg.receiver.turbo_iterations = 2;
         cfg.input.realistic = true;
         cfg.input.real_turbo = true;
         cfg.input.snr_db = 45.0;

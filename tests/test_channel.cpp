@@ -119,7 +119,7 @@ TEST(MimoChannel, DistinctLinksAreIndependent)
 TEST(MimoChannel, RejectsBadConfigAndUsage)
 {
     ChannelConfig cfg;
-    cfg.delay_spread_fraction = 0.2; // would escape the window
+    cfg.snr_db = 150.0; // outside the modelled (-20, 100) dB range
     Rng rng(1);
     EXPECT_THROW(MimoChannel chan(cfg, 1, rng), std::invalid_argument);
 

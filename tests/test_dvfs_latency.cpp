@@ -97,7 +97,7 @@ TEST(Dvfs, FrequencyTracksEstimatedLoad)
     for (std::size_t i = 1; i < 30; ++i) {
         EXPECT_LE(result.intervals[i].freq_scale, 0.5)
             << "i=" << i << " est=" << result.intervals[i].est_activity;
-        EXPECT_GE(result.intervals[i].freq_scale, cfg.policy.dvfs_min_scale);
+        EXPECT_GE(result.intervals[i].freq_scale, mgmt::kDvfsMinScale);
     }
 }
 
@@ -173,9 +173,6 @@ TEST(Dvfs, StudyVariantSavesPowerOnPaperModel)
 
 TEST(Dvfs, RejectsBadConfig)
 {
-    sim::SimConfig cfg;
-    cfg.policy.dvfs_min_scale = 0.0;
-    EXPECT_THROW(sim::Machine machine(cfg), std::invalid_argument);
     power::PowerModelConfig pcfg;
     pcfg.dvfs_voltage_floor = 1.5;
     EXPECT_THROW(power::PowerModel pm(pcfg), std::invalid_argument);

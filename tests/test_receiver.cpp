@@ -42,7 +42,7 @@ estimate(const CVec &rx, const CVec &ref, CVec &freq)
 {
     freq.assign(rx.size(), cf32(0.0f, 0.0f));
     CVec scratch(phy::estimate_channel_scratch(rx.size()));
-    return phy::estimate_channel_into(rx, ref, {}, freq, scratch);
+    return phy::estimate_channel_into(rx, ref, freq, scratch);
 }
 
 TEST(ChannelEstimator, RecoversFlatChannelNoiselessly)
@@ -147,18 +147,18 @@ TEST(ChannelEstimator, SeparatesCyclicShiftedLayers)
 TEST(ChannelEstimator, RejectsMismatchedLengths)
 {
     CVec freq(10), scratch(phy::estimate_channel_scratch(12));
-    EXPECT_THROW(phy::estimate_channel_into(CVec(10), CVec(12), {}, freq,
+    EXPECT_THROW(phy::estimate_channel_into(CVec(10), CVec(12), freq,
                                             scratch),
                  std::invalid_argument);
-    EXPECT_THROW(phy::estimate_channel_into(CfView(), CfView(), {},
-                                            CfSpan(), scratch),
+    EXPECT_THROW(phy::estimate_channel_into(CfView(), CfView(), CfSpan(),
+                                            scratch),
                  std::invalid_argument);
 }
 
 TEST(ChannelEstimator, WindowExtentRespectsBounds)
 {
     for (std::size_t n : {12u, 120u, 1200u}) {
-        const auto [front, back] = phy::window_extent(n, 0.125);
+        const auto [front, back] = phy::window_extent(n, phy::kWindowFraction);
         EXPECT_GE(front + back, 1u);
         EXPECT_LE(front + back, n);
         EXPECT_LT(front, n / 4 + 1); // stays inside the layer bin
@@ -424,7 +424,8 @@ TEST(EndToEnd, RealTurboMultiBlockRoundTrips)
     // CRC early termination: a clean decode should not burn the full
     // budget on every block.
     EXPECT_LT(result.decode_iterations,
-              rcfg.turbo_iterations * seg.n_blocks);
+              phy::turbo_iterations_for(phy::DegradeLevel::kNone) *
+                  seg.n_blocks);
     EXPECT_GT(result.decode_iterations, 0u);
 }
 

@@ -93,7 +93,7 @@ TEST(Machine, SplitTailConservesWorkAndAddsTasks)
     const double expected =
         static_cast<double>(n) *
         static_cast<double>(phy::user_task_costs(u, 4).total()) *
-        cfg.cycles_per_op / cfg.clock_hz;
+        cfg.cycles_per_op / kClockHz;
     EXPECT_NEAR(busy, expected, 1e-6 * expected);
 }
 

@@ -17,7 +17,9 @@
  *    final-decrement continuation enqueues (the `tsan` preset runs
  *    this suite);
  *  - the op-model tail split identity and the degraded-aware
- *    estimator built on it.
+ *    estimator built on it;
+ *  - the decode-iteration ladder's single home: the op model, the
+ *    estimator and the receiver all spend phy::turbo_iterations_for.
  */
 #include <gtest/gtest.h>
 
@@ -25,9 +27,12 @@
 #include <array>
 #include <cstdlib>
 
+#include "channel/signal_source.hpp"
+#include "common/rng.hpp"
 #include "mgmt/estimator.hpp"
 #include "obs/trace.hpp"
 #include "phy/op_model.hpp"
+#include "phy/user_processor.hpp"
 #include "runtime/engine.hpp"
 
 namespace lte::runtime {
@@ -300,7 +305,10 @@ TEST(TaskGraph, OpModelDecodeCostMonotoneInIterationBudget)
               phy::user_task_costs(user, 4).total());
 }
 
-TEST(TaskGraph, EstimatorPricesDecodeLadderMonotonically)
+/** Slopes 1e-4, 2e-4, 3e-4 per PRB for QPSK, 16QAM and 64QAM at every
+ *  layer count. */
+mgmt::CalibrationTable
+flat_table()
 {
     mgmt::CalibrationTable table;
     for (std::uint32_t layers = 1; layers <= kMaxLayers; ++layers) {
@@ -308,8 +316,13 @@ TEST(TaskGraph, EstimatorPricesDecodeLadderMonotonically)
         table.set(layers, Modulation::k16Qam, 2e-4);
         table.set(layers, Modulation::k64Qam, 3e-4);
     }
-    mgmt::WorkloadEstimator estimator(table);
-    estimator.set_decode_pricing(mgmt::DecodePricing{true, 6, 2});
+    return table;
+}
+
+TEST(TaskGraph, EstimatorPricesDecodeLadderMonotonically)
+{
+    mgmt::WorkloadEstimator estimator(flat_table());
+    estimator.set_real_turbo(true);
 
     const phy::SubframeParams sf = graph_subframe(0);
     const double full =
@@ -324,15 +337,75 @@ TEST(TaskGraph, EstimatorPricesDecodeLadderMonotonically)
     EXPECT_GT(reduced, bypass);
     EXPECT_GT(bypass, 0.0);
 
-    // The reduced-rung estimate is monotone in its iteration budget
-    // and meets the full estimate when the budgets coincide.
-    double prev = bypass;
+    // The degraded chain's op-model price is monotone in the decode
+    // iteration budget, starting from the bypass (0 iterations).
+    const auto degraded_cost = [&sf](std::uint32_t budget) {
+        std::uint64_t total = 0;
+        for (const phy::UserParams &user : sf.users) {
+            total += phy::user_task_costs(user, 4, true,
+                                          phy::DecodeModel{true, budget})
+                         .total();
+        }
+        return total;
+    };
+    std::uint64_t prev = degraded_cost(0);
     for (const std::uint32_t budget : {1u, 2u, 4u, 6u}) {
-        estimator.set_decode_pricing(mgmt::DecodePricing{true, 6, budget});
-        const double est = estimator.estimate_subframe(
-            sf, 0, phy::DegradeLevel::kReducedIterations);
-        EXPECT_GT(est, prev) << "budget=" << budget;
-        prev = est;
+        const std::uint64_t cost = degraded_cost(budget);
+        EXPECT_GT(cost, prev) << "budget=" << budget;
+        prev = cost;
+    }
+}
+
+TEST(DecodeLadder, OneBudgetPerShedLevel)
+{
+    // The receiver, the op model and the estimator all take their
+    // per-level decode budget from phy::turbo_iterations_for.
+    phy::ReceiverConfig rcfg;
+    rcfg.use_real_turbo = true;
+    mgmt::WorkloadEstimator estimator(flat_table());
+    estimator.set_real_turbo(true);
+
+    phy::UserParams user;
+    user.id = 3;
+    user.prb = 50;
+    user.layers = 2;
+    user.mod = Modulation::k16Qam;
+    const std::size_t n_blocks =
+        phy::turbo_segment(phy::capacity_bits(user)).n_blocks;
+    ASSERT_GE(n_blocks, 2u);
+    // At -10 dB no code block passes its CRC, so every decode runs
+    // its whole budget.
+    Rng rng(23);
+    const auto noisy = channel::realistic_user_signal(user, 4, -10.0, rng,
+                                                      /*real_turbo=*/true);
+    const auto full_cost =
+        phy::user_task_costs(user, 4, false, phy::decode_model(rcfg))
+            .total();
+
+    for (const phy::DegradeLevel level :
+         {phy::DegradeLevel::kNone, phy::DegradeLevel::kReducedIterations,
+          phy::DegradeLevel::kBypass}) {
+        const std::uint32_t budget = phy::turbo_iterations_for(level);
+        const int l = static_cast<int>(level);
+        EXPECT_EQ(phy::decode_model(rcfg, level).iterations, budget)
+            << "level " << l;
+
+        const auto cost =
+            phy::user_task_costs(user, 4, level != phy::DegradeLevel::kNone,
+                                 phy::decode_model(rcfg, level))
+                .total();
+        EXPECT_EQ(estimator.shed_cost_ratio(user, level),
+                  static_cast<double>(cost) /
+                      static_cast<double>(full_cost))
+            << "level " << l;
+
+        phy::UserProcessor proc(rcfg);
+        proc.bind(user, &noisy.signal);
+        proc.set_degrade(level);
+        const phy::UserResult &result = proc.process_all();
+        EXPECT_FALSE(result.crc_ok) << "level " << l;
+        EXPECT_EQ(result.decode_iterations, budget * n_blocks)
+            << "level " << l;
     }
 }
 
@@ -371,13 +444,7 @@ TEST(TaskGraph, OpModelTailSplitPreservesTotals)
 
 TEST(TaskGraph, EstimatorScalesDegradedSubframesDown)
 {
-    mgmt::CalibrationTable table;
-    for (std::uint32_t layers = 1; layers <= kMaxLayers; ++layers) {
-        table.set(layers, Modulation::kQpsk, 1e-4);
-        table.set(layers, Modulation::k16Qam, 2e-4);
-        table.set(layers, Modulation::k64Qam, 3e-4);
-    }
-    mgmt::WorkloadEstimator estimator(table);
+    mgmt::WorkloadEstimator estimator(flat_table());
 
     const phy::SubframeParams sf = graph_subframe(0);
     const double full = estimator.estimate_subframe(sf, 0, false);
