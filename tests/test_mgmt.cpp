@@ -6,8 +6,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "mgmt/core_allocator.hpp"
 #include "mgmt/estimator.hpp"
+#include "workload/paper_model.hpp"
 
 namespace lte::mgmt {
 namespace {
@@ -149,6 +153,75 @@ TEST(WorkloadEstimator, DecisionStatsTallied)
     EXPECT_EQ(stats.clamped_high, 1u);
     est.reset_stats();
     EXPECT_EQ(est.stats().core_decisions, 0u);
+}
+
+/** FNV-1a over the eight bytes of @p v, little-endian. */
+void
+fnv_mix(std::uint64_t &h, std::uint64_t v)
+{
+    for (int b = 0; b < 8; ++b) {
+        h ^= (v >> (8 * b)) & 0xffu;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+TEST(EstimatorPinned, EstimateDigestPerLevelAndBacklog)
+{
+    // Pins every bit of Eqs. 3-4 at each shed-ladder level and backlog,
+    // with and without real-turbo pricing, and the decision tallies
+    // they leave behind.  A fast ramp walks the draws through every
+    // layer count and modulation within 200 subframes; slopes three
+    // times synthetic_table()'s make the busiest subframes saturate.
+    CalibrationTable table;
+    for (std::uint32_t l = 1; l <= 4; ++l) {
+        for (Modulation mod : kAllModulations)
+            table.set(l, mod, 3.0 * synthetic_table().get(l, mod));
+    }
+    const phy::DegradeLevel levels[] = {
+        phy::DegradeLevel::kNone, phy::DegradeLevel::kReducedIterations,
+        phy::DegradeLevel::kBypass};
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const bool real_turbo : {false, true}) {
+        WorkloadEstimator est(table);
+        est.set_real_turbo(real_turbo);
+        workload::PaperModelConfig mcfg;
+        mcfg.ramp_subframes = 100;
+        mcfg.prob_update_interval = 10;
+        mcfg.seed = 2012;
+        workload::PaperModel model(mcfg);
+        for (int s = 0; s < 200; ++s) {
+            const phy::SubframeParams sf = model.next_subframe();
+            fnv_mix(h, std::bit_cast<std::uint64_t>(est.estimate_subframe(sf)));
+            for (const std::size_t backlog : {0u, 1u, 3u}) {
+                fnv_mix(h, std::bit_cast<std::uint64_t>(
+                               est.estimate_subframe(sf, backlog)));
+                for (const phy::DegradeLevel level : levels) {
+                    fnv_mix(h, std::bit_cast<std::uint64_t>(
+                                   est.estimate_subframe(sf, backlog,
+                                                         level)));
+                }
+            }
+            for (const phy::UserParams &user : sf.users) {
+                fnv_mix(h,
+                        std::bit_cast<std::uint64_t>(est.estimate_user(user)));
+                for (const phy::DegradeLevel level : levels) {
+                    fnv_mix(h, std::bit_cast<std::uint64_t>(
+                                   est.estimate_user(user, level)));
+                }
+            }
+        }
+        const EstimatorStats &st = est.stats();
+        EXPECT_GT(st.saturated_estimates, 0u) << real_turbo;
+        EXPECT_GT(st.backlog_boosts, 0u) << real_turbo;
+        EXPECT_EQ(st.degraded_estimates, 2u * 3u * 200u) << real_turbo;
+        for (const std::uint64_t v :
+             {st.subframe_estimates, st.saturated_estimates,
+              st.core_decisions, st.clamped_low, st.clamped_high,
+              st.backlog_boosts, st.degraded_estimates}) {
+            fnv_mix(h, v);
+        }
+    }
+    EXPECT_EQ(h, 0xe5986df2872a65c6ULL) << "0x" << std::hex << h;
 }
 
 TEST(Discretise, Equation6)
