@@ -58,8 +58,6 @@ FleetConfig::validate() const
     chip.sim.validate();
     chip.power.validate();
     diurnal.validate();
-    for (const mgmt::PowerPolicy &p : candidates)
-        p.validate();
 }
 
 // ------------------------------------------------- FleetCellModel
@@ -119,20 +117,18 @@ FleetCellModel::reset()
 
 // ------------------------------------------------------ ChipFleet
 
-ChipFleet::ChipFleet(const FleetConfig &config) : config_(config)
+ChipFleet::ChipFleet(const FleetConfig &config)
+    : config_(config),
+      // Most aggressive first: the optimiser adopts the first
+      // candidate whose worst cell meets the SLO.
+      candidates_{mgmt::PowerPolicy::domain_dvfs(),
+                  mgmt::PowerPolicy::power_gating(),
+                  mgmt::PowerPolicy::nap_idle(),
+                  mgmt::PowerPolicy::nap(),
+                  mgmt::PowerPolicy::idle(),
+                  mgmt::PowerPolicy::nonap()}
 {
     config_.validate();
-    candidates_ = config_.candidates;
-    if (candidates_.empty()) {
-        // Most aggressive first: the optimiser adopts the first
-        // candidate whose worst cell meets the SLO.
-        candidates_ = {mgmt::PowerPolicy::domain_dvfs(),
-                       mgmt::PowerPolicy::power_gating(),
-                       mgmt::PowerPolicy::nap_idle(),
-                       mgmt::PowerPolicy::nap(),
-                       mgmt::PowerPolicy::idle(),
-                       mgmt::PowerPolicy::nonap()};
-    }
 }
 
 double

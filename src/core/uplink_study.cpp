@@ -153,32 +153,9 @@ UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
                            workload::ParameterModel &model,
                            std::uint64_t subframes)
 {
-    return run_on(config_.sim, policy, model, subframes);
-}
-
-StrategyOutcome
-UplinkStudy::run_policy_overloaded(const mgmt::PowerPolicy &policy,
-                                   double overload_factor)
-{
-    LTE_CHECK(overload_factor >= 1.0,
-              "overload factor must be at least 1");
-    // Arrivals come overload_factor times faster than the calibrated
-    // saturation rate; everything downstream (latency in periods,
-    // deadline accounting) follows from the shortened DELTA.
-    sim::SimConfig sim_cfg = config_.sim;
-    sim_cfg.delta_s /= overload_factor;
-    workload::PaperModel model(config_.model);
-    return run_on(sim_cfg, policy, model, config_.subframes);
-}
-
-StrategyOutcome
-UplinkStudy::run_on(sim::SimConfig sim_cfg,
-                    const mgmt::PowerPolicy &policy,
-                    workload::ParameterModel &model,
-                    std::uint64_t subframes)
-{
     LTE_CHECK(estimator_.has_value(), "call prepare() first");
 
+    sim::SimConfig sim_cfg = config_.sim;
     sim_cfg.policy = policy;
 
     sim::Machine machine(sim_cfg, config_.n_antennas);

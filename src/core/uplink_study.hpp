@@ -153,16 +153,6 @@ class UplinkStudy
                                   std::uint64_t subframes);
 
     /**
-     * Run one policy with arrivals @p overload_factor times faster
-     * than the calibrated DELTA (factor 1 = nominal load, 2 = twice
-     * the machine's saturation rate).  Quantifies how each
-     * power-management policy behaves past saturation: compare
-     * deadline_miss_rate and sim.max_ready_backlog across policies.
-     */
-    StrategyOutcome run_policy_overloaded(const mgmt::PowerPolicy &policy,
-                                          double overload_factor);
-
-    /**
      * Run one policy on an @p n_cells -way sharded board: every
      * cell receives an equal slice of the workers, power domains and
      * base power, runs its own paper input model on a decorrelated
@@ -193,13 +183,6 @@ class UplinkStudy
     const obs::MetricsRegistry &metrics() const { return *metrics_; }
 
   private:
-    /** run_policy_on with the machine configured by @p sim_cfg (whose
-     *  policy field is replaced by @p policy). */
-    StrategyOutcome run_on(sim::SimConfig sim_cfg,
-                           const mgmt::PowerPolicy &policy,
-                           workload::ParameterModel &model,
-                           std::uint64_t subframes);
-
     void record_run_metrics(const StrategyOutcome &outcome);
 
     StudyConfig config_;

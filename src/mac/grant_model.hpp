@@ -6,12 +6,7 @@
  * next_subframe() draws grants from a MacScheduler, so every engine
  * (serial, work-stealing, streaming, multi-cell, offloaded-io) can be
  * driven by the closed loop through the seam the random models already
- * use — no engine changes.  In *pinned* mode the adapter instead
- * delegates verbatim to an inner model (the random draw), which makes
- * the PHY input sequence bit-identical to the open-loop engines by
- * construction while the MAC machinery idles beside it; feedback then
- * lands unmatched and is merely counted (MacStats.unmatched_feedback),
- * proving the closed loop is a pure overlay on the benchmark.
+ * use — no engine changes.
  *
  * Feedback side: FeedbackRouter fans one engine-wide
  * SubframeFeedbackSink out to per-cell MacSchedulers by cell id, for
@@ -33,47 +28,24 @@ namespace lte::mac {
 class GrantModel final : public workload::ParameterModel
 {
   public:
-    /**
-     * Closed-loop mode: grants come from @p scheduler (borrowed, must
-     * outlive the model).
-     */
+    /** Grants come from @p scheduler (borrowed, must outlive the
+     *  model). */
     explicit GrantModel(MacScheduler &scheduler)
         : scheduler_(&scheduler)
-    {
-    }
-
-    /**
-     * Pinned mode: delegate every draw to @p inner (borrowed) and
-     * leave @p scheduler untouched on the grant path.
-     */
-    GrantModel(MacScheduler &scheduler, workload::ParameterModel &inner)
-        : scheduler_(&scheduler), inner_(&inner)
     {
     }
 
     phy::SubframeParams
     next_subframe() override
     {
-        if (inner_ != nullptr)
-            return inner_->next_subframe();
         scheduler_->next_tti_into(scratch_);
         return scratch_;
     }
 
-    void
-    reset() override
-    {
-        if (inner_ != nullptr)
-            inner_->reset();
-        scheduler_->reset();
-    }
-
-    bool pinned() const { return inner_ != nullptr; }
-    MacScheduler &scheduler() { return *scheduler_; }
+    void reset() override { scheduler_->reset(); }
 
   private:
     MacScheduler *scheduler_ = nullptr;
-    workload::ParameterModel *inner_ = nullptr;
     phy::SubframeParams scratch_;
 };
 

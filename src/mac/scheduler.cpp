@@ -127,9 +127,6 @@ MacConfig::validate() const
             "MacConfig: max_prb_per_grant out of range");
     if (fixed_mcs >= kNumMcs)
         throw std::invalid_argument("MacConfig: fixed_mcs out of range");
-    if (bler_gap_alpha <= 0.0 || bler_gap_alpha > 1.0)
-        throw std::invalid_argument(
-            "MacConfig: bler_gap_alpha not in (0,1]");
 }
 
 MacScheduler::MacScheduler(const MacConfig &config) : config_(config)
@@ -185,7 +182,6 @@ MacScheduler::reset()
     outstanding_ = {};
     stats_ = MacStats{};
     finalized_ = false;
-    bler_gap_ = 0.0;
     init_population();
 }
 
@@ -618,8 +614,9 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
         outstanding_[outcome.subframe_index % kOutstandingSlots];
     if (!rec.active || rec.subframe_index != outcome.subframe_index) {
         // Zero-grant TTIs were never registered; anything else is
-        // feedback for grants this scheduler did not issue (pinned
-        // mode, or a stale record past the timeout sweep).
+        // feedback for grants this scheduler did not issue (another
+        // model drives the engine, or a stale record past the timeout
+        // sweep).
         if (!outcome.users.empty())
             ++stats_.unmatched_feedback;
         return;
@@ -650,17 +647,6 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
                 // measured constellation EVM.
                 ++stats_.real_feedback;
                 ack = user->crc_ok;
-                if (config_.calibrate_bler) {
-                    // One observed-vs-modelled sample: what would the
-                    // logistic model have predicted for this block?
-                    const float margin =
-                        snr_true_db(ue) - kMcsTable[proc.mcs].req_snr_db;
-                    const double predicted = static_cast<double>(
-                        modelled_bler(margin, kBlerSlopeDb));
-                    bler_gap_ += config_.bler_gap_alpha *
-                                 ((ack ? 0.0 : 1.0) - predicted -
-                                  bler_gap_);
-                }
                 if (user->evm_rms > 0.0f) {
                     snr_obs = -20.0f * std::log10(user->evm_rms);
                     have_channel_info = true;
@@ -674,11 +660,8 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
                 const float truth = snr_true_db(ue);
                 const float margin =
                     truth - kMcsTable[proc.mcs].req_snr_db;
-                double p = static_cast<double>(
-                    modelled_bler(margin, kBlerSlopeDb));
-                if (config_.calibrate_bler)
-                    p = std::clamp(p + bler_gap_, 0.0, 1.0);
-                ack = !ue.rng.next_bool(p);
+                ack = !ue.rng.next_bool(static_cast<double>(
+                    modelled_bler(margin, kBlerSlopeDb)));
                 snr_obs = truth +
                           kCqiNoiseDb *
                               static_cast<float>(ue.rng.next_gaussian());
@@ -787,13 +770,6 @@ MacScheduler::arrival_scale() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return arrival_scale_;
-}
-
-double
-MacScheduler::bler_gap() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bler_gap_;
 }
 
 void

@@ -111,19 +111,6 @@ struct MacConfig
     /** Global mean drift per TTI (negative = degrading channel). */
     float snr_drift_db_per_tti = 0.0f;
 
-    // --- online BLER calibration (DESIGN.md 3k) ---
-    /**
-     * Learn the gap between the modelled logistic BLER and real decode
-     * verdicts: every real-CRC feedback sample updates an EWMA of
-     * (observed error - modelled prediction), and modelled draws are
-     * then corrected by that gap.  Pairs with
-     * ReceiverConfig::decode_sample_rate, which keeps a small real-
-     * decode sample alive on the bypass path to feed this loop.
-     */
-    bool calibrate_bler = false;
-    /** EWMA weight of one real-feedback calibration sample. */
-    double bler_gap_alpha = 0.05;
-
     void validate() const;
 };
 
@@ -150,7 +137,7 @@ struct MacStats
     std::uint64_t real_feedback = 0;
     std::uint64_t modelled_feedback = 0;
     /** Completed subframes with no matching outstanding grants
-     *  (pinned mode, or another model driving the engine). */
+     *  (another model driving the engine, the MAC only listening). */
     std::uint64_t unmatched_feedback = 0;
 
     std::uint64_t shed_ttis = 0;
@@ -222,11 +209,6 @@ class MacScheduler final : public runtime::SubframeFeedbackSink
     void set_arrival_scale(double scale);
     double arrival_scale() const;
 
-    /** Current observed-minus-modelled BLER gap (EWMA; 0 until the
-     *  first real-feedback sample arrives or when calibrate_bler is
-     *  off). */
-    double bler_gap() const;
-
     /**
      * Register mac.* counters with @p registry (and optionally emit a
      * kMacGrant instant span per TTI on @p tracer slot @p slot).
@@ -287,8 +269,6 @@ class MacScheduler final : public runtime::SubframeFeedbackSink
     Rng traffic_rng_{1};
     /** Multiplier on config_.arrival_rate (set_arrival_scale). */
     double arrival_scale_ = 1.0;
-    /** EWMA of (observed - modelled) BLER from real-CRC feedback. */
-    double bler_gap_ = 0.0;
     std::vector<UeState> ues_;
     /** Indices of UEs with backlog or in-flight blocks. */
     std::vector<std::uint32_t> active_;

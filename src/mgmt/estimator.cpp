@@ -75,26 +75,6 @@ WorkloadEstimator::WorkloadEstimator(CalibrationTable table)
 }
 
 double
-WorkloadEstimator::estimate_user(const phy::UserParams &user) const
-{
-    return static_cast<double>(user.prb) *
-           table_.get(user.layers, user.mod);
-}
-
-double
-WorkloadEstimator::estimate_subframe(
-    const phy::SubframeParams &subframe) const
-{
-    double activity = 0.0;
-    for (const auto &user : subframe.users)
-        activity += estimate_user(user);
-    ++stats_.subframe_estimates;
-    if (activity > 1.0)
-        ++stats_.saturated_estimates;
-    return std::clamp(activity, 0.0, 1.0);
-}
-
-double
 WorkloadEstimator::shed_cost_ratio(const phy::UserParams &user,
                                    phy::DegradeLevel level) const
 {
@@ -126,29 +106,11 @@ double
 WorkloadEstimator::estimate_user(const phy::UserParams &user,
                                  phy::DegradeLevel level) const
 {
-    return estimate_user(user) * shed_cost_ratio(user, level);
-}
-
-double
-WorkloadEstimator::estimate_user(const phy::UserParams &user,
-                                 bool degraded) const
-{
-    return estimate_user(user, degraded ? phy::DegradeLevel::kBypass
-                                        : phy::DegradeLevel::kNone);
-}
-
-double
-WorkloadEstimator::estimate_subframe(const phy::SubframeParams &subframe,
-                                     std::size_t backlog) const
-{
-    const double base = estimate_subframe(subframe);
-    if (backlog == 0)
-        return base;
-    const double boosted = std::clamp(
-        base * (1.0 + static_cast<double>(backlog)), 0.0, 1.0);
-    if (boosted > base)
-        ++stats_.backlog_boosts;
-    return boosted;
+    // shed_cost_ratio(user, kNone) is exactly 1.0, priced without
+    // touching the op model.
+    return static_cast<double>(user.prb) *
+           table_.get(user.layers, user.mod) *
+           shed_cost_ratio(user, level);
 }
 
 double
@@ -156,13 +118,12 @@ WorkloadEstimator::estimate_subframe(const phy::SubframeParams &subframe,
                                      std::size_t backlog,
                                      phy::DegradeLevel level) const
 {
-    if (level == phy::DegradeLevel::kNone)
-        return estimate_subframe(subframe, backlog);
     double activity = 0.0;
     for (const auto &user : subframe.users)
         activity += estimate_user(user, level);
     ++stats_.subframe_estimates;
-    ++stats_.degraded_estimates;
+    if (level != phy::DegradeLevel::kNone)
+        ++stats_.degraded_estimates;
     if (activity > 1.0)
         ++stats_.saturated_estimates;
     const double base = std::clamp(activity, 0.0, 1.0);
@@ -173,16 +134,6 @@ WorkloadEstimator::estimate_subframe(const phy::SubframeParams &subframe,
     if (boosted > base)
         ++stats_.backlog_boosts;
     return boosted;
-}
-
-double
-WorkloadEstimator::estimate_subframe(const phy::SubframeParams &subframe,
-                                     std::size_t backlog,
-                                     bool degraded) const
-{
-    return estimate_subframe(subframe, backlog,
-                             degraded ? phy::DegradeLevel::kBypass
-                                      : phy::DegradeLevel::kNone);
 }
 
 std::uint32_t

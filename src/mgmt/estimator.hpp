@@ -91,61 +91,30 @@ class WorkloadEstimator
   public:
     explicit WorkloadEstimator(CalibrationTable table);
 
-    /** Eq. 3: estimated activity contribution of one user. */
-    double estimate_user(const phy::UserParams &user) const;
+    /**
+     * Eq. 3: estimated activity contribution of one user.  Below
+     * kNone the calibrated slope is scaled by shed_cost_ratio(): the
+     * slopes are fitted on the full chain (degradation is an
+     * admission-time decision, far too rare to calibrate separately),
+     * so the op model's analytical ratio is how a planned degrade
+     * reaches Eq. 4 before the cheap subframe executes.
+     */
+    double estimate_user(
+        const phy::UserParams &user,
+        phy::DegradeLevel level = phy::DegradeLevel::kNone) const;
 
     /**
-     * Eq. 3 under the degraded receive chain: the calibrated slope is
-     * scaled by the op model's degraded-to-full cost ratio for this
-     * user's configuration (per-layer MRC weights instead of the MMSE
-     * solve).  The slopes themselves are fitted on the full chain —
-     * degradation is an admission-time decision, far too rare to
-     * calibrate separately — so the analytical ratio is how a planned
-     * degrade reaches Eq. 4 before the cheap subframe executes.
+     * Eq. 4: estimated activity of a subframe, the sum of its users'
+     * estimates at @p level, clamped to [0, 1].  Extended for a
+     * streaming pipeline: @p backlog subframes are already resident
+     * (queued or executing) when this one arrives, each demanding
+     * roughly a subframe's worth of activity, so the demand estimate
+     * is the single-subframe value scaled by (1 + backlog), clamped
+     * to [0, 1].
      */
-    double estimate_user(const phy::UserParams &user,
-                         bool degraded) const;
-
-    /**
-     * Eq. 3 at a shed-ladder level: the calibrated slope is scaled by
-     * the op model's level-to-full cost ratio under the configured
-     * decode pricing (kReducedIterations prices MRC weights plus the
-     * reduced decode budget, kBypass the hard-decision bypass).
-     */
-    double estimate_user(const phy::UserParams &user,
-                         phy::DegradeLevel level) const;
-
-    /** Eq. 4: estimated activity of a subframe, clamped to [0, 1]. */
-    double estimate_subframe(const phy::SubframeParams &subframe) const;
-
-    /**
-     * Eq. 4 extended for a streaming pipeline: @p backlog subframes
-     * are already resident (queued or executing) when this one
-     * arrives, each demanding roughly a subframe's worth of activity,
-     * so the demand estimate is the single-subframe value scaled by
-     * (1 + backlog), clamped to [0, 1].  With backlog == 0 this is
-     * exactly estimate_subframe().
-     */
-    double estimate_subframe(const phy::SubframeParams &subframe,
-                             std::size_t backlog) const;
-
-    /**
-     * Backlog-aware Eq. 4 for a subframe the admission controller
-     * plans to run on the degraded chain: per-user estimates use the
-     * degraded cost ratio (see estimate_user(user, degraded)).  With
-     * degraded == false this is exactly the two-argument overload.
-     */
-    double estimate_subframe(const phy::SubframeParams &subframe,
-                             std::size_t backlog, bool degraded) const;
-
-    /**
-     * Backlog-aware Eq. 4 at a shed-ladder level (see
-     * estimate_user(user, level)).  kNone is exactly the two-argument
-     * overload; the bool overload maps true to kBypass.
-     */
-    double estimate_subframe(const phy::SubframeParams &subframe,
-                             std::size_t backlog,
-                             phy::DegradeLevel level) const;
+    double estimate_subframe(
+        const phy::SubframeParams &subframe, std::size_t backlog = 0,
+        phy::DegradeLevel level = phy::DegradeLevel::kNone) const;
 
     /** Price the real turbo decode stage, at the shed ladder's
      *  phy::turbo_iterations_for budgets, into the shed-ladder cost

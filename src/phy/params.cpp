@@ -54,8 +54,6 @@ ReceiverConfig::validate() const
               "antennas must be 1..4");
     LTE_CHECK(cell_id >= 1 && cell_id <= 511,
               "cell id must be 1..511 (9 scrambler bits)");
-    LTE_CHECK(decode_sample_rate >= 0.0 && decode_sample_rate <= 1.0,
-              "decode sample rate must be in [0, 1]");
 }
 
 } // namespace lte::phy

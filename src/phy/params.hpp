@@ -133,17 +133,6 @@ struct ReceiverConfig
     /** Run the real turbo decoder instead of the paper's pass-through. */
     bool use_real_turbo = false;
 
-    /**
-     * Fraction of users that keep a real (reduced-iteration) decode
-     * when a subframe is shed to DegradeLevel::kBypass, chosen by a
-     * deterministic per-(subframe, user) hash.  Real-turbo runs only.
-     * The sampled users' CRC verdicts stay real (crc_modelled ==
-     * false), feeding the MAC's online BLER calibration
-     * (MacConfig::calibrate_bler) even while the admission controller
-     * sheds.  0 disables sampling (every bypass verdict is modelled).
-     */
-    double decode_sample_rate = 0.0;
-
     void validate() const;
 };
 

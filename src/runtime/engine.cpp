@@ -157,13 +157,10 @@ MultiCellConfig::validate() const
     LTE_CHECK(n_cells >= 1, "need at least one cell");
     LTE_CHECK(cell_ids.empty() || cell_ids.size() == n_cells,
               "cell_ids must be empty or name every cell");
-    LTE_CHECK(weights.empty() || weights.size() == n_cells,
-              "weights must be empty or cover every cell");
     for (std::size_t c = 0; c < n_cells; ++c) {
         const std::uint32_t id = cell_id_of(c);
         LTE_CHECK(id >= 1 && id <= 511,
                   "cell id must be 1..511 (9 scrambler bits)");
-        LTE_CHECK(weight_of(c) >= 1, "WRR weights must be positive");
         for (std::size_t d = 0; d < c; ++d)
             LTE_CHECK(cell_id_of(d) != id, "cell ids must be distinct");
     }
@@ -253,8 +250,7 @@ struct Engine::Lane
     }
 
     std::uint32_t cell_id = 1;
-    std::uint32_t weight = 1;
-    /** Deficit-WRR credits remaining in the current round. */
+    /** Round-robin admissions left in the current round (0 or 1). */
     std::uint32_t credits = 0;
     phy::ReceiverConfig receiver;
     InputGenerator input;
@@ -302,7 +298,7 @@ struct Engine::SamplePlane
 // -------------------------------------------------------------- engine
 
 Engine::Engine(const EngineConfig &config)
-    : Engine(MultiCellConfig{config, 1, {config.receiver.cell_id}, {}})
+    : Engine(MultiCellConfig{config, 1, {config.receiver.cell_id}})
 {
 }
 
@@ -326,7 +322,6 @@ Engine::Engine(const MultiCellConfig &config)
         input_cfg.cell_id = id;
         auto lane = std::make_unique<Lane>(input_cfg);
         lane->cell_id = id;
-        lane->weight = config_.weight_of(c);
         lane->receiver = config_.engine.receiver;
         lane->receiver.cell_id = id;
         if (obs_.metrics) {
@@ -440,10 +435,10 @@ Engine::consume_frame(Lane &lane, io::IqFrame *frame,
         if (e.deadline_ms == 0.0) {
             // Lossless mode: hold the arrival and block until this lane
             // frees a slot (backpressure; offloaded, it reaches the
-            // producer through free-ring exhaustion too).  The WRR
+            // producer through free-ring exhaustion too).  The round-robin
             // drain keeps the other lanes moving meanwhile.
             while (lane.pending.size() >= e.admission_queue) {
-                admit_wrr();
+                admit_rr();
                 if (lane.pending.size() < e.admission_queue)
                     break;
                 drain_one(record);
@@ -557,7 +552,7 @@ Engine::admit_one(Lane &lane)
 }
 
 void
-Engine::admit_wrr()
+Engine::admit_rr()
 {
     while (true) {
         for (auto &lane : lanes_)
@@ -578,10 +573,10 @@ Engine::admit_wrr()
             break;
         }
         if (!admitted) {
-            // Every backlogged lane spent its round's credits: start a
-            // new WRR round.
+            // Every backlogged lane spent its round's credit: start a
+            // new round.
             for (auto &lane : lanes_)
-                lane->credits = lane->weight;
+                lane->credits = 1;
         }
     }
 }
@@ -770,7 +765,7 @@ Engine::process_subframe(std::size_t cell,
     lane.scratch.params = params;
     consume_frame(lane, &lane.scratch, nullptr);
     update_active_workers();
-    admit_wrr();
+    admit_rr();
     if (total_executing_ > 0)
         drain_one(nullptr);
     return outcome_;
@@ -835,7 +830,7 @@ Engine::run(const std::vector<workload::ParameterModel *> &models,
         record.cells[c].cell_id = lane.cell_id;
         record.cells[c].subframes.reserve(n_subframes);
         lane.shed = ShedStats{};
-        lane.credits = lane.weight;
+        lane.credits = 1;
         lane.last_estimate = -1.0;
         lane.io_lost_synced = 0;
         lane.io_late_synced = 0;
@@ -901,7 +896,7 @@ Engine::run(const std::vector<workload::ParameterModel *> &models,
         }
         ticks_pulled += pull ? 1 : 0;
         update_active_workers();
-        admit_wrr();
+        admit_rr();
 
         if (!arrived) {
             // Offloaded, give the pool a breath; inline, every tick is

@@ -17,8 +17,8 @@
  *    past deadline_ms expires, and under kDegrade one past half its
  *    budget takes the cheaper chain.  deadline_ms == 0 is lossless: a
  *    full ring blocks the arrival instead (backpressure).  Lanes drain
- *    into the shared in-flight window by deficit weighted round-robin
- *    (lane c gets up to weights[c] admissions per round).
+ *    into the shared in-flight window by round-robin (each backlogged
+ *    lane gets one admission per round).
  *  - Execution.  kStreaming submits jobs to the WorkerPool and reaps
  *    each individually (wait_job on the globally oldest admission, no
  *    barrier).  kSerial owns no pool: the dispatch thread runs each
@@ -203,13 +203,6 @@ struct MultiCellConfig
      */
     std::vector<std::uint32_t> cell_ids;
 
-    /**
-     * Weighted-round-robin admission weights (>= 1).  Empty = equal
-     * weights.  Under overload, backlogged cells complete subframes
-     * in proportion to their weights.
-     */
-    std::vector<std::uint32_t> weights;
-
     void validate() const;
 
     /** The cell id serving lane @p cell (applies the 1..n default). */
@@ -218,13 +211,6 @@ struct MultiCellConfig
     {
         return cell_ids.empty() ? static_cast<std::uint32_t>(cell + 1)
                                 : cell_ids[cell];
-    }
-
-    /** The WRR weight of lane @p cell (applies the all-1 default). */
-    std::uint32_t
-    weight_of(std::size_t cell) const
-    {
-        return weights.empty() ? 1u : weights[cell];
     }
 };
 
@@ -404,7 +390,7 @@ class Engine
      * Run @p n_subframes TTI ticks.  Each tick offers every lane one
      * subframe of its model (models.size() == n_cells; each consumed
      * from its current state) under the configured deadline/shed
-     * policy; the rings drain into the shared window by WRR.
+     * policy; the rings drain into the shared window by round-robin.
      */
     MultiCellRunRecord
     run(const std::vector<workload::ParameterModel *> &models,
@@ -430,8 +416,8 @@ class Engine
     /** Move the lane's pending head into the shared window (degrade
      *  check, dispatch stamp, pool submit or serial execution). */
     void admit_one(Lane &lane);
-    /** Deficit-WRR drain of all pending rings into the window. */
-    void admit_wrr();
+    /** Round-robin drain of all pending rings into the window. */
+    void admit_rr();
     /** The Sec. IV-A reference: process_all per user, in order. */
     void run_serial(SubframeJob &job);
     /** Pop completed jobs off every lane's executing front into
@@ -468,7 +454,7 @@ class Engine
     std::size_t total_executing_ = 0;
     /** Next admission-order stamp (monotonic across lanes). */
     std::uint64_t admit_seq_ = 0;
-    /** WRR scan start for the next admission. */
+    /** Round-robin scan start for the next admission. */
     std::size_t rr_next_ = 0;
 
     SubframeOutcome outcome_;

@@ -177,11 +177,6 @@ struct SubframeJob
      */
     io::IqFrame *io_frame = nullptr;
 
-    /** Copied from the ReceiverConfig at prepare(): governs the
-     *  real-decode sampling on the bypass shed path (set_degrade). */
-    double decode_sample_rate = 0.0;
-    bool real_turbo = false;
-
     /**
      * (Re)bind the job to a subframe: pools UserWork objects (growing
      * the pool only when this job sees more users than ever before)
@@ -196,8 +191,6 @@ struct SubframeJob
         n_users = subframe.users.size();
         degrade_level = phy::DegradeLevel::kNone;
         io_frame = nullptr;
-        decode_sample_rate = receiver.decode_sample_rate;
-        real_turbo = receiver.use_real_turbo;
         while (users.size() < n_users)
             users.push_back(std::make_unique<UserWork>(receiver));
         results.resize(n_users);
@@ -232,38 +225,12 @@ struct SubframeJob
     {
         degrade_level = level;
         for (std::size_t u = 0; u < n_users; ++u) {
-            phy::DegradeLevel user_level = level;
-            // Bypass sampling: in real-turbo runs a deterministic
-            // per-(subframe, user) hash keeps a small fraction of a
-            // shed subframe's users at the reduced-iteration decode,
-            // so their CRC verdicts stay real and the MAC's online
-            // BLER calibration keeps getting ground truth while the
-            // rest of the subframe rides the cheap bypass.
-            if (level == phy::DegradeLevel::kBypass && real_turbo &&
-                decode_sample_rate > 0.0 &&
-                sample_hash(params.subframe_index,
-                            params.users[u].id) < decode_sample_rate)
-                user_level = phy::DegradeLevel::kReducedIterations;
-            users[u]->proc.set_degrade(user_level);
+            users[u]->proc.set_degrade(level);
             // Keep the accounted costs honest: the degraded chain
             // swaps the MMSE solve for per-layer MRC weights and
             // shrinks the decode budget.
-            users[u]->refresh_costs(user_level);
+            users[u]->refresh_costs(level);
         }
-    }
-
-    /** Uniform-in-[0,1) hash of one (subframe, user) pair (splitmix64
-     *  finalizer) — the decode-sampling coin flip, reproducible across
-     *  engines and runs. */
-    static double
-    sample_hash(std::uint64_t subframe_index, std::uint32_t user_id)
-    {
-        std::uint64_t z = subframe_index * 0x9e3779b97f4a7c15ull +
-                          user_id + 1;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        z = z ^ (z >> 31);
-        return static_cast<double>(z >> 11) * 0x1.0p-53;
     }
 };
 

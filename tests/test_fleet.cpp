@@ -183,16 +183,27 @@ TEST(ChipFleet, LenientSloAdoptsTheMostAggressiveCandidate)
     EXPECT_EQ(outcome.chips_missing_slo, 0u);
 }
 
-TEST(ChipFleet, SingleCandidateIsAlwaysAdopted)
+TEST(ChipFleet, StrictSloWalksDownTheLadder)
 {
+    // At the 8x oversubscription cap the aggressive policies miss a
+    // 0.1% SLO, so each chip walks the default ladder and adopts the
+    // first rung that meets it.  (No tiny fleet makes NONAP itself
+    // miss: an always-on slice serves its whole PRB budget in time.)
     FleetConfig cfg = tiny_config();
-    cfg.candidates = {mgmt::PowerPolicy::nonap()};
+    cfg.oversubscribe = 8.0;
+    cfg.slo_miss_rate = 0.001;
     ChipFleet fleet(cfg);
     const FleetOutcome outcome = fleet.run();
+    ASSERT_FALSE(outcome.chips.empty());
     for (const ChipOutcome &chip : outcome.chips) {
-        EXPECT_EQ(chip.policies_tried, 1u);
-        EXPECT_STREQ(chip.policy.name, "NONAP");
+        ASSERT_GE(chip.policies_tried, 2u);
+        ASSERT_LE(chip.policies_tried, fleet.candidates().size());
+        EXPECT_STREQ(chip.policy.name,
+                     fleet.candidates()[chip.policies_tried - 1].name);
+        EXPECT_TRUE(chip.slo_met);
+        EXPECT_LE(chip.worst_miss_rate, cfg.slo_miss_rate);
     }
+    EXPECT_EQ(outcome.chips_missing_slo, 0u);
 }
 
 } // namespace

@@ -20,7 +20,6 @@
 #include "mgmt/core_allocator.hpp"
 #include "runtime/engine.hpp"
 #include "workload/paper_model.hpp"
-#include "workload/steady_model.hpp"
 
 namespace lte::runtime {
 namespace {
@@ -223,77 +222,6 @@ TEST(MultiCell, ProcessSubframeServesEachLane)
                  std::invalid_argument);
 }
 
-TEST(MultiCell, WeightedRoundRobinFavoursHeavierCellUnderOverload)
-{
-    // Two cells, weights 3:1, arrivals calibrated to 6x the measured
-    // service rate (so the rings stay full regardless of host speed,
-    // and the TTI sleeps let the pool run even on one hardware
-    // thread), one-slot admission rings and a never-expiring
-    // deadline: completions are then governed purely by WRR
-    // admission credits, so the heavy cell must finish clearly more
-    // subframes than the light one.
-    phy::UserParams user;
-    user.id = 0;
-    user.prb = 25;
-    user.layers = 2;
-    user.mod = Modulation::k16Qam;
-
-    phy::SubframeParams sf;
-    sf.subframe_index = 0;
-    sf.users.push_back(user);
-    double service_ms = 0.0;
-    {
-        EngineConfig mcfg = lossless_engine_config();
-        mcfg.kind = EngineKind::kSerial;
-        auto probe = make_engine(mcfg);
-        probe->process_subframe(sf); // warm-up: arenas, FFT plans
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < 4; ++i)
-            probe->process_subframe(sf);
-        service_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count() /
-                     4.0;
-    }
-
-    MultiCellConfig cfg;
-    cfg.n_cells = 2;
-    cfg.weights = {3, 1};
-    cfg.engine = lossless_engine_config();
-    cfg.engine.pool.n_workers = 2;
-    cfg.engine.max_in_flight = 1;
-    cfg.engine.admission_queue = 1;
-    // Two arrivals per tick against one service slot: 6x overload.
-    cfg.engine.delta_ms = service_ms / 3.0;
-    cfg.engine.deadline_ms = 1e9; // never expire, only queue-full shed
-    cfg.engine.shed_policy = ShedPolicy::kDropNewest;
-    MultiCellEngine engine(cfg);
-
-    std::vector<workload::SteadyModel> models(
-        2, workload::SteadyModel(user));
-    std::vector<workload::ParameterModel *> ptrs{&models[0],
-                                                 &models[1]};
-    const std::size_t n = 300;
-    const MultiCellRunRecord record = engine.run(ptrs, n);
-
-    const std::size_t heavy = record.cells[0].subframes.size();
-    const std::size_t light = record.cells[1].subframes.size();
-    EXPECT_GT(light, 0u);
-    // Enough steady-state completions that the WRR ratio is visible
-    // over the tail drain (otherwise the assertion below is vacuous).
-    EXPECT_GE(heavy + light, 6u);
-    // Steady-state admissions follow the 3:1 credits; the tail drain
-    // adds at most one ring slot per cell, so 1.5x is a safe floor.
-    EXPECT_GE(heavy * 2, light * 3) << "heavy " << heavy << " light "
-                                    << light;
-    for (std::size_t c = 0; c < 2; ++c) {
-        EXPECT_EQ(record.shed[c].shed + record.shed[c].completed,
-                  record.shed[c].submitted);
-        EXPECT_GT(record.shed[c].shed, 0u) << "cell " << c
-                                           << " never overloaded";
-    }
-}
-
 TEST(MultiCell, PartitionDomainsApportionsTheChip)
 {
     // Fits: grant ceil(demand / 8) domains each.
@@ -334,9 +262,6 @@ TEST(MultiCell, ConfigValidationRejectsBadShapes)
     cfg.cell_ids = {1};
     EXPECT_THROW(MultiCellEngine{cfg}, std::invalid_argument);
     cfg.cell_ids.clear();
-    cfg.weights = {1, 0};
-    EXPECT_THROW(MultiCellEngine{cfg}, std::invalid_argument);
-    cfg.weights.clear();
     cfg.n_cells = 0;
     EXPECT_THROW(MultiCellEngine{cfg}, std::invalid_argument);
 }

@@ -444,40 +444,5 @@ TEST(RunRecord, CrcPassRate)
     EXPECT_EQ(r.user_count(), 2u);
 }
 
-// --------------------------------------- bypass real-decode sampling
-
-TEST(DecodeSampling, HashIsDeterministicAndUniform)
-{
-    // Same (subframe, user) pair -> same coin, always in [0, 1).
-    for (std::uint64_t sf = 0; sf < 50; ++sf) {
-        for (std::uint32_t id = 0; id < 20; ++id) {
-            const double h = SubframeJob::sample_hash(sf, id);
-            EXPECT_GE(h, 0.0);
-            EXPECT_LT(h, 1.0);
-            EXPECT_DOUBLE_EQ(h, SubframeJob::sample_hash(sf, id));
-        }
-    }
-    // The sampled fraction tracks the configured rate.
-    const double rate = 0.1;
-    std::size_t sampled = 0;
-    const std::size_t trials = 20000;
-    for (std::size_t i = 0; i < trials; ++i)
-        sampled += SubframeJob::sample_hash(i / 8, i % 8 + 1) < rate;
-    const double fraction =
-        static_cast<double>(sampled) / static_cast<double>(trials);
-    EXPECT_NEAR(fraction, rate, 0.02);
-}
-
-TEST(DecodeSampling, ReceiverConfigValidatesRate)
-{
-    phy::ReceiverConfig cfg;
-    cfg.decode_sample_rate = 0.05;
-    EXPECT_NO_THROW(cfg.validate());
-    cfg.decode_sample_rate = -0.1;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.decode_sample_rate = 1.5;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-}
-
 } // namespace
 } // namespace lte::runtime

@@ -151,25 +151,6 @@ TEST(Study, ScaleToPreservesRampShape)
     EXPECT_EQ(cfg.model.prob_update_interval, 20u);
 }
 
-TEST(Study, OverloadRaisesMissRateAndRestoresConfig)
-{
-    auto &study = shared_study();
-    const double nominal_delta = study.config().sim.delta_s;
-    const auto nominal = study.run_policy(mgmt::PowerPolicy::nonap());
-    // 3x overload: subframes arrive at a third of the nominal period,
-    // so users pile up and more of them finish past the deadline.
-    const auto overloaded =
-        study.run_policy_overloaded(mgmt::PowerPolicy::nonap(), 3.0);
-    EXPECT_GE(overloaded.deadline_miss_rate,
-              nominal.deadline_miss_rate);
-    EXPECT_GT(overloaded.deadline_miss_rate, 0.0);
-    // The overload run must not leak its compressed delta_s.
-    EXPECT_DOUBLE_EQ(study.config().sim.delta_s, nominal_delta);
-    EXPECT_THROW(
-        study.run_policy_overloaded(mgmt::PowerPolicy::nonap(), 0.5),
-        std::invalid_argument);
-}
-
 TEST(Study, RequiresPrepareBeforeRun)
 {
     UplinkStudy study(compressed_config());

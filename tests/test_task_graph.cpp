@@ -447,8 +447,10 @@ TEST(TaskGraph, EstimatorScalesDegradedSubframesDown)
     mgmt::WorkloadEstimator estimator(flat_table());
 
     const phy::SubframeParams sf = graph_subframe(0);
-    const double full = estimator.estimate_subframe(sf, 0, false);
-    const double degraded = estimator.estimate_subframe(sf, 0, true);
+    const double full =
+        estimator.estimate_subframe(sf, 0, phy::DegradeLevel::kNone);
+    const double degraded =
+        estimator.estimate_subframe(sf, 0, phy::DegradeLevel::kBypass);
     ASSERT_GT(full, 0.0);
     ASSERT_LT(full, 1.0) << "slopes too hot; degraded test would clamp";
     EXPECT_LT(degraded, full);
@@ -457,7 +459,8 @@ TEST(TaskGraph, EstimatorScalesDegradedSubframesDown)
     EXPECT_EQ(estimator.stats().subframe_estimates, 2u);
 
     // Backlog boosting applies on top of the degraded base.
-    const double boosted = estimator.estimate_subframe(sf, 2, true);
+    const double boosted =
+        estimator.estimate_subframe(sf, 2, phy::DegradeLevel::kBypass);
     EXPECT_GT(boosted, degraded);
 }
 
