@@ -345,6 +345,33 @@ measured_service_ms()
            4.0;
 }
 
+/**
+ * Mean completion spacing, in ms, of @p shape's engine run lossless
+ * with its admission ring kept full: the interval at which that engine
+ * admits queued subframes under sustained overload.  The pipeline
+ * fill (the first kFill completions) is left out.
+ */
+double
+measured_completion_spacing_ms(const EngineConfig &shape)
+{
+    constexpr std::size_t kFill = 4;
+    const std::size_t n = 24;
+    EngineConfig cfg = shape;
+    cfg.deadline_ms = 0.0; // lossless: backpressure instead of shedding
+    cfg.obs.enabled = true;
+    auto engine = make_engine(cfg);
+    workload::SteadyModel model(heavy_user());
+    engine->run(model, n);
+    const obs::SubframeSeries *series = engine->subframe_series();
+    EXPECT_EQ(series->size(), n);
+    std::vector<std::uint64_t> done;
+    for (std::size_t i = 0; i < series->size(); ++i)
+        done.push_back(series->at(i).t_complete_ns);
+    std::sort(done.begin(), done.end());
+    return static_cast<double>(done.back() - done[kFill]) / 1e6 /
+           static_cast<double>(done.size() - 1 - kFill);
+}
+
 TEST(StreamingOverload, DegradePolicyFallsBackToDegradedChain)
 {
     // Under kDegrade, subframes that burned over half their deadline
@@ -352,19 +379,23 @@ TEST(StreamingOverload, DegradePolicyFallsBackToDegradedChain)
     // being dropped outright.
     //
     // The deadline must straddle the queueing delay for the degrade
-    // window to ever be hit at an admission opportunity, so calibrate
-    // it from the measured service time s.  Admissions happen at the
-    // completion spacing, which lies in [s/2, s] with two workers, so
-    // front-of-queue ages sweep roughly [s/2, 4s] for a 4-deep ring.
-    // A deadline of 3s puts the degrade window (1.5s, 3s] inside that
-    // sweep for any parallel efficiency.
-    const double service_ms = measured_service_ms();
+    // window (D/2, D] to be hit at an admission opportunity.  Both
+    // come from the completion spacing c of this same 2-worker,
+    // 2-in-flight engine run lossless, so they see the parallel
+    // efficiency the overloaded run gets.  Arrivals every c/4 keep the
+    // 4-deep ring full for the whole run; a subframe enters it at one
+    // admission and leaves four admissions later, aged about 4c.  With
+    // D = 4c, a run up to 2x faster than the calibration still ages
+    // subframes past D/2, and in a run up to 2x slower the ring's
+    // oldest subframes expire until one within c of D is admitted.
     const std::size_t n = 60;
     EngineConfig cfg = overload_config(ShedPolicy::kDegrade);
     cfg.pool.n_workers = 2;
     cfg.max_in_flight = 2; // pinned: the env matrix shifts the ages
     cfg.admission_queue = 4;
-    cfg.deadline_ms = 3.0 * service_ms;
+    const double spacing_ms = measured_completion_spacing_ms(cfg);
+    cfg.delta_ms = spacing_ms / 4.0;
+    cfg.deadline_ms = 4.0 * spacing_ms;
     cfg.obs.metrics_enabled = true;
     auto engine = make_engine(cfg);
     workload::SteadyModel model(heavy_user());
@@ -373,7 +404,7 @@ TEST(StreamingOverload, DegradePolicyFallsBackToDegradedChain)
     const auto &stats = as_streaming(*engine).shed_stats();
     EXPECT_GT(stats.degraded, 0u)
         << "sustained overload should push jobs past half deadline "
-        << "(service " << service_ms << " ms, deadline "
+        << "(completion spacing " << spacing_ms << " ms, deadline "
         << cfg.deadline_ms << " ms)";
     EXPECT_GT(stats.completed, 0u);
     EXPECT_EQ(stats.shed + stats.completed, stats.submitted);
