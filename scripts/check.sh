@@ -142,7 +142,7 @@ for inflight in 1 4; do
 done
 
 # Multi-cell soak under TSan: two cells racing one shared pool through
-# the WRR admission path and the per-cell reap lanes.
+# the round-robin admission path and the per-cell reap lanes.
 echo "==> tsan multi-cell soak (LTE_CELLS=2)"
 LTE_CELLS=2 ./build-tsan/tests/test_multicell
 
