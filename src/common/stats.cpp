@@ -38,44 +38,6 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
-RmsWindow::RmsWindow(double window_seconds)
-    : window_seconds_(window_seconds)
-{
-    LTE_CHECK(window_seconds > 0.0, "window must be positive");
-}
-
-void
-RmsWindow::add(double value, double duration)
-{
-    LTE_CHECK(duration >= 0.0, "duration must be non-negative");
-    while (duration > 0.0) {
-        const double room = window_seconds_ - filled_;
-        const double take = std::min(room, duration);
-        sumsq_ += value * value * take;
-        filled_ += take;
-        duration -= take;
-        // Tolerate float accumulation when samples tile the window.
-        if (filled_ >= window_seconds_ * (1.0 - 1e-9))
-            emit_window();
-    }
-}
-
-void
-RmsWindow::flush()
-{
-    // Ignore float residue left behind by exactly tiling samples.
-    if (filled_ > window_seconds_ * 1e-6)
-        emit_window();
-}
-
-void
-RmsWindow::emit_window()
-{
-    windows_.push_back(std::sqrt(sumsq_ / filled_));
-    sumsq_ = 0.0;
-    filled_ = 0.0;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0)
 {

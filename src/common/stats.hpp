@@ -1,7 +1,7 @@
 /**
  * @file
- * Streaming statistics helpers used by the power model, the workload
- * estimator evaluation, and the benchmark harnesses.
+ * Streaming statistics helpers used by the series reports and the
+ * benchmark harnesses.
  */
 #ifndef LTE_COMMON_STATS_HPP
 #define LTE_COMMON_STATS_HPP
@@ -39,41 +39,6 @@ class RunningStats
     double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * Root-mean-square accumulation over fixed-duration windows, modelling
- * the paper's NI USB-6210 post-processing: the DAQ samples current
- * every 8 us and the authors report the RMS over every 100 ms.
- *
- * add() folds a (value, duration) pair into the current window; each
- * time accumulated duration crosses the window length, the RMS of the
- * finished window is appended to windows().
- */
-class RmsWindow
-{
-  public:
-    /** @param window_seconds duration of one RMS window. */
-    explicit RmsWindow(double window_seconds);
-
-    /** Accumulate a constant value held for @p duration seconds. */
-    void add(double value, double duration);
-
-    /** Finish a partially filled window, if any, and flush it. */
-    void flush();
-
-    /** Completed per-window RMS values, in time order. */
-    const std::vector<double> &windows() const { return windows_; }
-
-    double window_seconds() const { return window_seconds_; }
-
-  private:
-    void emit_window();
-
-    double window_seconds_;
-    double sumsq_ = 0.0;   ///< integral of value^2 over the open window
-    double filled_ = 0.0;  ///< seconds accumulated in the open window
-    std::vector<double> windows_;
 };
 
 /**

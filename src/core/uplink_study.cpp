@@ -87,30 +87,6 @@ UplinkStudy::adopt_calibration(const Calibration &calibration)
     estimator_ = mgmt::WorkloadEstimator(calibration.table);
 }
 
-std::vector<std::uint32_t>
-UplinkStudy::gating_plan(const sim::SimResult &result,
-                         mgmt::GatingStats *stats) const
-{
-    mgmt::GatingPlanner planner(config_.power.domain_size,
-                                config_.power.total_cores);
-    std::vector<std::uint32_t> powered;
-    powered.reserve(result.intervals.size());
-    for (std::uint32_t demand : result.active_cores) {
-        for (std::uint32_t p : planner.push(demand))
-            powered.push_back(p);
-    }
-    for (std::uint32_t p : planner.finish())
-        powered.push_back(p);
-    // Pad trailing drain intervals with the final decision.
-    const std::uint32_t last =
-        powered.empty() ? config_.power.total_cores : powered.back();
-    while (powered.size() < result.intervals.size())
-        powered.push_back(last);
-    if (stats != nullptr)
-        *stats = planner.stats();
-    return powered;
-}
-
 void
 UplinkStudy::record_run_metrics(const StrategyOutcome &outcome)
 {
@@ -167,7 +143,15 @@ UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
 
     const power::PowerModel pm(config_.power);
     if (policy.analytical_gating) {
-        outcome.powered = gating_plan(outcome.sim, &outcome.gating_stats);
+        outcome.powered = mgmt::gating_plan(
+            outcome.sim.active_cores, config_.power.domain_size,
+            config_.power.total_cores, &outcome.gating_stats);
+        // Pad trailing drain intervals with the final decision.
+        const std::uint32_t last = outcome.powered.empty()
+                                       ? config_.power.total_cores
+                                       : outcome.powered.back();
+        while (outcome.powered.size() < outcome.sim.intervals.size())
+            outcome.powered.push_back(last);
         outcome.series =
             pm.power_series_gated(outcome.sim, outcome.powered);
     } else {

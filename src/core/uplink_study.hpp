@@ -167,15 +167,6 @@ class UplinkStudy
                          std::size_t n_cells);
 
     /**
-     * Eq. 6-7: powered-core plan for a simulated run, padded with its
-     * last value to cover trailing drain intervals.  When @p stats is
-     * non-null the planner's decision tallies are copied out.
-     */
-    std::vector<std::uint32_t>
-    gating_plan(const sim::SimResult &result,
-                mgmt::GatingStats *stats = nullptr) const;
-
-    /**
      * Study-level metrics: per-policy counters and gauges
      * accumulated across every run_policy*() call (subframes, tasks,
      * estimator clamps, gating switches, average power).

@@ -78,99 +78,37 @@ partition_domains(const std::vector<std::uint32_t> &demands,
     return granted;
 }
 
-GatingPlanner::GatingPlanner(std::uint32_t domain_size,
-                             std::uint32_t total_cores,
-                             std::uint32_t lookahead,
-                             std::uint32_t history)
-    : domain_size_(domain_size), total_cores_(total_cores),
-      lookahead_(lookahead), history_(history)
-{
-    LTE_CHECK(domain_size >= 1 && total_cores >= domain_size,
-              "invalid domain geometry");
-}
-
-void
-GatingPlanner::note_decision(std::uint32_t powered)
-{
-    ++stats_.decisions;
-    stats_.peak_powered = std::max(stats_.peak_powered, powered);
-    if (stats_.decisions > 1 && powered != last_powered_) {
-        ++stats_.switch_events;
-        const std::uint32_t delta = powered > last_powered_
-                                        ? powered - last_powered_
-                                        : last_powered_ - powered;
-        stats_.domains_switched += delta / domain_size_;
-    }
-    last_powered_ = powered;
-}
-
 std::vector<std::uint32_t>
-GatingPlanner::drain_ready()
+gating_plan(const std::vector<std::uint32_t> &demands,
+            std::uint32_t domain_size, std::uint32_t total_cores,
+            GatingStats *stats)
 {
-    std::vector<std::uint32_t> decisions;
-    while (emitted_ + lookahead_ < fed_) {
-        // Window for subframe `emitted_`: indices
-        // [emitted_ - history_, emitted_ + lookahead_], clamped at 0.
-        const std::uint64_t lo =
-            emitted_ >= history_ ? emitted_ - history_ : 0;
-        // window_ front currently corresponds to index `lo` after the
-        // pruning done below on earlier iterations.
-        std::uint32_t powered = 0;
-        const std::uint64_t hi = emitted_ + lookahead_;
-        for (std::uint64_t i = lo; i <= hi; ++i) {
-            const std::uint64_t offset = i - front_index_;
-            powered = std::max(powered,
-                               window_[static_cast<std::size_t>(offset)]);
-        }
-        decisions.push_back(powered);
-        note_decision(powered);
-        ++emitted_;
-        // Prune entries older than any future window needs.
-        const std::uint64_t needed_from =
-            emitted_ >= history_ ? emitted_ - history_ : 0;
-        while (front_index_ < needed_from) {
-            window_.pop_front();
-            ++front_index_;
+    std::vector<std::uint32_t> domains;
+    domains.reserve(demands.size());
+    for (std::uint32_t demand : demands)
+        domains.push_back(
+            discretise_to_domains(demand, domain_size, total_cores));
+
+    std::vector<std::uint32_t> powered(domains.size());
+    GatingStats tally;
+    for (std::size_t i = 0; i < domains.size(); ++i) {
+        const std::size_t lo = i >= kGatingWindow ? i - kGatingWindow : 0;
+        const std::size_t hi = std::min(i + kGatingWindow + 1, domains.size());
+        powered[i] = *std::max_element(domains.begin() + lo,
+                                       domains.begin() + hi);
+        ++tally.decisions;
+        tally.peak_powered = std::max(tally.peak_powered, powered[i]);
+        if (i > 0 && powered[i] != powered[i - 1]) {
+            ++tally.switch_events;
+            const std::uint32_t delta = powered[i] > powered[i - 1]
+                                            ? powered[i] - powered[i - 1]
+                                            : powered[i - 1] - powered[i];
+            tally.domains_switched += delta / domain_size;
         }
     }
-    return decisions;
-}
-
-std::vector<std::uint32_t>
-GatingPlanner::push(std::uint32_t active_cores)
-{
-    window_.push_back(
-        discretise_to_domains(active_cores, domain_size_, total_cores_));
-    ++fed_;
-    return drain_ready();
-}
-
-std::vector<std::uint32_t>
-GatingPlanner::finish()
-{
-    std::vector<std::uint32_t> decisions;
-    while (emitted_ < fed_) {
-        const std::uint64_t lo =
-            emitted_ >= history_ ? emitted_ - history_ : 0;
-        const std::uint64_t hi =
-            std::min(emitted_ + lookahead_, fed_ - 1);
-        std::uint32_t powered = 0;
-        for (std::uint64_t i = lo; i <= hi; ++i) {
-            const std::uint64_t offset = i - front_index_;
-            powered = std::max(powered,
-                               window_[static_cast<std::size_t>(offset)]);
-        }
-        decisions.push_back(powered);
-        note_decision(powered);
-        ++emitted_;
-        const std::uint64_t needed_from =
-            emitted_ >= history_ ? emitted_ - history_ : 0;
-        while (front_index_ < needed_from && !window_.empty()) {
-            window_.pop_front();
-            ++front_index_;
-        }
-    }
-    return decisions;
+    if (stats != nullptr)
+        *stats = tally;
+    return powered;
 }
 
 } // namespace lte::mgmt

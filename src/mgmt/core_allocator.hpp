@@ -1,18 +1,15 @@
 /**
  * @file
- * Streaming planners that turn per-subframe activity estimates into
- * core counts: the clock-gating plan (Eq. 5 output, used by NAP) and
- * the power-gating plan (Eqs. 6-7: 8-core domain discretisation plus
- * a five-subframe provisioning window).
+ * Power-domain allocation: the 8-core domain discretisation (Eq. 6),
+ * its multi-cell partition, and the power-gating plan of a finished
+ * run (Eq. 7: a five-subframe provisioning window).
  */
 #ifndef LTE_MGMT_CORE_ALLOCATOR_HPP
 #define LTE_MGMT_CORE_ALLOCATOR_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
-
-#include "mgmt/estimator.hpp"
 
 namespace lte::mgmt {
 
@@ -57,56 +54,28 @@ struct GatingStats
 };
 
 /**
- * The power-gating provisioning window (Eq. 7): the number of
- * powered-on cores during subframe i is the maximum of the
- * domain-discretised demand over subframes i-2 .. i+2 — input
- * parameters are known two subframes ahead, and up to three subframes
- * are concurrently in flight.
+ * Half-width of the Eq. 7 provisioning window: input parameters are
+ * known two subframes ahead, and up to three subframes are
+ * concurrently in flight, so subframe i stays powered for the demand
+ * of subframes i-2 .. i+2.
  */
-class GatingPlanner
-{
-  public:
-    /**
-     * @param domain_size  cores per power domain (paper: 8)
-     * @param total_cores  chip size (paper: 64)
-     * @param lookahead    future subframes known (paper: 2)
-     * @param history      past subframes still in flight (paper: 2)
-     */
-    GatingPlanner(std::uint32_t domain_size, std::uint32_t total_cores,
-                  std::uint32_t lookahead = 2, std::uint32_t history = 2);
+inline constexpr std::size_t kGatingWindow = 2;
 
-    /**
-     * Feed the active-core demand of the next subframe; returns the
-     * powered-core count for the subframe whose decision is now
-     * complete, or no value while the pipeline is still filling.
-     *
-     * The caller feeds demands in subframe order; decisions emerge
-     * `lookahead` subframes behind the input.
-     */
-    std::vector<std::uint32_t> push(std::uint32_t active_cores);
-
-    /** Flush decisions for the trailing subframes at end of run. */
-    std::vector<std::uint32_t> finish();
-
-    /** Decision tallies since construction. */
-    const GatingStats &stats() const { return stats_; }
-
-  private:
-    std::uint32_t domain_size_;
-    std::uint32_t total_cores_;
-    std::uint32_t lookahead_;
-    std::uint32_t history_;
-    std::deque<std::uint32_t> window_; ///< discretised demands
-    std::uint64_t front_index_ = 0;    ///< subframe index of window_[0]
-    std::uint64_t fed_ = 0;
-    std::uint64_t emitted_ = 0;
-    GatingStats stats_;
-    std::uint32_t last_powered_ = 0;
-
-    /** Record one emitted decision in the tallies. */
-    void note_decision(std::uint32_t powered);
-    std::vector<std::uint32_t> drain_ready();
-};
+/**
+ * The power-gating plan (Eqs. 6-7) of a finished run: entry i is the
+ * maximum of the domain-discretised demands over subframes
+ * i - kGatingWindow .. i + kGatingWindow, clipped to the run.
+ *
+ * @param demands      per-subframe active-core demand (Eq. 5 output)
+ * @param domain_size  cores per power domain (paper: 8)
+ * @param total_cores  chip size (paper: 64)
+ * @param stats        when non-null, receives the plan's tallies
+ * @return one powered-core count per entry of @p demands
+ */
+std::vector<std::uint32_t>
+gating_plan(const std::vector<std::uint32_t> &demands,
+            std::uint32_t domain_size, std::uint32_t total_cores,
+            GatingStats *stats = nullptr);
 
 } // namespace lte::mgmt
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 
 namespace lte::power {
 
@@ -178,11 +177,31 @@ std::vector<double>
 PowerModel::rms_windows(const std::vector<PowerSample> &series,
                         double window_s)
 {
-    RmsWindow window(window_s);
-    for (const auto &sample : series)
-        window.add(sample.watts, sample.dur);
-    window.flush();
-    return window.windows();
+    LTE_CHECK(window_s > 0.0, "window must be positive");
+    std::vector<double> windows;
+    double sumsq = 0.0;  // integral of watts^2 over the open window
+    double filled = 0.0; // seconds accumulated in the open window
+    const auto emit_window = [&] {
+        windows.push_back(std::sqrt(sumsq / filled));
+        sumsq = 0.0;
+        filled = 0.0;
+    };
+    for (const auto &sample : series) {
+        LTE_CHECK(sample.dur >= 0.0, "duration must be non-negative");
+        for (double left = sample.dur; left > 0.0;) {
+            const double take = std::min(window_s - filled, left);
+            sumsq += sample.watts * sample.watts * take;
+            filled += take;
+            left -= take;
+            // Tolerate float accumulation when samples tile the window.
+            if (filled >= window_s * (1.0 - 1e-9))
+                emit_window();
+        }
+    }
+    // Ignore float residue left behind by exactly tiling samples.
+    if (filled > window_s * 1e-6)
+        emit_window();
+    return windows;
 }
 
 } // namespace lte::power

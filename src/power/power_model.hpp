@@ -103,7 +103,7 @@ class PowerModel
      * Power series with Eqs. 8-9 applied: per interval i, subtract
      * (total - powered_i) x core_static - |powered_i - powered_{i-1}|
      * x gate_switch.  @p powered must hold one entry per interval
-     * (the GatingPlanner output).
+     * (the mgmt::gating_plan output, padded over drain intervals).
      */
     std::vector<PowerSample>
     power_series_gated(const sim::SimResult &result,
@@ -115,8 +115,11 @@ class PowerModel
     static double average_power(const std::vector<PowerSample> &series);
 
     /**
-     * RMS over fixed windows, modelling the DAQ post-processing
-     * (paper: 100 ms).
+     * RMS over fixed windows of @p window_s seconds, modelling the
+     * paper's NI USB-6210 post-processing: the DAQ samples current
+     * every 8 us and the authors report the RMS over every 100 ms.
+     * Each sample is held for its duration and split across window
+     * boundaries; a trailing partial window is reported too.
      */
     static std::vector<double>
     rms_windows(const std::vector<PowerSample> &series,

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the common substrate: RNG determinism and
- * distribution sanity, running statistics, RMS windows, histograms,
+ * distribution sanity, running statistics, histograms,
  * math helpers, and error macros.
  */
 #include <gtest/gtest.h>
@@ -149,39 +149,6 @@ TEST(RunningStats, ClearResets)
     EXPECT_EQ(s.count(), 0u);
     s.add(3.0);
     EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(RmsWindow, ConstantSignal)
-{
-    RmsWindow w(0.1);
-    w.add(5.0, 1.0);
-    ASSERT_EQ(w.windows().size(), 10u);
-    for (double v : w.windows())
-        EXPECT_NEAR(v, 5.0, 1e-12);
-}
-
-TEST(RmsWindow, SplitsAcrossWindows)
-{
-    RmsWindow w(1.0);
-    w.add(3.0, 0.5);
-    w.add(4.0, 1.0);
-    // First window: half 3.0, half 4.0 -> rms = sqrt((9+16)/2).
-    ASSERT_EQ(w.windows().size(), 1u);
-    EXPECT_NEAR(w.windows()[0], std::sqrt((9.0 + 16.0) / 2.0), 1e-12);
-    w.flush();
-    ASSERT_EQ(w.windows().size(), 2u);
-    EXPECT_NEAR(w.windows()[1], 4.0, 1e-12);
-}
-
-TEST(RmsWindow, RejectsNegativeDuration)
-{
-    RmsWindow w(1.0);
-    EXPECT_THROW(w.add(1.0, -0.1), std::invalid_argument);
-}
-
-TEST(RmsWindow, RejectsZeroWindow)
-{
-    EXPECT_THROW(RmsWindow w(0.0), std::invalid_argument);
 }
 
 TEST(Histogram, CountsAndClamping)

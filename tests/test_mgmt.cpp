@@ -236,18 +236,15 @@ TEST(Discretise, Equation6)
 
 TEST(GatingPlanner, StatsCountSwitches)
 {
-    GatingPlanner planner(8, 64, 0, 0); // no window: demand through
-    std::vector<std::uint32_t> decisions;
-    for (std::uint32_t demand : {4u, 4u, 12u, 12u, 4u}) {
-        for (std::uint32_t p : planner.push(demand))
-            decisions.push_back(p);
-    }
-    for (std::uint32_t p : planner.finish())
-        decisions.push_back(p);
-    // Discretised: 8, 8, 16, 16, 8 — two switch events of one domain.
-    ASSERT_EQ(decisions.size(), 5u);
-    const GatingStats &stats = planner.stats();
-    EXPECT_EQ(stats.decisions, 5u);
+    // Discretised: 8 everywhere but 16 at index 6; the Eq. 7 window
+    // powers 16 over indices 4..8 — two switch events of one domain.
+    GatingStats stats;
+    const std::vector<std::uint32_t> decisions = gating_plan(
+        {4, 4, 4, 4, 4, 4, 12, 4, 4, 4, 4, 4}, 8, 64, &stats);
+    const std::vector<std::uint32_t> expected = {8,  8,  8,  8,  16, 16,
+                                                 16, 16, 16, 8,  8,  8};
+    EXPECT_EQ(decisions, expected);
+    EXPECT_EQ(stats.decisions, 12u);
     EXPECT_EQ(stats.switch_events, 2u);
     EXPECT_EQ(stats.domains_switched, 2u);
     EXPECT_EQ(stats.peak_powered, 16u);
@@ -255,16 +252,9 @@ TEST(GatingPlanner, StatsCountSwitches)
 
 TEST(GatingPlanner, WindowMaximumEquation7)
 {
-    GatingPlanner planner(8, 64);
-    std::vector<std::uint32_t> decisions;
     // Demands (already in cores, pre-discretisation): a single spike.
-    const std::uint32_t demands[] = {4, 4, 4, 20, 4, 4, 4, 4};
-    for (std::uint32_t d : demands) {
-        for (std::uint32_t p : planner.push(d))
-            decisions.push_back(p);
-    }
-    for (std::uint32_t p : planner.finish())
-        decisions.push_back(p);
+    const std::vector<std::uint32_t> decisions =
+        gating_plan({4, 4, 4, 20, 4, 4, 4, 4}, 8, 64);
 
     ASSERT_EQ(decisions.size(), 8u);
     // The spike (24 cores discretised) must cover i-2..i+2 around it.
@@ -276,14 +266,8 @@ TEST(GatingPlanner, WindowMaximumEquation7)
 
 TEST(GatingPlanner, ConstantDemandIsConstant)
 {
-    GatingPlanner planner(8, 64);
-    std::vector<std::uint32_t> decisions;
-    for (int i = 0; i < 20; ++i) {
-        for (std::uint32_t p : planner.push(30))
-            decisions.push_back(p);
-    }
-    for (std::uint32_t p : planner.finish())
-        decisions.push_back(p);
+    const std::vector<std::uint32_t> decisions =
+        gating_plan(std::vector<std::uint32_t>(20, 30), 8, 64);
     ASSERT_EQ(decisions.size(), 20u);
     for (std::uint32_t p : decisions)
         EXPECT_EQ(p, 32u);
@@ -291,12 +275,12 @@ TEST(GatingPlanner, ConstantDemandIsConstant)
 
 TEST(GatingPlanner, EmitsExactlyOneDecisionPerSubframe)
 {
-    GatingPlanner planner(8, 64);
-    std::size_t total = 0;
+    std::vector<std::uint32_t> demands;
     for (int i = 0; i < 100; ++i)
-        total += planner.push(static_cast<std::uint32_t>(i % 40)).size();
-    total += planner.finish().size();
-    EXPECT_EQ(total, 100u);
+        demands.push_back(static_cast<std::uint32_t>(i % 40));
+    GatingStats stats;
+    EXPECT_EQ(gating_plan(demands, 8, 64, &stats).size(), 100u);
+    EXPECT_EQ(stats.decisions, 100u);
 }
 
 } // namespace

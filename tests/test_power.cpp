@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "power/power_model.hpp"
 
@@ -167,6 +168,36 @@ TEST(PowerModel, RmsWindowsMatchConstantPower)
     ASSERT_EQ(rms.size(), 5u);
     for (double v : rms)
         EXPECT_NEAR(v, 20.0, 1e-9);
+}
+
+TEST(RmsWindow, ConstantSignal)
+{
+    const auto rms = PowerModel::rms_windows({{0.0, 1.0, 5.0}}, 0.1);
+    ASSERT_EQ(rms.size(), 10u);
+    for (double v : rms)
+        EXPECT_NEAR(v, 5.0, 1e-12);
+}
+
+TEST(RmsWindow, SplitsAcrossWindows)
+{
+    // First window: half 3.0, half 4.0 -> rms = sqrt((9+16)/2); the
+    // trailing half window of 4.0 is reported as its own window.
+    const auto rms =
+        PowerModel::rms_windows({{0.0, 0.5, 3.0}, {0.5, 1.0, 4.0}}, 1.0);
+    ASSERT_EQ(rms.size(), 2u);
+    EXPECT_NEAR(rms[0], std::sqrt((9.0 + 16.0) / 2.0), 1e-12);
+    EXPECT_NEAR(rms[1], 4.0, 1e-12);
+}
+
+TEST(RmsWindow, RejectsNegativeDuration)
+{
+    EXPECT_THROW(PowerModel::rms_windows({{0.0, -0.1, 1.0}}, 1.0),
+                 std::invalid_argument);
+}
+
+TEST(RmsWindow, RejectsZeroWindow)
+{
+    EXPECT_THROW(PowerModel::rms_windows({}, 0.0), std::invalid_argument);
 }
 
 TEST(PowerModel, RejectsBadConfig)
