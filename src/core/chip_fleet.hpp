@@ -66,7 +66,11 @@ struct FleetConfig
      *  is this multiple of the PRBs its compute slice is dimensioned
      *  for.  1.0 = peak-dimensioned (no chip can ever saturate);
      *  above 1.0 the diurnal peak can outrun a slice, deadline misses
-     *  appear, and the per-chip policy optimiser has real work. */
+     *  appear, and the per-chip policy optimiser has real work.  The
+     *  budget is clamped to kMaxPrbPerSubframe (200), so values above
+     *  roughly the cells per chip (chip workers / slice workers; about
+     *  4.1 for 4 cells on 62 workers) give the same fleet, although
+     *  validate() accepts up to 8. */
     double oversubscribe = 1.0;
     /** Per-cell MAC template.  n_ues and cell_id are overridden per
      *  cell; arrival_rate <= 0 selects an automatic rate that offers

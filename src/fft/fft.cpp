@@ -758,7 +758,7 @@ FftCache::lookup_shared(std::size_t n)
 {
     {
         // Raw plan pointers are stable: the cache never evicts, so the
-        // shared_ptr in the map keeps every plan alive for the process
+        // unique_ptr in the map keeps every plan alive for the process
         // lifetime and per-thread tables may cache the raw pointer.
         std::shared_lock lock(mutex_);
         auto it = plans_.find(n);
@@ -768,24 +768,8 @@ FftCache::lookup_shared(std::size_t n)
     std::unique_lock lock(mutex_);
     auto it = plans_.find(n);
     if (it == plans_.end())
-        it = plans_.emplace(n, std::make_shared<const Fft>(n)).first;
+        it = plans_.emplace(n, std::make_unique<const Fft>(n)).first;
     return it->second.get();
-}
-
-std::shared_ptr<const Fft>
-FftCache::get(std::size_t n)
-{
-    {
-        std::shared_lock lock(mutex_);
-        auto it = plans_.find(n);
-        if (it != plans_.end())
-            return it->second;
-    }
-    std::unique_lock lock(mutex_);
-    auto it = plans_.find(n);
-    if (it == plans_.end())
-        it = plans_.emplace(n, std::make_shared<const Fft>(n)).first;
-    return it->second;
 }
 
 } // namespace lte::fft

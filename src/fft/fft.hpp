@@ -147,9 +147,6 @@ class FftCache
      */
     const Fft &plan(std::size_t n);
 
-    /** @return a shared plan for size @p n, creating it if needed. */
-    std::shared_ptr<const Fft> get(std::size_t n);
-
   private:
     FftCache() = default;
 
@@ -157,7 +154,7 @@ class FftCache
     const Fft *lookup_shared(std::size_t n);
 
     mutable std::shared_mutex mutex_;
-    std::unordered_map<std::size_t, std::shared_ptr<const Fft>> plans_;
+    std::unordered_map<std::size_t, std::unique_ptr<const Fft>> plans_;
 };
 
 } // namespace lte::fft

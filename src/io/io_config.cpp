@@ -11,7 +11,6 @@ IoConfig::validate() const
         return;
     LTE_CHECK(n_frames >= 2, "io.n_frames must be at least 2");
     LTE_CHECK(n_frames <= 4096, "io.n_frames unreasonably large");
-    LTE_CHECK(jitter_ms >= 0.0, "io.jitter_ms must be non-negative");
     LTE_CHECK(source != SourceKind::kReplay || !replay_path.empty(),
               "io.replay_path required for the replay source");
 }

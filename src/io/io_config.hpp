@@ -27,10 +27,6 @@ enum class SourceKind : std::uint8_t
     kReplay = 1,
 };
 
-/** Seed of the arrival-jitter stream (independent of the signal
- *  seed); lane c draws from cell_stream_seed(kJitterSeed, cell id). */
-inline constexpr std::uint64_t kJitterSeed = 1;
-
 struct IoConfig
 {
     /** Off by default: the dispatch thread pulls input inline. */
@@ -45,14 +41,6 @@ struct IoConfig
      * or the producer blocks (lossless mode, deadline_ms == 0).
      */
     std::size_t n_frames = 16;
-
-    /**
-     * Uniform arrival jitter amplitude in milliseconds: each frame's
-     * scheduled production tick is offset by U[0, jitter_ms).  Zero
-     * (the default) keeps arrivals exactly on the TTI grid, which is
-     * required for bit-identical digest parity with the inline path.
-     */
-    double jitter_ms = 0.0;
 
     /** Capture file to replay (source == kReplay). */
     std::string replay_path;

@@ -1,11 +1,9 @@
 #include "io/sample_plane.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "io/capture.hpp"
 
 namespace lte::io {
@@ -112,59 +110,41 @@ void
 MultiSampleFeed::run(std::uint64_t n_subframes)
 {
     const std::size_t n_lanes = lanes_.size();
-    std::vector<Rng> jitter_rngs;
-    jitter_rngs.reserve(n_lanes);
-    for (const FeedLane &lane : lanes_)
-        jitter_rngs.emplace_back(lane.jitter_rng_seed);
     std::vector<bool> exhausted(n_lanes, false);
-    /** This tick's (delivery time, lane) visit plan. */
-    std::vector<std::pair<std::uint64_t, std::size_t>> order(n_lanes);
+    std::size_t n_alive = n_lanes;
 
     const double delta_ns = config_.delta_ms * 1e6;
-    const double jitter_amp_ns = config_.jitter_ms * 1e6;
     const std::uint64_t t0 = config_.now_ns();
 
-    for (std::uint64_t k = 0; k < n_subframes; ++k) {
+    for (std::uint64_t k = 0; k < n_subframes && n_alive > 0; ++k) {
         if (stop_.load(std::memory_order_acquire))
             return;
 
-        // Draw every lane's delivery time for this tick, then visit
-        // lanes in delivery order so one pacing loop serves them all.
-        // Each lane consumes exactly one jitter draw per tick.
-        for (std::size_t i = 0; i < n_lanes; ++i) {
-            double offset = delta_ns * static_cast<double>(k);
-            if (delta_ns > 0.0 && jitter_amp_ns > 0.0)
-                offset +=
-                    jitter_rngs[i].next_double() * jitter_amp_ns;
-            order[i] = {t0 + static_cast<std::uint64_t>(offset), i};
-        }
-        if (delta_ns > 0.0)
-            std::sort(order.begin(), order.end());
-
-        bool any_alive = false;
-        for (const auto &[scheduled, i] : order) {
-            if (exhausted[i])
-                continue;
-            any_alive = true;
-            if (delta_ns > 0.0) {
-                // Sleep toward the lane's tick, then yield-spin the
-                // last stretch — once, on the one producer thread,
-                // instead of n_cells threads spinning concurrently.
-                while (!stop_.load(std::memory_order_acquire)) {
-                    const std::uint64_t now = config_.now_ns();
-                    if (now >= scheduled)
-                        break;
-                    const std::uint64_t wait = scheduled - now;
-                    if (wait > 200'000)
-                        std::this_thread::sleep_for(
-                            std::chrono::nanoseconds(wait - 100'000));
-                    else
-                        std::this_thread::yield();
-                }
+        const std::uint64_t scheduled =
+            t0 + static_cast<std::uint64_t>(delta_ns *
+                                            static_cast<double>(k));
+        if (delta_ns > 0.0) {
+            // Sleep toward the tick, then yield-spin the last stretch
+            // — once, on the one producer thread, instead of n_cells
+            // threads spinning concurrently.
+            while (!stop_.load(std::memory_order_acquire)) {
+                const std::uint64_t now = config_.now_ns();
+                if (now >= scheduled)
+                    break;
+                const std::uint64_t wait = scheduled - now;
+                if (wait > 200'000)
+                    std::this_thread::sleep_for(
+                        std::chrono::nanoseconds(wait - 100'000));
+                else
+                    std::this_thread::yield();
             }
             if (stop_.load(std::memory_order_acquire))
                 return;
+        }
 
+        for (std::size_t i = 0; i < n_lanes; ++i) {
+            if (exhausted[i])
+                continue;
             FeedLane &lane = lanes_[i];
             IqFrame *frame = lane.transport->try_acquire_free();
             if (frame == nullptr) {
@@ -191,6 +171,7 @@ MultiSampleFeed::run(std::uint64_t n_subframes)
                 // Stream exhausted (finite replay): park the frame and
                 // retire the lane; the grid keeps serving the others.
                 exhausted[i] = true;
+                --n_alive;
                 continue;
             }
 
@@ -207,8 +188,6 @@ MultiSampleFeed::run(std::uint64_t n_subframes)
             lane.transport->publish_ready(frame);
             stats_[i].produced.fetch_add(1, std::memory_order_relaxed);
         }
-        if (!any_alive)
-            break;
     }
 
     finished_.store(true, std::memory_order_release);

@@ -151,8 +151,6 @@ struct FeedConfig
 {
     /** Scheduled inter-frame gap in ms (the TTI); 0 = free-running. */
     double delta_ms = 0.0;
-    /** Uniform jitter amplitude added to each tick, U[0, jitter_ms). */
-    double jitter_ms = 0.0;
     /**
      * Lossless mode: block on pool exhaustion instead of dropping.
      * Pairs with the engine's deadline_ms == 0 backpressure mode so
@@ -168,15 +166,13 @@ struct FeedConfig
 };
 
 /** One lane of a MultiSampleFeed: a cell's transport + source pair,
- *  plus the per-lane delivery knobs that FeedConfig cannot share. */
+ *  plus an optional recorder tap. */
 struct FeedLane
 {
     SampleTransport *transport = nullptr;
     SampleSource *source = nullptr;
     /** Optional per-lane recorder tap (runs on the producer thread). */
     CaptureWriter *recorder = nullptr;
-    /** Per-lane jitter stream so staggered cells stay decorrelated. */
-    std::uint64_t jitter_rng_seed = 1;
 };
 
 /**
@@ -185,13 +181,13 @@ struct FeedLane
  * also called by the destructor; transports and sources must outlive
  * the feed).
  *
- * One thread walks the grid for every lane: each tick it draws every
- * lane's jittered delivery time, visits the lanes in that order
- * (sleeping toward each), and produces into the lane's own transport,
- * so each ring keeps its single producer and the host spends one
- * pacing loop regardless of cell count.  (A free-running thread per
- * cell would yield-spin n_cells threads toward the same tick and
- * oversubscribe a core.)  A one-lane feed is the single-cell case.
+ * One thread walks the grid for every lane: each tick it sleeps once
+ * toward the tick, visits the lanes in index order, and produces into
+ * each lane's own transport, so each ring keeps its single producer
+ * and the host spends one pacing loop regardless of cell count.  (A
+ * free-running thread per cell would yield-spin n_cells threads
+ * toward the same tick and oversubscribe a core.)  A one-lane feed is
+ * the single-cell case.
  *
  * In lossless mode a stalled lane blocks the whole producer, which is
  * exactly the backpressure semantics of the shared grid: no lane's

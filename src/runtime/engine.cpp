@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 #include "io/capture.hpp"
 #include "io/sample_plane.hpp"
 #include "phy/kernel_scratch.hpp"
@@ -94,19 +93,6 @@ class JobPool
     std::vector<std::unique_ptr<SubframeJob>> jobs_;
     std::vector<SubframeJob *> free_;
 };
-
-/** Analytical flops of a subframe (the op-model activity measure);
- *  @p decode prices the real-turbo decode stage at its true cost. */
-std::uint64_t
-subframe_ops(const phy::SubframeParams &params, std::size_t n_antennas,
-             const phy::DecodeModel &decode)
-{
-    std::uint64_t ops = 0;
-    for (const auto &user : params.users)
-        ops += phy::user_task_costs(user, n_antennas, false, decode)
-                   .total();
-    return ops;
-}
 
 } // namespace
 
@@ -646,9 +632,10 @@ Engine::complete(Lane &lane, SubframeJob *job,
 {
     const std::uint64_t t_complete = obs_.now_ns();
     ++lane.shed.completed;
-    const std::uint64_t ops = subframe_ops(
-        job->params, lane.receiver.n_antennas,
-        phy::decode_model(lane.receiver, job->degrade_level));
+    // The costs the pool accounts per task, degraded chains included.
+    std::uint64_t ops = 0;
+    for (std::size_t u = 0; u < job->n_users; ++u)
+        ops += job->users[u]->costs.total();
     lane.ops += ops;
     // Latency is arrival-to-completion: the deadline clock starts at
     // the TTI tick, not at pool admission, so queue wait counts.
@@ -797,13 +784,10 @@ Engine::open_sample_plane(SamplePlane &plane,
             feed_lane.recorder = &plane.recorders.emplace_back(
                 path, config_.engine.receiver.n_antennas);
         }
-        feed_lane.jitter_rng_seed =
-            cell_stream_seed(io::kJitterSeed, lane.cell_id);
         feed_lanes.push_back(feed_lane);
     }
     io::FeedConfig feed_config;
     feed_config.delta_ms = config_.engine.delta_ms;
-    feed_config.jitter_ms = io_cfg.jitter_ms;
     feed_config.lossless = config_.engine.deadline_ms == 0.0;
     feed_config.now_ns = [this] { return obs_.now_ns(); };
     plane.feed = std::make_unique<io::MultiSampleFeed>(

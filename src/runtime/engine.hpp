@@ -165,8 +165,7 @@ struct EngineConfig
      * Sample plane: when io.enabled, run() consumes ready IQ frames
      * from a producer thread instead of pulling input on the dispatch
      * thread.  deadline_ms == 0 pairs with the feed's lossless mode, so
-     * offloaded zero-jitter generator runs stay bit-identical to
-     * inline ones.
+     * offloaded generator runs stay bit-identical to inline ones.
      */
     io::IoConfig io;
 

@@ -91,7 +91,7 @@ transmit_user_payload(const phy::UserParams &params,
         const std::size_t m_sc = params.sc_in_slot(slot);
         const float dft_scale =
             1.0f / std::sqrt(static_cast<float>(m_sc));
-        auto plan = fft::FftCache::instance().get(m_sc);
+        const fft::Fft &plan = fft::FftCache::instance().plan(m_sc);
 
         for (std::size_t layer = 0; layer < params.layers; ++layer) {
             auto &slots = result.grid.layers[layer].slots[slot];
@@ -112,7 +112,7 @@ transmit_user_payload(const phy::UserParams &params,
                 const CVec interleaved = phy::interleave(symbols);
 
                 CVec freq(m_sc);
-                plan->forward(interleaved.data(), freq.data());
+                plan.forward(interleaved.data(), freq.data());
                 for (auto &v : freq)
                     v *= dft_scale;
                 slots[data_symbol_position(ds)] = std::move(freq);

@@ -326,10 +326,10 @@ TEST(FftBitExact, EverySizeMatchesSeedDigest)
 TEST(FftCache, ReturnsSamePlanForSameSize)
 {
     auto &cache = FftCache::instance();
-    auto a = cache.get(132);
-    auto b = cache.get(132);
-    EXPECT_EQ(a.get(), b.get());
-    EXPECT_EQ(a->size(), 132u);
+    const Fft &a = cache.plan(132);
+    const Fft &b = cache.plan(132);
+    EXPECT_EQ(&a, &b);
+    EXPECT_EQ(a.size(), 132u);
 }
 
 TEST(FftCache, ConcurrentAccessIsSafe)
@@ -341,9 +341,9 @@ TEST(FftCache, ConcurrentAccessIsSafe)
         threads.emplace_back([&cache, &failures, t] {
             for (int i = 0; i < 50; ++i) {
                 const std::size_t n = 12 * (1 + (i + t) % 20);
-                auto plan = cache.get(n);
+                const Fft &plan = cache.plan(n);
                 CVec x(n, cf32(1.0f, 0.0f)), out(n);
-                plan->forward(x.data(), out.data());
+                plan.forward(x.data(), out.data());
                 // DC bin must hold the sum n.
                 if (std::abs(out[0].real() - static_cast<float>(n)) > 1e-2f)
                     ++failures;

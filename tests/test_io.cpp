@@ -147,9 +147,6 @@ TEST(IoConfigValidation, RejectsBadKnobs)
     cfg.n_frames = 1;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
     cfg.n_frames = 16;
-    cfg.jitter_ms = -0.5;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.jitter_ms = 0.0;
     cfg.source = SourceKind::kReplay;
     EXPECT_THROW(cfg.validate(), std::invalid_argument); // no path
     cfg.replay_path = "x.iq";
@@ -481,7 +478,7 @@ streaming_config()
 TEST(IoOffloadParity, OffloadedGeneratorMatchesInlineStreamingDigest)
 {
     // The tentpole acceptance gate: a producer-thread generator source
-    // at zero jitter in lossless mode must reproduce the inline
+    // in lossless mode must reproduce the inline
     // engine's digests bit for bit — same model draws, same signal
     // pool, same admission order, only the thread boundary added.
     const std::size_t n = 25;
@@ -571,7 +568,7 @@ TEST(IoOffloadParity, OneCellMultiCellOffloadedMatchesStreaming)
 TEST(IoOffloadParity, MultiCellOffloadedPerCellDigestsAreDeterministic)
 {
     // Two offloaded cells: per-cell streams stay independent and
-    // deterministic across runs (per-cell jitter seeds, per-cell
+    // deterministic across runs (per-cell signal seeds, per-cell
     // transports — nothing leaks between lanes).
     const std::size_t n = 12;
     auto run_once = [&] {

@@ -275,6 +275,12 @@ TEST(StreamingOverload, AccountingBalancesUnderEveryPolicy)
                 << ctx;
             EXPECT_EQ(m.counter("engine.degraded").value(), total.degraded)
                 << ctx;
+            // Per-cell op totals price each job as the pool ran it, so
+            // a degraded job's MRC weights count the same on both.
+            std::uint64_t cell_ops = 0;
+            for (const RunRecord &cell : record.cells)
+                cell_ops += cell.total_ops;
+            EXPECT_EQ(cell_ops, record.total_ops) << ctx;
         }
     }
 }
