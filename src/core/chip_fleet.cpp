@@ -9,7 +9,6 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
-#include "mac/mcs.hpp"
 #include "mgmt/core_allocator.hpp"
 
 namespace lte::core {
@@ -194,21 +193,6 @@ ChipFleet::cell_mac(std::size_t cell, std::uint32_t prb_budget) const
         prb_budget, 2, static_cast<std::uint32_t>(kMaxPrbPerSubframe));
     cfg.max_prb_per_grant =
         std::clamp(cfg.max_prb_per_grant, 2u, cfg.prb_budget);
-    if (cfg.arrival_rate <= 0.0) {
-        // Auto rate: offer diurnal.average_load of the slice's PRB
-        // budget in payload bits, at the MCS the mean channel holds.
-        const std::uint8_t mcs = mac::highest_mcs_for(cfg.snr_mean_db);
-        const double bits_per_prb =
-            static_cast<double>(
-                mac::tb_payload_bits(mcs, cfg.prb_budget, 1)) /
-            static_cast<double>(cfg.prb_budget);
-        const double offered_bits = config_.diurnal.average_load *
-                                    static_cast<double>(cfg.prb_budget) *
-                                    bits_per_prb;
-        cfg.arrival_rate =
-            offered_bits /
-            (cfg.burst_mean * static_cast<double>(cfg.packet_bits));
-    }
     cfg.validate();
     return cfg;
 }

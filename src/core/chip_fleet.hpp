@@ -72,9 +72,8 @@ struct FleetConfig
      *  4.1 for 4 cells on 62 workers) give the same fleet, although
      *  validate() accepts up to 8. */
     double oversubscribe = 1.0;
-    /** Per-cell MAC template.  n_ues and cell_id are overridden per
-     *  cell; arrival_rate <= 0 selects an automatic rate that offers
-     *  diurnal.average_load of the cell's sliced PRB budget. */
+    /** Per-cell MAC template.  cell_id, seed, n_ues and prb_budget are
+     *  set per cell, and max_prb_per_grant is clamped to the budget. */
     mac::MacConfig mac;
 
     void validate() const;

@@ -46,13 +46,8 @@ void
 write_study_csv(std::ostream &os, const StrategyOutcome &outcome,
                 std::uint32_t n_workers)
 {
-    const bool domains = outcome.sim.n_domains > 0;
     os << "subframe,t0_ms,dur_ms,activity,est_activity,active_cores,"
-          "powered_cores,watts";
-    if (domains)
-        os << ",active_domains,gated_domains,freq_scale,"
-              "transition_energy_uj";
-    os << '\n';
+          "powered_cores,watts\n";
     const auto &sim = outcome.sim;
     for (std::size_t i = 0; i < sim.intervals.size(); ++i) {
         const auto &iv = sim.intervals[i];
@@ -66,20 +61,6 @@ write_study_csv(std::ostream &os, const StrategyOutcome &outcome,
         os << ',';
         if (i < outcome.series.size())
             os << outcome.series[i].watts;
-        if (domains) {
-            std::uint32_t active = 0, gated = 0;
-            for (const auto &dom : iv.domains) {
-                if (dom.state ==
-                    static_cast<std::uint8_t>(mgmt::DomainState::kGated))
-                    ++gated;
-                else if (dom.state ==
-                         static_cast<std::uint8_t>(
-                             mgmt::DomainState::kActive))
-                    ++active;
-            }
-            os << ',' << active << ',' << gated << ',' << iv.freq_scale
-               << ',' << iv.transition_energy_j * 1e6;
-        }
         os << '\n';
     }
 }
@@ -114,17 +95,6 @@ write_study_chrome_trace(std::ostream &os,
         if (i < outcome.series.size())
             counter_event(os, pid, ts, "watts",
                           outcome.series[i].watts, first);
-        if (!iv.domains.empty()) {
-            std::uint32_t gated = 0;
-            for (const auto &dom : iv.domains)
-                gated += dom.state ==
-                         static_cast<std::uint8_t>(
-                             mgmt::DomainState::kGated);
-            counter_event(os, pid, ts, "gated_domains",
-                          static_cast<double>(gated), first);
-            counter_event(os, pid, ts, "freq_scale", iv.freq_scale,
-                          first);
-        }
     }
     os << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }

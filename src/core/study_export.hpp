@@ -22,9 +22,6 @@ namespace lte::core {
  *   subframe,t0_ms,dur_ms,activity,est_activity,active_cores,
  *   powered_cores,watts
  *
- * Domain-machine runs append per-interval domain-state columns:
- * active_domains,gated_domains,freq_scale,transition_energy_uj.
- *
  * `active_cores` is the Eq. 5 watermark (blank when the policy runs
  * without an estimator), `powered_cores` the Eq. 7 plan (blank unless
  * power gating), `watts` the thermal-corrected power sample.

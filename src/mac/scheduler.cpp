@@ -390,8 +390,6 @@ MacScheduler::next_tti_into(phy::SubframeParams &out)
     out.subframe_index = tti_;
     out.cell_id = config_.cell_id;
     out.users.clear();
-    const std::uint64_t retx_before = stats_.retx_grants;
-    const std::uint64_t drops_before = stats_.deadline_drops;
 
     // Timeout sweep: grants whose subframe never completed (shed
     // without an index at the sample plane, end-of-window losses)
@@ -569,34 +567,7 @@ MacScheduler::next_tti_into(phy::SubframeParams &out)
     rec.active = rec.n > 0;
 
     ++stats_.ttis;
-    if (grants_counter_ != nullptr) {
-        grants_counter_->add(out.users.size());
-        retx_counter_->add(stats_.retx_grants - retx_before);
-        deadline_drop_counter_->add(stats_.deadline_drops - drops_before);
-        if (queue_bits_gauge_ != nullptr) {
-            std::uint64_t queued = 0;
-            for (std::uint32_t idx : active_)
-                queued += ues_[idx].queue_bits;
-            queue_bits_gauge_->set(static_cast<double>(queued));
-        }
-        if (active_ues_gauge_ != nullptr)
-            active_ues_gauge_->set(static_cast<double>(active_.size()));
-    }
-    if (tracer_ != nullptr) {
-        tracer_->record_instant(
-            tracer_slot_, obs::SpanKind::kMacGrant, tracer_->now_ns(),
-            obs::make_cell_arg(config_.cell_id == 1 ? 0 : config_.cell_id,
-                               tti_));
-    }
     ++tti_;
-}
-
-phy::SubframeParams
-MacScheduler::next_subframe()
-{
-    phy::SubframeParams out;
-    next_tti_into(out);
-    return out;
 }
 
 void
@@ -625,8 +596,6 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
         kOllaStepDb *
         static_cast<float>((1.0 - kTargetBler) /
                            kTargetBler);
-    const std::uint64_t acks_before = stats_.acks;
-    const std::uint64_t nacks_before = stats_.nacks;
     for (std::uint8_t i = 0; i < rec.n; ++i) {
         const GrantRef ref = rec.refs[i];
         UeState &ue = ues_[ref.ue];
@@ -686,10 +655,6 @@ MacScheduler::on_subframe_complete(const runtime::SubframeOutcome &outcome,
     }
     rec.active = false;
     rec.n = 0;
-    if (acks_counter_ != nullptr) {
-        acks_counter_->add(stats_.acks - acks_before);
-        nacks_counter_->add(stats_.nacks - nacks_before);
-    }
 }
 
 void
@@ -738,8 +703,6 @@ MacScheduler::finalize()
         if (proc.active)
             retire_residual(ue, proc);
     }
-    if (residual_counter_ != nullptr)
-        residual_counter_->add(stats_.residual_tbs);
 }
 
 MacStats
@@ -770,25 +733,6 @@ MacScheduler::arrival_scale() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return arrival_scale_;
-}
-
-void
-MacScheduler::bind_obs(obs::MetricsRegistry *registry, obs::Tracer *tracer,
-                       std::size_t slot)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (registry != nullptr) {
-        grants_counter_ = &registry->counter("mac.grants");
-        retx_counter_ = &registry->counter("mac.retx_grants");
-        acks_counter_ = &registry->counter("mac.acks");
-        nacks_counter_ = &registry->counter("mac.nacks");
-        residual_counter_ = &registry->counter("mac.residual_tbs");
-        deadline_drop_counter_ = &registry->counter("mac.deadline_drops");
-        queue_bits_gauge_ = &registry->gauge("mac.queued_bits");
-        active_ues_gauge_ = &registry->gauge("mac.active_ues");
-    }
-    tracer_ = tracer;
-    tracer_slot_ = slot;
 }
 
 } // namespace lte::mac

@@ -53,8 +53,6 @@
 #include "common/types.hpp"
 #include "mac/mcs.hpp"
 #include "mac/ue.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "phy/params.hpp"
 #include "runtime/feedback.hpp"
 
@@ -176,9 +174,6 @@ class MacScheduler final : public runtime::SubframeFeedbackSink
      */
     void next_tti_into(phy::SubframeParams &out);
 
-    /** Convenience: by-value variant of next_tti_into(). */
-    phy::SubframeParams next_subframe();
-
     // SubframeFeedbackSink (called from the engine dispatch thread).
     void on_subframe_complete(const runtime::SubframeOutcome &outcome,
                               phy::DegradeLevel level) override;
@@ -208,14 +203,6 @@ class MacScheduler final : public runtime::SubframeFeedbackSink
      */
     void set_arrival_scale(double scale);
     double arrival_scale() const;
-
-    /**
-     * Register mac.* counters with @p registry (and optionally emit a
-     * kMacGrant instant span per TTI on @p tracer slot @p slot).
-     * Call before the run; the hot path then updates cached pointers.
-     */
-    void bind_obs(obs::MetricsRegistry *registry,
-                  obs::Tracer *tracer = nullptr, std::size_t slot = 0);
 
     const MacConfig &config() const { return config_; }
 
@@ -294,18 +281,6 @@ class MacScheduler final : public runtime::SubframeFeedbackSink
 
     MacStats stats_;
     bool finalized_ = false;
-
-    // Cached obs handles (null when not bound).
-    obs::Counter *grants_counter_ = nullptr;
-    obs::Counter *retx_counter_ = nullptr;
-    obs::Counter *acks_counter_ = nullptr;
-    obs::Counter *nacks_counter_ = nullptr;
-    obs::Counter *residual_counter_ = nullptr;
-    obs::Counter *deadline_drop_counter_ = nullptr;
-    obs::Gauge *queue_bits_gauge_ = nullptr;
-    obs::Gauge *active_ues_gauge_ = nullptr;
-    obs::Tracer *tracer_ = nullptr;
-    std::size_t tracer_slot_ = 0;
 };
 
 } // namespace lte::mac

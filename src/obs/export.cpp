@@ -31,8 +31,6 @@ span_category(SpanKind kind)
       case SpanKind::kIoFrame:
       case SpanKind::kIoLost:
         return "io";
-      case SpanKind::kMacGrant:
-        return "mac";
     }
     return "?";
 }

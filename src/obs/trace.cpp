@@ -25,7 +25,6 @@ span_kind_name(SpanKind kind)
       case SpanKind::kDecodeCb: return "decode_cb";
       case SpanKind::kIoFrame: return "io_frame";
       case SpanKind::kIoLost: return "io_lost";
-      case SpanKind::kMacGrant: return "mac_grant";
     }
     return "?";
 }

@@ -52,11 +52,11 @@ enum class SpanKind : std::uint8_t
     kDecodeCb, ///< one per-codeblock turbo decode (arg = code block)
     kIoFrame,  ///< IQ frame's ready-ring residence (produce..consume)
     kIoLost,   ///< instant: sample-plane frame lost (pool exhausted)
-    kMacGrant, ///< instant: MAC issued a TTI's grants (arg = subframe)
 };
 
 /** Number of distinct span kinds (for fixed-size per-kind tallies). */
-inline constexpr std::size_t kSpanKindCount = 16;
+inline constexpr std::size_t kSpanKindCount =
+    static_cast<std::size_t>(SpanKind::kIoLost) + 1;
 
 /** Short stable name used in exports ("chanest", "demod", ...). */
 const char *span_kind_name(SpanKind kind);
@@ -67,8 +67,8 @@ const char *span_kind_name(SpanKind kind);
  * value (user id, task index, subframe index).  Cell 1 records
  * untagged args (cell field 0), so single-cell traces and their
  * consumers are unchanged; every other cell tags the engine's
- * dispatch / shed / subframe / io events and the MAC's grants, so one
- * shared trace can be split by cell.
+ * dispatch / shed / subframe / io events, so one shared trace can be
+ * split by cell.
  */
 inline constexpr std::uint64_t
 make_cell_arg(std::uint32_t cell_id, std::uint64_t value)

@@ -228,7 +228,7 @@ struct Engine::Lane
     }
 
     /** A span argument tagged with this lane's cell (cell 1 stays
-     *  untagged, as the MAC tags its grants). */
+     *  untagged). */
     std::uint64_t
     tag(std::uint64_t value) const
     {

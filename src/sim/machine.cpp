@@ -29,13 +29,6 @@ Machine::push_event(double t, Event::Kind kind, std::uint32_t worker)
 }
 
 SimInterval &
-Machine::interval_at(double t)
-{
-    return interval_at_index(
-        static_cast<std::size_t>(t / config_.delta_s));
-}
-
-SimInterval &
 Machine::interval_at_index(std::size_t idx)
 {
     while (result_.intervals.size() <= idx) {

@@ -144,7 +144,6 @@ class Machine
     // --- helpers ---
     void push_event(double t, Event::Kind kind, std::uint32_t worker);
     void accumulate(std::uint32_t w, double t);
-    SimInterval &interval_at(double t);
     SimInterval &interval_at_index(std::size_t idx);
     void set_state(std::uint32_t w, double t, WState next);
     void start_task(std::uint32_t w, double t, const SimTask &task);

@@ -715,42 +715,6 @@ TEST(MacPinned, GrantSequenceDigestPerPolicy)
     }
 }
 
-// ------------------------------------------------------------ router
-
-TEST(MacRouter, RoutesFeedbackByCell)
-{
-    MacConfig c1 = small_config();
-    c1.cell_id = 1;
-    MacConfig c2 = small_config();
-    c2.cell_id = 2;
-    MacScheduler s1(c1);
-    MacScheduler s2(c2);
-    FeedbackRouter router;
-    router.attach(1, s1);
-    router.attach(2, s2);
-
-    // Advance each cell to its first granting TTI (a Poisson stream
-    // may open with empty arrivals).
-    phy::SubframeParams sf1;
-    phy::SubframeParams sf2;
-    for (int t = 0; t < 50 && sf1.users.empty(); ++t)
-        s1.next_tti_into(sf1);
-    for (int t = 0; t < 50 && sf2.users.empty(); ++t)
-        s2.next_tti_into(sf2);
-    ASSERT_GT(sf1.users.size(), 0u);
-    ASSERT_GT(sf2.users.size(), 0u);
-
-    router.on_subframe_complete(feedback_for(sf1, false, true, 0.0f),
-                                phy::DegradeLevel::kNone);
-    router.on_subframe_shed(2, sf2.subframe_index);
-    router.on_subframe_shed(7, 0); // nobody serves cell 7
-
-    EXPECT_GT(s1.stats().modelled_feedback, 0u);
-    EXPECT_EQ(s1.stats().shed_ttis, 0u);
-    EXPECT_EQ(s2.stats().shed_ttis, 1u);
-    EXPECT_EQ(router.unrouted(), 1u);
-}
-
 TEST(MacArrivalScale, ScaleModulatesOfferedTraffic)
 {
     MacScheduler sched(small_config());

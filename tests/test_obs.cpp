@@ -296,15 +296,30 @@ TEST(Export, ChromeTraceIsValidJson)
     tracer.record(0, SpanKind::kNap, 2000, 9000, 0);
     tracer.record_instant(1, SpanKind::kDispatch, 500, 42);
     tracer.record(1, SpanKind::kSubframe, 500, 9500, 42);
+    // One span of every kind, so each has a name and a category.
+    for (std::size_t k = 0; k < kSpanKindCount; ++k)
+        tracer.record(1, static_cast<SpanKind>(k), 10000 + k, 10500 + k,
+                      k);
 
     std::ostringstream os;
     write_chrome_trace(os, tracer);
     const std::string json = os.str();
     EXPECT_TRUE(JsonChecker(json).valid()) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("chanest"), std::string::npos);
-    EXPECT_NE(json.find("subframe"), std::string::npos);
     EXPECT_NE(json.find("process_name"), std::string::npos);
+    EXPECT_EQ(json.find("\"?\""), std::string::npos) << json;
+    for (std::size_t k = 0; k < kSpanKindCount; ++k) {
+        const std::string name = span_kind_name(static_cast<SpanKind>(k));
+        EXPECT_NE(name, "?") << k;
+        const std::string key = "{\"name\":\"" + name + "\",\"cat\":\"";
+        const auto at = json.find(key);
+        ASSERT_NE(at, std::string::npos) << name;
+        const auto cat_end = json.find('"', at + key.size());
+        const std::string cat =
+            json.substr(at + key.size(), cat_end - at - key.size());
+        EXPECT_FALSE(cat.empty()) << name;
+        EXPECT_NE(cat, "?") << name;
+    }
 }
 
 TEST(Export, SubframeCsvHasDeadlineColumn)
