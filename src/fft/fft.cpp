@@ -1,5 +1,6 @@
 #include "fft/fft.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -719,7 +720,20 @@ Fft::next_5_smooth(std::size_t n)
 std::uint64_t
 Fft::op_count_smooth(std::size_t n)
 {
-    return mixed_radix_ops(next_5_smooth(n));
+    // The op model prices every simulated user's FFTs through here,
+    // at sizes up to one slot's widest allocation (100 PRB x 12); a
+    // table built once replaces the 5-smooth search and the radix
+    // recursion for those sizes.
+    constexpr std::size_t kTableSize =
+        kMaxPrbPerSubframe / kSlotsPerSubframe * kScPerPrb + 1;
+    static const std::array<std::uint64_t, kTableSize> table = [] {
+        std::array<std::uint64_t, kTableSize> t{};
+        for (std::size_t m = 0; m < kTableSize; ++m)
+            t[m] = mixed_radix_ops(next_5_smooth(m));
+        return t;
+    }();
+    return n < kTableSize ? table[n]
+                          : mixed_radix_ops(next_5_smooth(n));
 }
 
 FftCache &

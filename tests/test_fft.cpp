@@ -230,6 +230,18 @@ TEST(Fft, OpCountBluesteinChargesTwoConvolutionTransforms)
               2 * Fft::op_count(2048) + (2 * 804 + 2048) * 6u);
 }
 
+TEST(Fft, OpCountSmoothIsTheOpCountOfTheNextSmoothSize)
+{
+    // op_count_smooth reads a table up to one slot's widest allocation
+    // (1200 subcarriers) and computes above it; both sides of that
+    // boundary must price the padded 5-smooth transform.
+    for (std::size_t n = 0; n <= 1300; ++n) {
+        ASSERT_EQ(Fft::op_count_smooth(n),
+                  Fft::op_count(Fft::next_5_smooth(n)))
+            << "n = " << n;
+    }
+}
+
 /** FNV-1a over the raw bytes of @p v, continuing from @p h. */
 std::uint64_t
 fnv1a(std::uint64_t h, const CVec &v)
