@@ -4,9 +4,12 @@
  * chain is built from: FFT plans across size classes, channel
  * estimation, MMSE combiner weights, antenna combining, soft
  * demapping, interleaving, CRC, soft descrambling, the per-user tail
- * tasks, and the turbo codec extension.
+ * tasks, the turbo codec extension, and the op model's per-user
+ * pricing that the simulator runs for every dispatched user.
  */
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "simd/simd.hpp"
 
@@ -20,6 +23,7 @@
 #include "phy/scrambler.hpp"
 #include "phy/interleaver.hpp"
 #include "phy/modulation.hpp"
+#include "phy/op_model.hpp"
 #include "phy/turbo.hpp"
 #include "phy/user_processor.hpp"
 #include "phy/zadoff_chu.hpp"
@@ -392,6 +396,32 @@ BM_FullUserSubframe(benchmark::State &state)
     }
 }
 BENCHMARK(BM_FullUserSubframe)->Arg(10)->Arg(50)->Arg(200);
+
+/**
+ * phy::user_task_costs over a fixed, seeded mix of 256 users (2-200
+ * PRBs, 1-4 layers, every modulation) at 4 antennas: the op model's
+ * price of one dispatched user in the simulator.  Items are users.
+ */
+void
+BM_UserTaskCosts(benchmark::State &state)
+{
+    Rng rng(23);
+    std::vector<phy::UserParams> users(256);
+    for (phy::UserParams &user : users) {
+        user.prb = static_cast<std::uint32_t>(rng.next_in(2, 200));
+        user.layers = static_cast<std::uint32_t>(rng.next_in(1, 4));
+        user.mod = static_cast<Modulation>(rng.next_below(3));
+    }
+    for (auto _ : state) {
+        std::uint64_t total = 0;
+        for (const phy::UserParams &user : users)
+            total += phy::user_task_costs(user, 4).total();
+        benchmark::DoNotOptimize(total);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(users.size()));
+}
+BENCHMARK(BM_UserTaskCosts);
 
 } // namespace
 

@@ -27,13 +27,13 @@ release_legs() {
 
     # Micro-bench smoke: prove the decode benches (both twins), the
     # front-end kernel benches (FFT forward/inverse, channel
-    # estimation, combiner weights, antenna combining, soft demapping)
-    # and the bit back-end benches (soft descrambling, per-user tail
-    # tasks, CRC-24) run; real measurements use longer repetitions
-    # (see README).
+    # estimation, combiner weights, antenna combining, soft demapping),
+    # the bit back-end benches (soft descrambling, per-user tail
+    # tasks, CRC-24) and the op model's per-user pricing run; real
+    # measurements use longer repetitions (see README).
     echo "==> ${tree}: kernel micro-bench smoke"
     "./${tree}/bench/kernels_micro" \
-        --benchmark_filter='TurboDecode(Simd|Scalar)|Fft(Forward|Inverse)|ChannelEstimate|CombinerWeights|SoftDemap|Combine|Descramble|TailTask|Crc24' \
+        --benchmark_filter='TurboDecode(Simd|Scalar)|Fft(Forward|Inverse)|ChannelEstimate|CombinerWeights|SoftDemap|Combine|Descramble|TailTask|Crc24|UserTaskCosts' \
         --benchmark_min_time=0.05
 
     # Example smoke: both receive-chain examples exit non-zero on a CRC

@@ -5,7 +5,8 @@
  *
  * The population is sized for "10k–1M UEs, most idle": everything is
  * fixed-capacity (a bounded packet ring, the 8 HARQ processes, plain
- * scalars), so a UE costs well under a kilobyte and only UEs with
+ * scalars), so a UE costs a fixed 1112 bytes on x86-64 (784 of them
+ * the 32-packet ring; a 10k-UE cell is ~11 MB) and only UEs with
  * backlog or in-flight blocks ever appear on the scheduler's active
  * list.  The channel a UE sees is modelled MAC-side as a slowly
  * drifting AR(1) SNR process — the PHY benchmark's pooled inputs

@@ -12,6 +12,8 @@ PowerPolicy::validate() const
                   "domain machine needs the proactive watermark");
         LTE_CHECK(!dvfs,
                   "domain machine replaces continuous DVFS with rungs");
+        LTE_CHECK(reactive_idle,
+                  "domain machine needs idle workers to nap, not spin");
     }
 }
 

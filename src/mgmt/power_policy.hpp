@@ -116,7 +116,8 @@ struct PowerPolicy
     // --- per-domain power-state machine (PR 10) ---
     /** Track kDomainSize-core domains as {active@rung, nap, gated}
      *  over the kRungs ladder, with inline transition stalls and
-     *  energy charges.  Requires proactive. */
+     *  energy charges.  Requires proactive and reactive_idle (so a
+     *  domain's cores never spin). */
     bool domain_machine = false;
 
     /** Short display name, e.g. "NAP+IDLE" or "DOMAIN-DVFS"; the

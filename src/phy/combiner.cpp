@@ -10,12 +10,6 @@
 
 namespace lte::phy {
 
-CombinerWeights::CombinerWeights(std::size_t n_sc, std::size_t layers,
-                                 std::size_t antennas)
-{
-    resize(n_sc, layers, antennas);
-}
-
 void
 CombinerWeights::resize(std::size_t n_sc, std::size_t layers,
                         std::size_t antennas)
@@ -24,21 +18,6 @@ CombinerWeights::resize(std::size_t n_sc, std::size_t layers,
     layers_ = layers;
     antennas_ = antennas;
     w_.assign(n_sc * layers * antennas, cf32(0.0f, 0.0f));
-}
-
-cf32 &
-CombinerWeights::at(std::size_t sc, std::size_t layer, std::size_t antenna)
-{
-    LTE_CHECK(sc < n_sc_ && layer < layers_ && antenna < antennas_,
-              "weight index out of range");
-    return (*this)(sc, layer, antenna);
-}
-
-const cf32 &
-CombinerWeights::at(std::size_t sc, std::size_t layer,
-                    std::size_t antenna) const
-{
-    return const_cast<CombinerWeights *>(this)->at(sc, layer, antenna);
 }
 
 namespace {

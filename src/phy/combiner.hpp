@@ -34,9 +34,6 @@ class CombinerWeights
   public:
     CombinerWeights() = default;
 
-    CombinerWeights(std::size_t n_sc, std::size_t layers,
-                    std::size_t antennas);
-
     /**
      * Re-shape for a new slot, reusing the existing storage; only
      * grows the backing vector past its previous high-water mark.
@@ -48,11 +45,7 @@ class CombinerWeights
     std::size_t layers() const { return layers_; }
     std::size_t antennas() const { return antennas_; }
 
-    cf32 &at(std::size_t sc, std::size_t layer, std::size_t antenna);
-    const cf32 &at(std::size_t sc, std::size_t layer,
-                   std::size_t antenna) const;
-
-    /** Unchecked access for hot loops (same layout as at()). */
+    /** Unchecked element access. */
     cf32 &
     operator()(std::size_t sc, std::size_t layer, std::size_t antenna)
     {

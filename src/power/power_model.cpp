@@ -58,7 +58,6 @@ PowerModel::interval_power_domains(
             config_.deact_poll_duty * config_.busy_core_w *
                 dvfs_factor;
         watts += dom.busy_cs * inv * config_.busy_core_w * dvfs_factor +
-                 dom.spin_cs * inv * config_.spin_core_w * dvfs_factor +
                  dom.nap_idle_cs * inv * nap_idle_w +
                  dom.nap_deact_cs * inv * nap_deact_w -
                  dom.gated_cs * inv * config_.core_static_w;

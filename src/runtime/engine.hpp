@@ -340,7 +340,6 @@ class Engine
     {
         return engine_kind_name(config_.engine.kind);
     }
-    const MultiCellConfig &config() const { return config_; }
 
     /** The given lane's physical cell identity. */
     std::uint32_t cell_id(std::size_t cell = 0) const;

@@ -82,9 +82,8 @@ Machine::accumulate(std::uint32_t w, double t)
                         dom->busy_cs += take;
                     break;
                   case WState::kSpin:
+                    // Never in a domain: the policy naps idle workers.
                     iv.spin_cs += take;
-                    if (dom != nullptr)
-                        dom->spin_cs += take;
                     break;
                   case WState::kNapIdle:
                     iv.nap_idle_cs += take;

@@ -14,13 +14,13 @@ namespace lte::sim {
 
 /**
  * Per-power-domain occupancy within one dispatch interval
- * (domain-machine runs only; DESIGN.md Sec. 3k).  The five core-second
- * tracks sum to domain_size * dur.
+ * (domain-machine runs only; DESIGN.md Sec. 3k).  The four core-second
+ * tracks sum to domain_size * dur; there is no spin track, because a
+ * domain-machine policy always naps idle workers (reactive_idle).
  */
 struct DomainInterval
 {
     double busy_cs = 0.0;
-    double spin_cs = 0.0;
     double nap_idle_cs = 0.0;
     double nap_deact_cs = 0.0;
     double gated_cs = 0.0;

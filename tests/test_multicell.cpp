@@ -79,8 +79,7 @@ single_cell_digest(std::uint32_t cell_id, std::size_t n_subframes)
 
 /** Run an n_cells multi-cell engine over per-cell paper streams. */
 MultiCellRunRecord
-run_multicell(std::size_t n_cells, std::size_t n_subframes,
-              MultiCellConfig *config_out = nullptr)
+run_multicell(std::size_t n_cells, std::size_t n_subframes)
 {
     MultiCellConfig cfg;
     cfg.n_cells = n_cells;
@@ -96,8 +95,6 @@ run_multicell(std::size_t n_cells, std::size_t n_subframes,
     std::vector<workload::ParameterModel *> ptrs;
     for (auto &m : models)
         ptrs.push_back(&m);
-    if (config_out != nullptr)
-        *config_out = engine.config();
     return engine.run(ptrs, n_subframes);
 }
 

@@ -296,11 +296,13 @@ TEST(DomainMachine, OccupancyConservesTimeIncludingGated)
         const double total = iv.busy_cs + iv.spin_cs + iv.nap_idle_cs +
                              iv.nap_deact_cs + iv.gated_cs;
         EXPECT_NEAR(total, cfg.n_workers * iv.dur, 1e-9);
+        // The policy naps idle workers, so no core ever spins.
+        EXPECT_EQ(iv.spin_cs, 0.0);
         // Domain tracks tile the chip track.
         ASSERT_EQ(iv.domains.size(), result.n_domains);
         double dom_total = 0.0;
         for (const auto &dom : iv.domains)
-            dom_total += dom.busy_cs + dom.spin_cs + dom.nap_idle_cs +
+            dom_total += dom.busy_cs + dom.nap_idle_cs +
                          dom.nap_deact_cs + dom.gated_cs;
         EXPECT_NEAR(dom_total, total, 1e-9);
     }
@@ -365,6 +367,12 @@ TEST(DomainMachine, ValidateRejectsBadPolicies)
     p = mgmt::PowerPolicy::domain_dvfs();
     p.dvfs = true;
     EXPECT_THROW(p.validate(), std::exception);
+    // ...and naps idle workers: a domain has no spin track to bill.
+    p = mgmt::PowerPolicy::domain_dvfs();
+    p.reactive_idle = false;
+    EXPECT_THROW(p.validate(), std::exception);
+    // The preset itself is valid.
+    EXPECT_NO_THROW(mgmt::PowerPolicy::domain_dvfs().validate());
 }
 
 TEST(DomainMachine, BeatsNapIdleOnThePaperModel)
