@@ -88,9 +88,11 @@ release_legs() {
     # end to end on a short protocol.  The simulator runs no PHY
     # kernel, so the stdout of every bench that prints no wall-clock
     # value is pinned byte for byte by scripts/study_bench.sha256 (the
-    # same hashes for LTE_SIMD=ON and OFF).  multicell_scaling and
-    # obs_trace_dump print wall-clock values and are only run;
-    # obs_trace_dump writes its six files into a scratch directory.
+    # same hashes for LTE_SIMD=ON and OFF).  obs_trace_dump writes its
+    # six files next to them: the three simulated-study files
+    # (obs_study.csv, obs_study_trace.json, obs_study_metrics.csv) are
+    # pinned too, while its live-engine files and multicell_scaling
+    # carry wall-clock values and are only run.
     echo "==> ${tree}: simulated study benches (--subframes 680, pinned stdout)"
     local study_dir bench
     study_dir="$(mktemp -d)"
@@ -102,13 +104,10 @@ release_legs() {
         "./${tree}/bench/${bench}" --subframes 680 > "${study_dir}/${bench}.txt"
     done
     "./${tree}/bench/city_scale" --smoke > "${study_dir}/city_scale_smoke.txt"
+    "./${tree}/bench/obs_trace_dump" --subframes 680 --csv "${study_dir}" > /dev/null
     local study_pins
     study_pins="$(pwd)/scripts/study_bench.sha256"
     (cd "${study_dir}" && sha256sum -c "${study_pins}")
     rm -rf "${study_dir}"
     "./${tree}/bench/multicell_scaling" --subframes 680 > /dev/null
-    local obs_dir
-    obs_dir="$(mktemp -d)"
-    "./${tree}/bench/obs_trace_dump" --subframes 680 --csv "${obs_dir}" > /dev/null
-    rm -rf "${obs_dir}"
 }
