@@ -1,7 +1,6 @@
 #include "core/uplink_study.hpp"
 
 #include <algorithm>
-#include <string>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -38,9 +37,7 @@ StudyConfig::slice(std::size_t n_cells) const
     return cell;
 }
 
-UplinkStudy::UplinkStudy(const StudyConfig &config)
-    : config_(config),
-      metrics_(std::make_unique<obs::MetricsRegistry>())
+UplinkStudy::UplinkStudy(const StudyConfig &config) : config_(config)
 {
     config_.sim.validate();
     config_.power.validate();
@@ -85,36 +82,6 @@ UplinkStudy::adopt_calibration(const Calibration &calibration)
               "calibration table is incomplete");
     config_.sim.cycles_per_op = calibration.cycles_per_op;
     estimator_ = mgmt::WorkloadEstimator(calibration.table);
-}
-
-void
-UplinkStudy::record_run_metrics(const StrategyOutcome &outcome)
-{
-    const std::string prefix =
-        std::string("study.") + outcome.policy.name;
-    metrics_->counter(prefix + ".runs").add(1);
-    metrics_->counter(prefix + ".subframes").add(outcome.sim.subframes);
-    metrics_->counter(prefix + ".tasks").add(outcome.sim.tasks_executed);
-    metrics_->counter(prefix + ".estimator.saturated")
-        .add(outcome.estimator_stats.saturated_estimates);
-    metrics_->counter(prefix + ".estimator.clamped_low")
-        .add(outcome.estimator_stats.clamped_low);
-    metrics_->counter(prefix + ".estimator.clamped_high")
-        .add(outcome.estimator_stats.clamped_high);
-    metrics_->counter(prefix + ".gating.switches")
-        .add(outcome.gating_stats.switch_events);
-    metrics_->gauge(prefix + ".avg_power_w").set(outcome.avg_power_w);
-    metrics_->gauge(prefix + ".avg_dynamic_w")
-        .set(outcome.avg_dynamic_w);
-    metrics_->gauge(prefix + ".activity").set(outcome.sim.activity());
-    metrics_->gauge(prefix + ".mean_latency")
-        .set(outcome.sim.mean_latency());
-    metrics_->gauge(prefix + ".max_latency")
-        .set(outcome.sim.max_latency());
-    metrics_->gauge(prefix + ".deadline_miss_rate")
-        .set(outcome.deadline_miss_rate);
-    metrics_->gauge(prefix + ".max_backlog")
-        .set(static_cast<double>(outcome.sim.max_ready_backlog));
 }
 
 StrategyOutcome
@@ -164,7 +131,6 @@ UplinkStudy::run_policy_on(const mgmt::PowerPolicy &policy,
         outcome.estimator_stats = machine.estimator()->stats();
     outcome.deadline_miss_rate =
         1.0 - outcome.sim.deadline_hit_rate(kDeadlinePeriods);
-    record_run_metrics(outcome);
     return outcome;
 }
 
@@ -206,16 +172,6 @@ UplinkStudy::run_policy_multicell(const mgmt::PowerPolicy &policy,
     outcome.domain_partition = mgmt::partition_domains(
         peak_demand, config_.power.domain_size,
         config_.power.total_cores);
-
-    const std::string prefix =
-        std::string("study.multicell.") + policy.name;
-    metrics_->counter(prefix + ".runs").add(1);
-    metrics_->gauge(prefix + ".cells")
-        .set(static_cast<double>(n_cells));
-    metrics_->gauge(prefix + ".total_power_w")
-        .set(outcome.total_power_w);
-    metrics_->gauge(prefix + ".worst_deadline_miss_rate")
-        .set(outcome.worst_deadline_miss_rate);
     return outcome;
 }
 

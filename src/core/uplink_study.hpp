@@ -9,14 +9,12 @@
 #ifndef LTE_CORE_UPLINK_STUDY_HPP
 #define LTE_CORE_UPLINK_STUDY_HPP
 
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "mgmt/core_allocator.hpp"
 #include "mgmt/estimator.hpp"
 #include "mgmt/power_policy.hpp"
-#include "obs/metrics.hpp"
 #include "power/power_model.hpp"
 #include "sim/calibrate.hpp"
 #include "sim/machine.hpp"
@@ -166,21 +164,9 @@ class UplinkStudy
     run_policy_multicell(const mgmt::PowerPolicy &policy,
                          std::size_t n_cells);
 
-    /**
-     * Study-level metrics: per-policy counters and gauges
-     * accumulated across every run_policy*() call (subframes, tasks,
-     * estimator clamps, gating switches, average power).
-     */
-    const obs::MetricsRegistry &metrics() const { return *metrics_; }
-
   private:
-    void record_run_metrics(const StrategyOutcome &outcome);
-
     StudyConfig config_;
     std::optional<mgmt::WorkloadEstimator> estimator_;
-    /** Behind a pointer: the registry is not movable (internal mutex)
-     *  but UplinkStudy must stay movable. */
-    std::unique_ptr<obs::MetricsRegistry> metrics_;
 };
 
 } // namespace lte::core

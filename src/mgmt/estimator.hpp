@@ -64,8 +64,8 @@ class CalibrationTable
 /**
  * Observability tallies of estimator decisions: how often Eq. 4
  * saturated and how often Eq. 5 was clamped at either bound.  Updated
- * by the (single) thread driving the estimator; exported into the
- * study's metrics registry.
+ * by the (single) thread driving the estimator; a study run carries
+ * them in StrategyOutcome::estimator_stats.
  */
 struct EstimatorStats
 {

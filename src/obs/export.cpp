@@ -123,28 +123,17 @@ void
 write_subframe_csv(std::ostream &os, const SubframeSeries &series,
                    double deadline_ms)
 {
-    os << "subframe,cell,t_dispatch_ms,t_complete_ms,latency_ms,n_users,"
+    os << "subframe,cell,t_arrival_ms,t_complete_ms,latency_ms,n_users,"
           "ops,est_activity,active_workers,deadline_met\n";
     for (std::size_t i = 0; i < series.size(); ++i) {
         const SubframeSample &s = series.at(i);
         const double latency = s.latency_ms();
         os << s.subframe_index << ',' << s.cell_id << ','
-           << static_cast<double>(s.t_dispatch_ns) / 1e6 << ','
+           << static_cast<double>(s.t_arrival_ns) / 1e6 << ','
            << static_cast<double>(s.t_complete_ns) / 1e6 << ','
            << latency << ',' << s.n_users << ',' << s.ops << ','
            << s.est_activity << ',' << s.active_workers << ','
            << (latency <= deadline_ms ? 1 : 0) << '\n';
-    }
-}
-
-void
-write_metrics_csv(std::ostream &os, const MetricsRegistry &metrics)
-{
-    os << "name,type,value\n";
-    for (const auto &sample : metrics.snapshot()) {
-        os << sample.name << ','
-           << (sample.is_counter ? "counter" : "gauge") << ','
-           << sample.value << '\n';
     }
 }
 

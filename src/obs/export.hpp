@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace/metrics exporters.
+ * Trace exporters.
  *
  * chrome://tracing JSON: the Trace Event Format's "X" (complete) and
  * "i" (instant) phases, with one chrome "thread" per tracer slot, so
@@ -8,9 +8,8 @@
  * (ui.perfetto.dev) and shows per-worker chanest/weights/demod/tail
  * spans, steals, and nap/idle sleep.
  *
- * CSV: the per-subframe activity/deadline series and the metrics
- * registry, one row per sample, for plotting alongside the paper's
- * figures.
+ * CSV: the per-subframe activity/deadline series, one row per
+ * subframe, for plotting alongside the paper's figures.
  */
 #ifndef LTE_OBS_EXPORT_HPP
 #define LTE_OBS_EXPORT_HPP
@@ -18,7 +17,6 @@
 #include <iosfwd>
 #include <string_view>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace lte::obs {
@@ -34,15 +32,14 @@ void write_chrome_trace(std::ostream &os, const Tracer &tracer,
 
 /**
  * Write the per-subframe activity/deadline series as CSV with header
- *   subframe,t_dispatch_ms,t_complete_ms,latency_ms,n_users,ops,
+ *   subframe,cell,t_arrival_ms,t_complete_ms,latency_ms,n_users,ops,
  *   est_activity,active_workers,deadline_met
- * A sample meets the deadline when latency_ms <= @p deadline_ms.
+ * latency_ms is arrival-to-completion (t_complete_ms - t_arrival_ms),
+ * so admission-queue wait counts.  A sample meets the deadline when
+ * latency_ms <= @p deadline_ms.
  */
 void write_subframe_csv(std::ostream &os, const SubframeSeries &series,
                         double deadline_ms);
-
-/** Write the registry snapshot as "name,type,value" CSV rows. */
-void write_metrics_csv(std::ostream &os, const MetricsRegistry &metrics);
 
 } // namespace lte::obs
 

@@ -34,7 +34,6 @@ ObsConfig::validate() const
 {
     LTE_CHECK(events_per_thread >= 1, "need at least one event slot");
     LTE_CHECK(series_capacity >= 1, "need at least one series slot");
-    LTE_CHECK(deadline_ms > 0.0, "deadline must be positive");
 }
 
 ThreadTrace::ThreadTrace(std::size_t capacity) : ring_(capacity)

@@ -140,26 +140,12 @@ class ThreadTrace
 struct ObsConfig
 {
     /** Master tracing switch: owns the span tracer and the
-     *  per-subframe series.  Implies metrics. */
+     *  per-subframe series. */
     bool enabled = false;
-    /**
-     * Metrics without tracing: when true the engine owns a
-     * MetricsRegistry (subframe/user/deadline-miss counters and the
-     * streaming admission counters) even with tracing off, so
-     * accounting never depends on span rings being allocated.
-     * Tracing (`enabled`) always implies metrics.
-     */
-    bool metrics_enabled = false;
     /** Ring capacity per thread slot (events). */
     std::size_t events_per_thread = 1 << 15;
     /** Per-subframe series capacity (samples; see SubframeSeries). */
     std::size_t series_capacity = 1 << 16;
-    /**
-     * Subframe completion deadline in milliseconds.  The paper keeps
-     * two to three subframes in flight against the 1 ms arrival
-     * period, so three periods is the responsiveness budget.
-     */
-    double deadline_ms = 3.0;
 
     void validate() const;
 };
@@ -227,7 +213,7 @@ struct SubframeSample
     std::uint64_t subframe_index = 0;
     /** Serving cell (1 for single-cell engines). */
     std::uint32_t cell_id = 1;
-    std::uint64_t t_dispatch_ns = 0; ///< since tracer epoch
+    std::uint64_t t_arrival_ns = 0; ///< since tracer epoch
     std::uint64_t t_complete_ns = 0;
     std::uint32_t n_users = 0;
     std::uint32_t active_workers = 0;
@@ -238,7 +224,7 @@ struct SubframeSample
 
     double latency_ms() const
     {
-        return static_cast<double>(t_complete_ns - t_dispatch_ns) / 1e6;
+        return static_cast<double>(t_complete_ns - t_arrival_ns) / 1e6;
     }
 };
 

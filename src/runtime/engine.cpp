@@ -28,13 +28,6 @@ namespace {
  */
 constexpr double kDegradeBypassFraction = 0.75;
 
-void
-bump(obs::Counter *counter, std::uint64_t n = 1)
-{
-    if (counter != nullptr)
-        counter->add(n);
-}
-
 const MultiCellConfig &
 validated(const MultiCellConfig &config)
 {
@@ -174,28 +167,6 @@ EngineObs::EngineObs(const EngineConfig &config, std::size_t n_slots)
         series = std::make_unique<obs::SubframeSeries>(
             config.obs.series_capacity);
     }
-    // Metrics are independent of tracing: engine.deadline_misses and
-    // friends must count whenever metrics are on, not only when the
-    // span rings happen to be allocated.
-    if (!config.obs.enabled && !config.obs.metrics_enabled)
-        return;
-    metrics = std::make_unique<obs::MetricsRegistry>();
-    // Cache the hot-path counters so steady-state updates never take
-    // the registry lock or allocate.
-    subframes = &metrics->counter("engine.subframes");
-    users = &metrics->counter("engine.users");
-    deadline_misses = &metrics->counter("engine.deadline_misses");
-    submitted = &metrics->counter("engine.submitted");
-    admitted = &metrics->counter("engine.admitted");
-    completed = &metrics->counter("engine.completed");
-    shed = &metrics->counter("engine.shed");
-    shed_queue_full = &metrics->counter("engine.shed_queue_full");
-    shed_expired = &metrics->counter("engine.shed_expired");
-    degraded = &metrics->counter("engine.degraded");
-    if (config.io.enabled) {
-        io_lost = &metrics->counter("io.lost");
-        io_late = &metrics->counter("io.late");
-    }
 }
 
 std::uint64_t
@@ -262,13 +233,6 @@ struct Engine::Lane
     ShedStats shed;
     /** Analytical flops of this run's completed subframes. */
     std::uint64_t ops = 0;
-
-    /** engine.cell<id>.* counters (null when metrics are off). */
-    obs::Counter *submitted_counter = nullptr;
-    obs::Counter *completed_counter = nullptr;
-    obs::Counter *shed_counter = nullptr;
-    obs::Counter *degraded_counter = nullptr;
-    obs::Counter *deadline_miss_counter = nullptr;
 };
 
 /** One offloaded run's sample plane.  The feed is declared last so
@@ -310,16 +274,6 @@ Engine::Engine(const MultiCellConfig &config)
         lane->cell_id = id;
         lane->receiver = config_.engine.receiver;
         lane->receiver.cell_id = id;
-        if (obs_.metrics) {
-            const std::string prefix = "engine.cell" + std::to_string(id);
-            obs::MetricsRegistry &m = *obs_.metrics;
-            lane->submitted_counter = &m.counter(prefix + ".submitted");
-            lane->completed_counter = &m.counter(prefix + ".completed");
-            lane->shed_counter = &m.counter(prefix + ".shed");
-            lane->degraded_counter = &m.counter(prefix + ".degraded");
-            lane->deadline_miss_counter =
-                &m.counter(prefix + ".deadline_misses");
-        }
         lanes_.push_back(std::move(lane));
     }
 }
@@ -405,8 +359,6 @@ Engine::consume_frame(Lane &lane, io::IqFrame *frame,
     frame->params.cell_id = lane.cell_id;
 
     ++lane.shed.submitted;
-    bump(obs_.submitted);
-    bump(lane.submitted_counter);
     if (!pulled && obs_.tracer) {
         // Ready-ring residence: produced at t_arrival, consumed now.
         // The deadline clock has been running since the producer
@@ -507,8 +459,6 @@ Engine::admit_one(Lane &lane)
                    : phy::DegradeLevel::kReducedIterations;
         job->set_degrade(level);
         ++lane.shed.degraded;
-        bump(obs_.degraded);
-        bump(lane.degraded_counter);
         if (lane.estimator.has_value()) {
             // The planned work just got cheaper; let Eq. 4/5 see the
             // shed level's cost before this job hits the pool.
@@ -525,7 +475,6 @@ Engine::admit_one(Lane &lane)
     obs_.instant(obs::SpanKind::kDispatch, now,
                  lane.tag(job->params.subframe_index));
     ++lane.shed.admitted;
-    bump(obs_.admitted);
     if (!pool_)
         run_serial(*job);
     else if (job->n_users > 0)
@@ -637,15 +586,14 @@ Engine::complete(Lane &lane, SubframeJob *job,
     for (std::size_t u = 0; u < job->n_users; ++u)
         ops += job->users[u]->costs.total();
     lane.ops += ops;
-    // Latency is arrival-to-completion: the deadline clock starts at
-    // the TTI tick, not at pool admission, so queue wait counts.
-    const double latency_ms =
-        static_cast<double>(t_complete - job->t_arrival_ns) / 1e6;
     if (obs_.tracer) {
+        // The series is stamped from arrival, not pool dispatch: the
+        // deadline clock starts at the TTI tick, so queue wait counts
+        // in latency_ms().
         obs::SubframeSample sample;
         sample.subframe_index = job->params.subframe_index;
         sample.cell_id = lane.cell_id;
-        sample.t_dispatch_ns = job->t_arrival_ns;
+        sample.t_arrival_ns = job->t_arrival_ns;
         sample.t_complete_ns = t_complete;
         sample.n_users = static_cast<std::uint32_t>(job->n_users);
         sample.active_workers = static_cast<std::uint32_t>(
@@ -656,14 +604,6 @@ Engine::complete(Lane &lane, SubframeJob *job,
                             job->t_dispatch_ns, t_complete,
                             lane.tag(job->params.subframe_index));
         obs_.series->push(sample);
-    }
-    bump(obs_.subframes);
-    bump(obs_.completed);
-    bump(obs_.users, job->n_users);
-    bump(lane.completed_counter);
-    if (latency_ms > config_.engine.obs.deadline_ms) {
-        bump(obs_.deadline_misses);
-        bump(lane.deadline_miss_counter);
     }
     if (config_.engine.feedback) {
         config_.engine.feedback->on_subframe_complete(
@@ -680,9 +620,6 @@ Engine::observe_shed(Lane &lane, std::uint64_t subframe_index,
     ++(expired ? lane.shed.shed_expired : lane.shed.shed_queue_full);
     obs_.instant(obs::SpanKind::kShed, obs_.now_ns(),
                  lane.tag(subframe_index));
-    bump(obs_.shed);
-    bump(expired ? obs_.shed_expired : obs_.shed_queue_full);
-    bump(lane.shed_counter);
     if (config_.engine.feedback) {
         config_.engine.feedback->on_subframe_shed(lane.cell_id,
                                                   subframe_index);
@@ -705,16 +642,9 @@ Engine::sync_io_stats(Lane &lane, const io::FeedStats &stats)
         ++lane.shed.io_lost;
         obs_.instant(obs::SpanKind::kIoLost, obs_.now_ns(),
                      lane.tag(lane.io_lost_synced));
-        bump(obs_.submitted);
-        bump(obs_.shed);
-        bump(obs_.shed_queue_full);
-        bump(obs_.io_lost);
-        bump(lane.submitted_counter);
-        bump(lane.shed_counter);
     }
     const std::uint64_t late = stats.late.load(std::memory_order_acquire);
     lane.shed.io_late += late - lane.io_late_synced;
-    bump(obs_.io_late, late - lane.io_late_synced);
     lane.io_late_synced = late;
 }
 
@@ -921,17 +851,6 @@ Engine::run(const std::vector<workload::ParameterModel *> &models,
         record.steals = snap.steals;
     } else {
         record.activity = 1.0; // a serial run is busy by definition
-    }
-    if (obs_.metrics) {
-        // Run-level aggregates; cheap registry lookups off the hot path.
-        obs::MetricsRegistry &m = *obs_.metrics;
-        m.gauge("engine.activity").set(record.activity);
-        m.gauge("engine.wall_seconds").set(record.wall_seconds);
-        m.counter("engine.steals").add(record.steals);
-        if (obs_.tracer) {
-            m.gauge("engine.trace_dropped")
-                .set(static_cast<double>(obs_.tracer->total_dropped()));
-        }
     }
     return record;
 }

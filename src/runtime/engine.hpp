@@ -43,7 +43,6 @@
 #include "io/io_config.hpp"
 #include "io/sample_plane.hpp"
 #include "mgmt/estimator.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "phy/params.hpp"
 #include "phy/user_processor.hpp"
@@ -97,9 +96,8 @@ enum class ShedPolicy : std::uint8_t
 const char *shed_policy_name(ShedPolicy policy);
 
 /**
- * Admission tallies of one lane over one run (also exported as
- * engine.* and engine.cell<id>.* counters when metrics are enabled).
- * The per-run invariant is shed + completed == submitted.
+ * Admission tallies of one lane over one run, the only copy of these
+ * counts.  The per-run invariant is shed + completed == submitted.
  */
 struct ShedStats
 {
@@ -152,12 +150,11 @@ struct EngineConfig
     ShedPolicy shed_policy = ShedPolicy::kDropNewest;
     /**
      * Observability: when obs.enabled the engine owns a span tracer
-     * (one ring per worker plus the dispatch thread), a per-subframe
-     * activity/deadline series and a metrics registry, all
-     * preallocated so steady-state recording stays allocation-free.
-     * obs.metrics_enabled grants the registry alone (counters work
-     * with tracing off).  Disabled, every recording site costs a
-     * single branch.
+     * (one ring per worker plus the dispatch thread) and a
+     * per-subframe activity/deadline series, both preallocated so
+     * steady-state recording stays allocation-free.  Disabled, every
+     * recording site costs a single branch; the admission tallies
+     * (ShedStats) and the RunRecord count either way.
      */
     obs::ObsConfig obs;
 
@@ -237,13 +234,13 @@ struct MultiCellRunRecord
 };
 
 /** The engine's observability state (see EngineConfig::obs) and the
- *  clock of every admission timestamp; null counters = metrics off. */
+ *  clock of every admission timestamp. */
 struct EngineObs
 {
     EngineObs(const EngineConfig &config, std::size_t n_slots);
 
-    /** Monotonic ns: tracer epoch when tracing, engine epoch when only
-     *  metrics are on (accounting must not depend on the tracer). */
+    /** Monotonic ns: tracer epoch when tracing, engine epoch when
+     *  tracing is off (admission must not depend on the tracer). */
     std::uint64_t now_ns() const;
 
     /** Record an instant on the dispatch slot (no-op untraced). */
@@ -252,22 +249,8 @@ struct EngineObs
 
     std::unique_ptr<obs::Tracer> tracer;
     std::unique_ptr<obs::SubframeSeries> series;
-    std::unique_ptr<obs::MetricsRegistry> metrics;
     /** The dispatch thread's tracer slot (after the workers'). */
     std::size_t slot = 0;
-
-    obs::Counter *subframes = nullptr;
-    obs::Counter *users = nullptr;
-    obs::Counter *deadline_misses = nullptr;
-    obs::Counter *submitted = nullptr;
-    obs::Counter *admitted = nullptr;
-    obs::Counter *completed = nullptr;
-    obs::Counter *shed = nullptr;
-    obs::Counter *shed_queue_full = nullptr;
-    obs::Counter *shed_expired = nullptr;
-    obs::Counter *degraded = nullptr;
-    obs::Counter *io_lost = nullptr;
-    obs::Counter *io_late = nullptr;
 
     const std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
@@ -366,9 +349,6 @@ class Engine
     {
         return obs_.series.get();
     }
-    /** Metrics registry (aggregate engine.* plus per-lane
-     *  engine.cell<id>.* counters), or nullptr when disabled. */
-    obs::MetricsRegistry *metrics() { return obs_.metrics.get(); }
 
     /**
      * Process one subframe of one lane synchronously (the engine must
@@ -426,7 +406,7 @@ class Engine
     /** Account, report and release one finished job. */
     void complete(Lane &lane, SubframeJob *job,
                   const SubframeOutcome &outcome);
-    /** Account one shed subframe (kShed span, counters, feedback). */
+    /** Account one shed subframe (tallies, kShed span, feedback). */
     void observe_shed(Lane &lane, std::uint64_t subframe_index,
                       bool expired);
     /** Fold the lane's producer-side frame losses into its shed

@@ -634,7 +634,6 @@ TEST(IoOverload, LostFramesKeepAdmissionInvariants)
     cfg.shed_policy = runtime::ShedPolicy::kDropNewest;
     cfg.io.enabled = true;
     cfg.io.n_frames = 2;
-    cfg.obs.metrics_enabled = true;
     if (use_replay) {
         cfg.io.source = SourceKind::kReplay;
         cfg.io.replay_path = file.path;
@@ -644,25 +643,15 @@ TEST(IoOverload, LostFramesKeepAdmissionInvariants)
     auto engine = runtime::make_engine(cfg);
     workload::PaperModel model(model_config());
     const RunRecord record = engine->run(model, n);
-    (void)record;
 
     const auto &stats =
         dynamic_cast<const runtime::StreamingEngine &>(*engine)
             .shed_stats();
     EXPECT_EQ(stats.submitted, n);
+    EXPECT_EQ(record.subframes.size(), stats.completed);
     EXPECT_EQ(stats.completed + stats.shed, stats.submitted);
     EXPECT_EQ(stats.shed_queue_full + stats.shed_expired, stats.shed);
     EXPECT_LE(stats.io_lost, stats.shed_queue_full);
-
-    // The offloaded run's counters must tell the same story as its
-    // ShedStats, the producer-side loss and lateness included.
-    ASSERT_NE(engine->metrics(), nullptr);
-    auto &m = *engine->metrics();
-    EXPECT_EQ(m.counter("io.lost").value(), stats.io_lost);
-    EXPECT_EQ(m.counter("io.late").value(), stats.io_late);
-    EXPECT_EQ(m.counter("engine.submitted").value(), stats.submitted);
-    EXPECT_EQ(m.counter("engine.shed").value(), stats.shed);
-    EXPECT_EQ(m.counter("engine.completed").value(), stats.completed);
 }
 
 // ------------------------------------------------------------- soak

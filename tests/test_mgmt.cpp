@@ -151,6 +151,14 @@ TEST(WorkloadEstimator, DecisionStatsTallied)
     EXPECT_EQ(stats.core_decisions, 3u);
     EXPECT_EQ(stats.clamped_low, 1u);
     EXPECT_EQ(stats.clamped_high, 1u);
+    // Exactly at a bound is not a clamp: the margin floor met ...
+    EXPECT_EQ(est.active_cores(0.0, 62, 2), 2u);
+    EXPECT_EQ(stats.clamped_low, 1u);
+    // ... and the floor and the ceiling met at once.
+    EXPECT_EQ(est.active_cores(0.0, 4, 4), 4u);
+    EXPECT_EQ(stats.clamped_low, 1u);
+    EXPECT_EQ(stats.clamped_high, 1u);
+    EXPECT_EQ(stats.core_decisions, 5u);
     est.reset_stats();
     EXPECT_EQ(est.stats().core_decisions, 0u);
 }

@@ -205,13 +205,9 @@ TEST(MultiCell, ProcessSubframeServesEachLane)
         EXPECT_EQ(out.cell_id, engine.cell_id(lane));
         EXPECT_EQ(out.users.size(), params.users.size());
     }
-    // Cell-tagged metrics observed both lanes.
-    EXPECT_EQ(engine.metrics()->counter("engine.cell1.completed")
-                  .value(),
-              2.0);
-    EXPECT_EQ(engine.metrics()->counter("engine.cell2.completed")
-                  .value(),
-              2.0);
+    // Each lane's own tallies observed its two subframes.
+    EXPECT_EQ(engine.shed_stats(0).completed, 2u);
+    EXPECT_EQ(engine.shed_stats(1).completed, 2u);
     // The wrong lane is rejected, not silently re-tagged.
     phy::SubframeParams params = model.next_subframe();
     params.cell_id = engine.cell_id(0);

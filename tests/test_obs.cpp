@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability layer tests: trace ring discipline, metrics registry
- * semantics, and exporter output — including a structural JSON
+ * Observability layer tests: trace ring discipline, the subframe
+ * series, and exporter output — including a structural JSON
  * validation of the chrome://tracing export from a real 100-subframe
  * engine run.
  */
@@ -12,7 +12,6 @@
 #include <string>
 
 #include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/engine.hpp"
 #include "workload/paper_model.hpp"
@@ -246,7 +245,7 @@ TEST(SubframeSeries, CapacityBounded)
     for (std::uint64_t i = 0; i < 5; ++i) {
         SubframeSample s;
         s.subframe_index = i;
-        s.t_dispatch_ns = i * 1000;
+        s.t_arrival_ns = i * 1000;
         s.t_complete_ns = i * 1000 + 500;
         series.push(s);
     }
@@ -256,32 +255,6 @@ TEST(SubframeSeries, CapacityBounded)
     EXPECT_NEAR(series.at(1).latency_ms(), 0.0005, 1e-12);
     series.clear();
     EXPECT_EQ(series.size(), 0u);
-}
-
-// --------------------------------------------------------- metrics
-
-TEST(MetricsRegistry, FindOrCreateReturnsStableRefs)
-{
-    MetricsRegistry reg;
-    Counter &c1 = reg.counter("tasks");
-    c1.add(5);
-    Counter &c2 = reg.counter("tasks");
-    EXPECT_EQ(&c1, &c2);
-    EXPECT_EQ(c2.value(), 5u);
-
-    Gauge &g = reg.gauge("activity");
-    g.set(0.25);
-    EXPECT_DOUBLE_EQ(reg.gauge("activity").value(), 0.25);
-
-    reg.counter("a_first").add(1);
-    const auto samples = reg.snapshot();
-    ASSERT_EQ(samples.size(), 3u);
-    // Sorted by name: a_first, activity, tasks.
-    EXPECT_EQ(samples[0].name, "a_first");
-    EXPECT_EQ(samples[1].name, "activity");
-    EXPECT_EQ(samples[2].name, "tasks");
-    EXPECT_TRUE(samples[0].is_counter);
-    EXPECT_FALSE(samples[1].is_counter);
 }
 
 // ------------------------------------------------------- exporters
@@ -386,21 +359,13 @@ TEST(ObsIntegration, HundredSubframeRunExports)
     EXPECT_EQ(engine->subframe_series()->size(), 100u);
     std::ostringstream csv_os;
     obs::write_subframe_csv(csv_os, *engine->subframe_series(),
-                            cfg.obs.deadline_ms);
+                            /*deadline_ms=*/3.0);
     std::istringstream lines(csv_os.str());
     std::size_t n_lines = 0;
     std::string line;
     while (std::getline(lines, line))
         ++n_lines;
     EXPECT_EQ(n_lines, 101u); // header + one row per subframe
-
-    ASSERT_NE(engine->metrics(), nullptr);
-    EXPECT_EQ(engine->metrics()->counter("engine.subframes").value(),
-              100u);
-    std::ostringstream metrics_os;
-    obs::write_metrics_csv(metrics_os, *engine->metrics());
-    EXPECT_NE(metrics_os.str().find("engine.subframes"),
-              std::string::npos);
 }
 
 TEST(ObsIntegration, DisabledEngineHasNoObsState)
@@ -411,15 +376,14 @@ TEST(ObsIntegration, DisabledEngineHasNoObsState)
     auto engine = make_engine(cfg);
     EXPECT_EQ(engine->tracer(), nullptr);
     EXPECT_EQ(engine->subframe_series(), nullptr);
-    EXPECT_EQ(engine->metrics(), nullptr);
 }
 
 TEST(ObsIntegration, MetricsWithoutTracingStillCount)
 {
-    // Regression: subframe/user/deadline-miss accounting used to live
-    // inside `if (tracer_)` blocks, so turning tracing off silently
-    // zeroed engine.deadline_misses even when the metrics registry was
-    // wanted.  Metrics are now their own switch.
+    // Regression: subframe/user accounting once lived inside
+    // `if (tracer_)` blocks, so turning tracing off silently zeroed it.
+    // The counts now live in the RunRecord and ShedStats, which every
+    // run fills whether or not it is traced.
     phy::UserParams user;
     user.prb = 25;
     user.layers = 2;
@@ -431,24 +395,20 @@ TEST(ObsIntegration, MetricsWithoutTracingStillCount)
         cfg.pool.n_workers = 2;
         cfg.input.pool_size = 2;
         cfg.obs.enabled = false;
-        cfg.obs.metrics_enabled = true;
-        cfg.obs.deadline_ms = 1e-6; // every real subframe misses
         auto engine = make_engine(cfg);
 
         workload::SteadyModel model(user);
-        engine->run(model, 10);
+        const RunRecord record = engine->run(model, 10);
 
         EXPECT_EQ(engine->tracer(), nullptr)
             << engine_kind_name(kind);
         EXPECT_EQ(engine->subframe_series(), nullptr)
             << engine_kind_name(kind);
-        ASSERT_NE(engine->metrics(), nullptr) << engine_kind_name(kind);
-        auto &m = *engine->metrics();
-        EXPECT_EQ(m.counter("engine.subframes").value(), 10u)
+        EXPECT_EQ(record.subframes.size(), 10u) << engine_kind_name(kind);
+        EXPECT_EQ(record.user_count(), 10u) << engine_kind_name(kind);
+        EXPECT_EQ(engine->shed_stats().completed, 10u)
             << engine_kind_name(kind);
-        EXPECT_EQ(m.counter("engine.users").value(), 10u)
-            << engine_kind_name(kind);
-        EXPECT_EQ(m.counter("engine.deadline_misses").value(), 10u)
+        EXPECT_EQ(engine->shed_stats().admitted, 10u)
             << engine_kind_name(kind);
     }
 }
