@@ -7,8 +7,9 @@
  *
  * For each policy the table reports the admission accounting
  * (submitted / admitted / completed / shed, split into queue-full and
- * expired), the degraded-chain count, deadline misses among completed
- * subframes, and the p50/p99 admission-to-completion latency drawn
+ * expired), the degraded-chain count, completions past the completion
+ * bound (admission deadline + max_in_flight x drain), and the p50/p99
+ * admission-to-completion latency drawn
  * from the per-subframe observability series.  The point of the
  * exercise: with shedding enabled, tail latency stays bounded by the
  * deadline even though offered load is twice capacity, at the cost of
@@ -295,7 +296,6 @@ run_io_offload_comparison(std::uint64_t seed, bool full)
             cfg.engine.obs.series_capacity = n_subframes * n_cells;
             if (offloaded != 0) {
                 cfg.engine.io.enabled = true;
-                cfg.engine.io.source = io::SourceKind::kGenerator;
                 cfg.engine.io.n_frames = 8;
             }
             runtime::MultiCellEngine engine(cfg);
@@ -378,6 +378,10 @@ main(int argc, char **argv)
     // overload regardless of how many cores the host really grants.
     const double delta_ms = drain_ms / 2.0;
     const double deadline_ms = 3.0 * drain_ms;
+    // A subframe admitted just inside the deadline still needs its
+    // service time, and may wait behind max_in_flight others.
+    const double completion_bound_ms =
+        deadline_ms + static_cast<double>(max_in_flight) * drain_ms;
     const std::size_t n_subframes = args.full ? 1000 : 240;
 
     std::cout << "serial service time:   " << report::fmt(service_ms, 3)
@@ -388,7 +392,11 @@ main(int argc, char **argv)
               << "arrival period:        " << report::fmt(delta_ms, 3)
               << " ms  (2x overload)\n"
               << "admission deadline:    " << report::fmt(deadline_ms, 3)
-              << " ms\n\n";
+              << " ms\n"
+              << "completion bound:      "
+              << report::fmt(completion_bound_ms, 3)
+              << " ms  (deadline + max_in_flight x drain; 'misses' "
+                 "counts completions past it)\n\n";
 
     const Scenario scenarios[] = {
         {"lossless", 0.0, runtime::ShedPolicy::kDropNewest},
@@ -424,13 +432,13 @@ main(int argc, char **argv)
         const auto &series = *engine->subframe_series();
         // Every completion fits the series (capacity n_subframes), so
         // it holds each completed subframe's latency; a miss is one
-        // past the admission deadline, lossless runs included.
+        // past the completion bound, lossless runs included.
         std::vector<double> latencies;
         latencies.reserve(series.size());
         std::size_t misses = 0;
         for (std::size_t i = 0; i < series.size(); ++i) {
             latencies.push_back(series.at(i).latency_ms());
-            misses += latencies.back() > deadline_ms ? 1 : 0;
+            misses += latencies.back() > completion_bound_ms ? 1 : 0;
         }
 
         table.add_row({sc.label, std::to_string(stats.submitted),
@@ -448,10 +456,7 @@ main(int argc, char **argv)
     std::cout << "\nwith a deadline and a shed policy, the queue wait "
                  "is capped by the\nadmission deadline, so p99 latency "
                  "settles near deadline +\nmax_in_flight x drain ("
-              << report::fmt(deadline_ms +
-                                 static_cast<double>(max_in_flight) *
-                                     drain_ms,
-                             1)
+              << report::fmt(completion_bound_ms, 1)
               << " ms here) no matter how long the run;\nthe lossless "
                  "baseline's latency instead grows with the backlog.\n"
                  "'degrade' converts would-be drops into cheap MRC + "

@@ -28,8 +28,8 @@ run_preset() {
 run_preset release
 
 # The release tree's legs (real-turbo decode, the micro-bench and
-# example smoke, the LTE_CELLS / LTE_IO_SOURCE / LTE_MAC sweeps and the
-# pinned study-bench outputs) live in scripts/release_legs.sh, which
+# example smoke, the LTE_CELLS / LTE_MAC sweeps and the pinned
+# study-bench outputs) live in scripts/release_legs.sh, which
 # scripts/coverage.sh runs as well.
 source scripts/release_legs.sh
 release_legs build

@@ -55,16 +55,6 @@ release_legs() {
             LTE_CELLS="${cells}" "./${tree}/tests/test_multicell"
         done
 
-        # Sample-plane sweep: the io suites honour LTE_IO_SOURCE, so
-        # the same binary proves the offloaded admission invariants
-        # with both a live generator producer and a record->replay
-        # capture stream.
-        local source
-        for source in generator replay; do
-            echo "==> ${tree}: sample-plane sweep (LTE_IO_SOURCE=${source})"
-            LTE_IO_SOURCE="${source}" "./${tree}/tests/test_io"
-        done
-
         # MAC policy sweep: the closed-loop suite honours LTE_MAC, so
         # the same binary proves grant conservation (offered ==
         # delivered + residual) with each scheduler policy driving a

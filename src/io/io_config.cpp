@@ -11,8 +11,6 @@ IoConfig::validate() const
         return;
     LTE_CHECK(n_frames >= 2, "io.n_frames must be at least 2");
     LTE_CHECK(n_frames <= 4096, "io.n_frames unreasonably large");
-    LTE_CHECK(source != SourceKind::kReplay || !replay_path.empty(),
-              "io.replay_path required for the replay source");
 }
 
 } // namespace lte::io

@@ -3,8 +3,8 @@
  * Sample-plane configuration: how an engine's input arrives.
  *
  * Disabled (the default) keeps the historical in-process behaviour —
- * the admission loop synthesizes its own input inline.  Enabled, a
- * dedicated producer thread per cell fills pooled IQ frames from a
+ * the admission loop synthesizes its own input inline.  Enabled, one
+ * producer thread fills every cell's pooled IQ frames from its
  * SampleSource and the admission loop merely consumes ready frames,
  * which is the paper's actual deployment shape (samples arrive from a
  * fronthaul every TTI whether the receiver is ready or not).
@@ -14,17 +14,19 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace lte::io {
 
-/** Where the producer thread gets its IQ frames from. */
+/**
+ * Where the producer thread gets its IQ frames from.  The lane's own
+ * InputGenerator is the only origin; the enum and IoConfig::source
+ * stay only because perfbench sets them, and go with the next
+ * benchmark change, like the StreamingEngine/MultiCellEngine aliases.
+ */
 enum class SourceKind : std::uint8_t
 {
     /** The engine's own InputGenerator, run on the producer thread. */
     kGenerator = 0,
-    /** Replay of a recorded capture file. */
-    kReplay = 1,
 };
 
 struct IoConfig
@@ -41,13 +43,6 @@ struct IoConfig
      * or the producer blocks (lossless mode, deadline_ms == 0).
      */
     std::size_t n_frames = 16;
-
-    /** Capture file to replay (source == kReplay). */
-    std::string replay_path;
-
-    /** When non-empty, the producer taps every published frame into
-     *  this capture file (the Recorder sink). */
-    std::string record_path;
 
     /** Throws std::invalid_argument on nonsense. */
     void validate() const;

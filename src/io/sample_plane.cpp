@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "io/capture.hpp"
 
 namespace lte::io {
 
@@ -110,13 +109,10 @@ void
 MultiSampleFeed::run(std::uint64_t n_subframes)
 {
     const std::size_t n_lanes = lanes_.size();
-    std::vector<bool> exhausted(n_lanes, false);
-    std::size_t n_alive = n_lanes;
-
     const double delta_ns = config_.delta_ms * 1e6;
     const std::uint64_t t0 = config_.now_ns();
 
-    for (std::uint64_t k = 0; k < n_subframes && n_alive > 0; ++k) {
+    for (std::uint64_t k = 0; k < n_subframes; ++k) {
         if (stop_.load(std::memory_order_acquire))
             return;
 
@@ -143,8 +139,6 @@ MultiSampleFeed::run(std::uint64_t n_subframes)
         }
 
         for (std::size_t i = 0; i < n_lanes; ++i) {
-            if (exhausted[i])
-                continue;
             FeedLane &lane = lanes_[i];
             IqFrame *frame = lane.transport->try_acquire_free();
             if (frame == nullptr) {
@@ -167,23 +161,13 @@ MultiSampleFeed::run(std::uint64_t n_subframes)
                 }
             }
 
-            if (!lane.source->produce(*frame)) {
-                // Stream exhausted (finite replay): park the frame and
-                // retire the lane; the grid keeps serving the others.
-                exhausted[i] = true;
-                --n_alive;
-                continue;
-            }
-
+            lane.source->produce(*frame);
             frame->seq = k;
             frame->t_arrival_ns = config_.now_ns();
             if (delta_ns > 0.0 &&
                 frame->t_arrival_ns >
                     scheduled + static_cast<std::uint64_t>(delta_ns))
                 stats_[i].late.fetch_add(1, std::memory_order_relaxed);
-
-            if (lane.recorder != nullptr)
-                lane.recorder->write(*frame);
 
             lane.transport->publish_ready(frame);
             stats_[i].produced.fetch_add(1, std::memory_order_relaxed);

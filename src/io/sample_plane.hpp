@@ -41,16 +41,13 @@
 
 namespace lte::io {
 
-class CaptureWriter;
-
 /**
  * One pooled IQ subframe buffer.
  *
- * `signals` is the per-user pointer view the receiver consumes; for a
- * generator source the pointers reference the generator's long-lived
- * pools (zero-copy), for replay they reference this frame's own
- * `storage`.  Either way the pointers are valid from publish_ready()
- * until release().
+ * `signals` is the per-user pointer view the receiver consumes.  The
+ * frame owns no samples: the pointers reference storage the source
+ * keeps alive (the generator's long-lived pools, a zero-copy handoff)
+ * from publish_ready() until release().
  */
 struct IqFrame
 {
@@ -62,13 +59,12 @@ struct IqFrame
     phy::SubframeParams params;
     /** Per-user signal view, aligned with params.users. */
     std::vector<const phy::UserSignal *> signals;
-    /** Frame-owned sample storage (replay sources only; generator
-     *  sources leave it empty and point into their pools). */
-    std::vector<phy::UserSignal> storage;
 };
 
 /**
- * A pluggable origin of IQ subframes, driven from the producer thread.
+ * An origin of IQ subframes, driven from the producer thread.  The
+ * engine's only source is its lanes' GeneratorSampleSource; tests
+ * substitute fakes through this interface.
  */
 class SampleSource
 {
@@ -76,15 +72,14 @@ class SampleSource
     virtual ~SampleSource() = default;
 
     /**
-     * Fill @p frame (params + signals; storage if self-backed) with
-     * the next subframe of the stream.  @return false when the stream
-     * is exhausted (finite replay); the feed then stops.
+     * Fill @p frame (params + signals) with the next subframe of the
+     * stream, which never ends.
      *
      * Steady-state contract: implementations must reuse the frame's
      * existing capacity — no heap allocation once shapes have been
      * seen once.
      */
-    virtual bool produce(IqFrame &frame) = 0;
+    virtual void produce(IqFrame &frame) = 0;
 
     /**
      * Advance past one subframe without materialising it — called
@@ -165,14 +160,11 @@ struct FeedConfig
     std::function<std::uint64_t()> now_ns;
 };
 
-/** One lane of a MultiSampleFeed: a cell's transport + source pair,
- *  plus an optional recorder tap. */
+/** One lane of a MultiSampleFeed: a cell's transport + source pair. */
 struct FeedLane
 {
     SampleTransport *transport = nullptr;
     SampleSource *source = nullptr;
-    /** Optional per-lane recorder tap (runs on the producer thread). */
-    CaptureWriter *recorder = nullptr;
 };
 
 /**

@@ -6,11 +6,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <string>
 #include <thread>
 
 #include "common/check.hpp"
-#include "io/capture.hpp"
 #include "io/sample_plane.hpp"
 #include "phy/kernel_scratch.hpp"
 #include "phy/op_model.hpp"
@@ -240,8 +238,6 @@ struct Engine::Lane
 struct Engine::SamplePlane
 {
     std::deque<io::SampleTransport> transports;
-    std::deque<io::ReplaySource> replays;
-    std::deque<io::CaptureWriter> recorders;
     std::unique_ptr<io::MultiSampleFeed> feed;
 };
 
@@ -354,9 +350,6 @@ Engine::consume_frame(Lane &lane, io::IqFrame *frame,
 {
     const EngineConfig &e = config_.engine;
     const bool pulled = frame == &lane.scratch;
-    // Replayed captures carry the recorded cell id; the lane serves
-    // its own (generator sources already stamp it).
-    frame->params.cell_id = lane.cell_id;
 
     ++lane.shed.submitted;
     if (!pulled && obs_.tracer) {
@@ -692,29 +685,12 @@ void
 Engine::open_sample_plane(SamplePlane &plane,
                           std::vector<GeneratorSampleSource> &generators)
 {
-    // Replay lanes all loop the configured capture (cell id re-stamped
-    // at consumption); recorder taps get per-cell file names beyond
-    // one cell so lanes never share a stream.
-    const io::IoConfig &io_cfg = config_.engine.io;
     std::vector<io::FeedLane> feed_lanes;
     for (std::size_t c = 0; c < lanes_.size(); ++c) {
         Lane &lane = *lanes_[c];
-        lane.transport = &plane.transports.emplace_back(io_cfg.n_frames);
-        io::FeedLane feed_lane;
-        feed_lane.transport = lane.transport;
-        feed_lane.source = &generators[c];
-        if (io_cfg.source == io::SourceKind::kReplay) {
-            feed_lane.source = &plane.replays.emplace_back(
-                io_cfg.replay_path, /*loop=*/true);
-        }
-        if (!io_cfg.record_path.empty()) {
-            std::string path = io_cfg.record_path;
-            if (lanes_.size() > 1)
-                path += ".cell" + std::to_string(lane.cell_id);
-            feed_lane.recorder = &plane.recorders.emplace_back(
-                path, config_.engine.receiver.n_antennas);
-        }
-        feed_lanes.push_back(feed_lane);
+        lane.transport =
+            &plane.transports.emplace_back(config_.engine.io.n_frames);
+        feed_lanes.push_back({lane.transport, &generators[c]});
     }
     io::FeedConfig feed_config;
     feed_config.delta_ms = config_.engine.delta_ms;

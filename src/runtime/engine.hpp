@@ -267,11 +267,11 @@ struct EngineObs
 class GeneratorSampleSource : public io::SampleSource
 {
   public:
-    /** @p cell_id, when non-zero, is stamped over the model's
+    /** @p cell_id, the lane's cell, is stamped over the model's
      *  params.cell_id.  Both references must outlive the source. */
     GeneratorSampleSource(InputGenerator &input,
                           workload::ParameterModel &model,
-                          std::uint32_t cell_id = 0)
+                          std::uint32_t cell_id)
         : input_(input), model_(model), cell_id_(cell_id)
     {
     }
@@ -281,17 +281,15 @@ class GeneratorSampleSource : public io::SampleSource
     draw(io::IqFrame &frame)
     {
         frame.params = model_.next_subframe();
-        if (cell_id_ != 0)
-            frame.params.cell_id = cell_id_;
+        frame.params.cell_id = cell_id_;
         frame.params.validate();
     }
 
-    bool
+    void
     produce(io::IqFrame &frame) override
     {
         draw(frame);
         input_.signals_for(frame.params, frame.signals);
-        return true;
     }
 
     void

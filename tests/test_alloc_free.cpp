@@ -23,6 +23,7 @@
 #include <new>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "io/sample_plane.hpp"
 #include "mac/scheduler.hpp"
@@ -355,12 +356,17 @@ TEST(AllocFree, MultiCellEngineTracingEnabledDoesNotAllocate)
 /**
  * Sample source that regenerates one user's signal in place — the
  * steady-state contract of SampleSource::produce: after shapes have
- * been seen once, filling a recycled frame touches no heap.
+ * been seen once, filling a recycled frame touches no heap.  It owns
+ * one signal per pooled frame: the consumer releases frames in the
+ * order they were published, so when the producer fills tick k the
+ * frame of tick k - n_frames has been released and its slot is free.
  */
 class InPlaceSource : public io::SampleSource
 {
   public:
-    bool
+    explicit InPlaceSource(std::size_t n_frames) : storage_(n_frames) {}
+
+    void
     produce(io::IqFrame &frame) override
     {
         frame.params.subframe_index = count_;
@@ -371,8 +377,7 @@ class InPlaceSource : public io::SampleSource
         u.prb = 25;
         u.layers = 2;
         u.mod = Modulation::k16Qam;
-        frame.storage.resize(1);
-        phy::UserSignal &sig = frame.storage[0];
+        phy::UserSignal &sig = storage_[count_ % storage_.size()];
         sig.antennas.resize(2);
         const std::size_t n_sc = u.prb * kScPerPrb;
         for (auto &ant : sig.antennas)
@@ -387,12 +392,12 @@ class InPlaceSource : public io::SampleSource
                             static_cast<float>(count_ + k), 0.5f);
                 }
         frame.signals.resize(1);
-        frame.signals[0] = &frame.storage[0];
+        frame.signals[0] = &sig;
         ++count_;
-        return true;
     }
 
   private:
+    std::vector<phy::UserSignal> storage_;
     std::uint64_t count_ = 0;
 };
 
@@ -406,7 +411,7 @@ expect_zero_alloc_sample_plane(bool tracing)
     // variant proves the engines' kIoFrame span recording rides along
     // without breaking the guarantee (spans go to preallocated rings).
     io::SampleTransport transport(4);
-    InPlaceSource source;
+    InPlaceSource source(transport.n_frames());
     io::FeedConfig cfg;
     cfg.lossless = true;
     io::MultiSampleFeed feed({{&transport, &source}}, cfg);
@@ -431,7 +436,7 @@ expect_zero_alloc_sample_plane(bool tracing)
             }
             EXPECT_EQ(frame->params.subframe_index, first + seen);
             checksum += static_cast<std::uint64_t>(
-                frame->storage[0].antennas[0].slots[0][0][0].real());
+                frame->signals[0]->antennas[0].slots[0][0][0].real());
             if (tracing)
                 tracer->record(/*slot=*/0, obs::SpanKind::kIoFrame,
                                frame->t_arrival_ns,
@@ -443,8 +448,8 @@ expect_zero_alloc_sample_plane(bool tracing)
         return checksum;
     };
 
-    // Warm-up: every pooled frame cycles at least once, so each has
-    // grown its storage to the steady shape.
+    // Warm-up: every pooled frame and every source slot cycles at
+    // least once, so each has grown to the steady shape.
     const std::uint64_t warm_sum = consume(warm, 0);
     EXPECT_GT(warm_sum, 0u);
 

@@ -1,25 +1,19 @@
 /**
  * @file
  * Sample-plane tests: SPSC ring semantics (wraparound, full, empty),
- * frame-pool exhaustion backpressure, capture record→replay bit
- * identity, offloaded-vs-inline digest parity on both engines, and a
- * two-thread producer/consumer soak.  Suite names start with "Io" so
+ * frame-pool exhaustion backpressure, offloaded-vs-inline digest
+ * parity, lost-frame admission accounting, and a two-thread
+ * producer/consumer soak.  Suite names start with "Io" so
  * the tsan preset's test filter picks them up — the soak and the
  * offloaded parity runs genuinely cross threads through the rings.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "io/capture.hpp"
 #include "io/io_config.hpp"
 #include "io/sample_plane.hpp"
 #include "io/spsc_ring.hpp"
@@ -29,17 +23,6 @@
 
 namespace lte::io {
 namespace {
-
-/** A scratch file deleted when the test scope exits. */
-struct TempCapture
-{
-    explicit TempCapture(const std::string &name)
-        : path(::testing::TempDir() + name)
-    {
-    }
-    ~TempCapture() { std::remove(path.c_str()); }
-    std::string path;
-};
 
 // ------------------------------------------------------------- ring
 
@@ -146,269 +129,6 @@ TEST(IoConfigValidation, RejectsBadKnobs)
     EXPECT_NO_THROW(cfg.validate());
     cfg.n_frames = 1;
     EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    cfg.n_frames = 16;
-    cfg.source = SourceKind::kReplay;
-    EXPECT_THROW(cfg.validate(), std::invalid_argument); // no path
-    cfg.replay_path = "x.iq";
-    EXPECT_NO_THROW(cfg.validate());
-}
-
-// ---------------------------------------------------------- capture
-
-runtime::InputGeneratorConfig
-generator_config()
-{
-    runtime::InputGeneratorConfig cfg;
-    cfg.pool_size = 4;
-    cfg.seed = 77;
-    return cfg;
-}
-
-workload::PaperModelConfig
-model_config()
-{
-    workload::PaperModelConfig cfg;
-    cfg.ramp_subframes = 40;
-    cfg.prob_update_interval = 5;
-    cfg.seed = 77;
-    return cfg;
-}
-
-TEST(IoCapture, RecordReplayRoundTripIsBitIdentical)
-{
-    TempCapture file("io_roundtrip.iq");
-    const std::size_t n = 6;
-
-    // Record n generator frames.
-    {
-        runtime::InputGenerator input(generator_config());
-        workload::PaperModel model(model_config());
-        runtime::GeneratorSampleSource source(input, model);
-        CaptureWriter writer(file.path, input.config().n_antennas);
-        IqFrame frame;
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_TRUE(source.produce(frame));
-            writer.write(frame);
-        }
-        EXPECT_EQ(writer.frames_written(), n);
-    }
-
-    // Replay must reproduce every parameter and every raw sample.
-    // A fresh generator replays the same pool-and-cursor sequence the
-    // recording pass saw (both deterministic in the seed).
-    runtime::InputGenerator input(generator_config());
-    workload::PaperModel model(model_config());
-    runtime::GeneratorSampleSource reference(input, model);
-    CaptureReader reader(file.path);
-    EXPECT_EQ(reader.n_antennas(), input.config().n_antennas);
-
-    IqFrame expect, got;
-    for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_TRUE(reference.produce(expect));
-        ASSERT_TRUE(reader.read_into(got));
-        ASSERT_EQ(got.params.users.size(), expect.params.users.size());
-        EXPECT_EQ(got.params.subframe_index,
-                  expect.params.subframe_index);
-        EXPECT_EQ(got.params.cell_id, expect.params.cell_id);
-        for (std::size_t u = 0; u < expect.params.users.size(); ++u) {
-            const phy::UserParams &eu = expect.params.users[u];
-            const phy::UserParams &gu = got.params.users[u];
-            EXPECT_EQ(gu.id, eu.id);
-            EXPECT_EQ(gu.prb, eu.prb);
-            EXPECT_EQ(gu.layers, eu.layers);
-            EXPECT_EQ(gu.mod, eu.mod);
-            const phy::UserSignal &es = *expect.signals[u];
-            const phy::UserSignal &gs = *got.signals[u];
-            ASSERT_EQ(gs.antennas.size(), es.antennas.size());
-            for (std::size_t a = 0; a < es.antennas.size(); ++a)
-                for (std::size_t s = 0; s < kSlotsPerSubframe; ++s)
-                    for (std::size_t y = 0; y < kSymbolsPerSlot; ++y) {
-                        const CVec &ev = es.antennas[a].slots[s][y];
-                        const CVec &gv = gs.antennas[a].slots[s][y];
-                        ASSERT_EQ(gv.size(), ev.size());
-                        // Bit-exact: raw cf32 written and read back.
-                        EXPECT_EQ(std::memcmp(gv.data(), ev.data(),
-                                              ev.size() * sizeof(cf32)),
-                                  0)
-                            << "frame " << i << " user " << u
-                            << " antenna " << a;
-                    }
-        }
-    }
-    EXPECT_FALSE(reader.read_into(got)); // clean EOF
-}
-
-TEST(IoCapture, ReplaySourceLoopsAndSkips)
-{
-    TempCapture file("io_loop.iq");
-    const std::size_t n = 3;
-    runtime::InputGenerator input(generator_config());
-    std::vector<std::uint64_t> indices;
-    {
-        workload::PaperModel model(model_config());
-        runtime::GeneratorSampleSource source(input, model);
-        CaptureWriter writer(file.path, input.config().n_antennas);
-        IqFrame frame;
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_TRUE(source.produce(frame));
-            indices.push_back(frame.params.subframe_index);
-            writer.write(frame);
-        }
-    }
-
-    // loop=true wraps around at EOF.
-    ReplaySource looping(file.path, /*loop=*/true);
-    IqFrame frame;
-    for (std::size_t i = 0; i < 2 * n + 1; ++i) {
-        ASSERT_TRUE(looping.produce(frame));
-        EXPECT_EQ(frame.params.subframe_index, indices[i % n]);
-    }
-
-    // skip() advances the stream position without materialising.
-    ReplaySource skipping(file.path, /*loop=*/false);
-    skipping.skip();
-    ASSERT_TRUE(skipping.produce(frame));
-    EXPECT_EQ(frame.params.subframe_index, indices[1]);
-    ASSERT_TRUE(skipping.produce(frame));
-    EXPECT_EQ(frame.params.subframe_index, indices[2]);
-    EXPECT_FALSE(skipping.produce(frame)); // finite replay ends
-}
-
-TEST(IoCapture, LoopedSkipAtWrapNeitherDropsNorDuplicates)
-{
-    // Regression for looped replay under deadline-mode lost ticks:
-    // every skip() must consume exactly one logical frame of the
-    // cyclic stream, including the call that lands exactly at
-    // end-of-capture (rewind + skip must not eat two frames, and a
-    // clean-EOF probe must not eat zero).
-    TempCapture file("io_wrap_skip.iq");
-    const std::size_t n = 3;
-    runtime::InputGenerator input(generator_config());
-    std::vector<std::uint64_t> indices;
-    {
-        workload::PaperModel model(model_config());
-        runtime::GeneratorSampleSource source(input, model);
-        CaptureWriter writer(file.path, input.config().n_antennas);
-        IqFrame frame;
-        for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_TRUE(source.produce(frame));
-            indices.push_back(frame.params.subframe_index);
-            writer.write(frame);
-        }
-    }
-
-    ReplaySource source(file.path, /*loop=*/true);
-    IqFrame frame;
-    std::size_t cursor = 0; // next logical frame of the cyclic stream
-    auto expect_produce = [&](const char *where) {
-        ASSERT_TRUE(source.produce(frame)) << where;
-        EXPECT_EQ(frame.params.subframe_index, indices[cursor % n])
-            << where << " (cursor " << cursor << ")";
-        ++cursor;
-    };
-    auto skip_one = [&] {
-        source.skip();
-        ++cursor;
-    };
-
-    // Skip landing mid-file.
-    expect_produce("plain produce");
-    skip_one();
-    expect_produce("after mid-file skip");
-
-    // Skip consuming the last frame (stream then sits at EOF).
-    ASSERT_EQ(cursor % n, 0u);
-    expect_produce("cycle 2 first");
-    expect_produce("cycle 2 second");
-    skip_one(); // consumes the final frame of cycle 2
-    ASSERT_EQ(cursor % n, 0u);
-    expect_produce("first frame after wrap-by-skip");
-
-    // Skip called exactly AT end-of-capture: the previous produce
-    // consumed up to EOF, so this skip must rewind and eat exactly
-    // frame 0 — the scenario the audit targets.
-    expect_produce("cycle 3 second");
-    expect_produce("cycle 3 third");
-    ASSERT_EQ(cursor % n, 0u); // stream position: clean EOF
-    skip_one();                // must consume exactly indices[0]
-    expect_produce("produce after at-EOF skip");
-
-    // Back-to-back skips across the wrap boundary.
-    skip_one(); // cycle 4 third (reaches EOF)
-    ASSERT_EQ(cursor % n, 0u);
-    skip_one(); // wraps, consumes cycle 5 first
-    expect_produce("produce after double skip across wrap");
-
-    // Steady state: several full cycles of mixed produce/skip keep
-    // perfect cyclic alignment (no cumulative drift).
-    for (int i = 0; i < 3 * static_cast<int>(n); ++i) {
-        if (i % 2 == 0)
-            expect_produce("steady mixed");
-        else
-            skip_one();
-    }
-    expect_produce("final alignment check");
-}
-
-TEST(IoCapture, RejectsMissingAndCorruptFiles)
-{
-    EXPECT_THROW(CaptureReader("/nonexistent/no_such_capture.iq"),
-                 std::runtime_error);
-
-    TempCapture file("io_corrupt.iq");
-    {
-        std::ofstream out(file.path, std::ios::binary);
-        out << "NOTLTEIQ-garbage-header";
-    }
-    EXPECT_THROW(CaptureReader(file.path), std::runtime_error);
-
-    // Two one-user frames whose second frame ends in a symbol header
-    // one subcarrier wider than any subframe can carry.  Skipping must
-    // reject the width exactly as reading does, instead of seeking
-    // past it and silently misaligning a looped replay.
-    TempCapture wide("io_wide_symbol.iq");
-    runtime::InputGenerator input(generator_config());
-    phy::SubframeParams params;
-    params.users.push_back(
-        phy::UserParams{.id = 0, .prb = 6, .layers = 1,
-                        .mod = Modulation::kQpsk});
-    std::size_t n_sc = 0; // width of the file's last symbol
-    {
-        CaptureWriter writer(wide.path, input.config().n_antennas);
-        IqFrame frame;
-        for (std::uint64_t i = 0; i < 2; ++i) {
-            params.subframe_index = i;
-            frame.params = params;
-            input.signals_for(params, frame.signals);
-            writer.write(frame);
-        }
-        n_sc = frame.signals[0]->antennas.back().slots.back().back().size();
-    }
-    {
-        // The file ends with the last symbol's header and samples.
-        std::fstream patch(wide.path,
-                           std::ios::in | std::ios::out | std::ios::binary);
-        patch.seekg(0, std::ios::end);
-        const std::streamoff header =
-            static_cast<std::streamoff>(patch.tellg()) -
-            static_cast<std::streamoff>(n_sc * sizeof(cf32) +
-                                        sizeof(std::uint32_t));
-        std::uint32_t width = 0;
-        patch.seekg(header);
-        patch.read(reinterpret_cast<char *>(&width), sizeof width);
-        ASSERT_EQ(width, n_sc);
-        width =
-            static_cast<std::uint32_t>(kMaxPrbPerSubframe * kScPerPrb + 1);
-        patch.seekp(header);
-        patch.write(reinterpret_cast<const char *>(&width), sizeof width);
-    }
-    ReplaySource replay(wide.path, /*loop=*/true);
-    EXPECT_NO_THROW(replay.skip());
-    EXPECT_THROW(replay.skip(), std::runtime_error);
-    CaptureReader reader(wide.path);
-    IqFrame frame;
-    EXPECT_TRUE(reader.read_into(frame));
-    EXPECT_THROW(reader.read_into(frame), std::runtime_error);
 }
 
 // ------------------------------------------------------------- feed
@@ -419,13 +139,12 @@ TEST(IoFeed, LosslessFeedDeliversEveryTickInOrder)
     struct CountingSource : SampleSource
     {
         std::uint64_t count = 0;
-        bool
+        void
         produce(IqFrame &frame) override
         {
             frame.params.users.clear();
             frame.params.subframe_index = count++;
             frame.signals.clear();
-            return true;
         }
     };
 
@@ -460,6 +179,16 @@ TEST(IoFeed, LosslessFeedDeliversEveryTickInOrder)
 using runtime::EngineConfig;
 using runtime::RunRecord;
 
+workload::PaperModelConfig
+model_config()
+{
+    workload::PaperModelConfig cfg;
+    cfg.ramp_subframes = 40;
+    cfg.prob_update_interval = 5;
+    cfg.seed = 77;
+    return cfg;
+}
+
 EngineConfig
 streaming_config()
 {
@@ -489,7 +218,6 @@ TEST(IoOffloadParity, OffloadedGeneratorMatchesInlineStreamingDigest)
 
     EngineConfig cfg = streaming_config();
     cfg.io.enabled = true;
-    cfg.io.source = SourceKind::kGenerator;
     cfg.io.n_frames = 4;
     auto offloaded = runtime::make_engine(cfg);
     workload::PaperModel model(model_config());
@@ -508,34 +236,6 @@ TEST(IoOffloadParity, OffloadedGeneratorMatchesInlineStreamingDigest)
     EXPECT_EQ(stats.io_lost, 0u);
 }
 
-TEST(IoOffloadParity, RecordedRunReplaysBitIdentically)
-{
-    // Record→replay workflow: a recorded offloaded run replayed from
-    // file must reproduce the original digests — capture is lossless.
-    TempCapture file("io_rerun.iq");
-    const std::size_t n = 15;
-
-    EngineConfig cfg = streaming_config();
-    cfg.io.enabled = true;
-    cfg.io.source = SourceKind::kGenerator;
-    cfg.io.record_path = file.path;
-    auto recording = runtime::make_engine(cfg);
-    workload::PaperModel model(model_config());
-    const RunRecord ref = recording->run(model, n);
-
-    EngineConfig replay_cfg = streaming_config();
-    replay_cfg.io.enabled = true;
-    replay_cfg.io.source = SourceKind::kReplay;
-    replay_cfg.io.replay_path = file.path;
-    auto replaying = runtime::make_engine(replay_cfg);
-    workload::PaperModel unused(model_config());
-    const RunRecord record = replaying->run(unused, n);
-
-    std::string why;
-    EXPECT_TRUE(RunRecord::equivalent(ref, record, &why)) << why;
-    EXPECT_EQ(ref.digest(), record.digest());
-}
-
 TEST(IoOffloadParity, OneCellMultiCellOffloadedMatchesStreaming)
 {
     // Every cell-id derivation is the identity at cell 1, so a 1-cell
@@ -550,7 +250,6 @@ TEST(IoOffloadParity, OneCellMultiCellOffloadedMatchesStreaming)
     cfg.n_cells = 1;
     cfg.engine = streaming_config();
     cfg.engine.io.enabled = true;
-    cfg.engine.io.source = SourceKind::kGenerator;
     runtime::MultiCellEngine engine(cfg);
     workload::PaperModel model(model_config());
     std::vector<workload::ParameterModel *> models{&model};
@@ -576,8 +275,7 @@ TEST(IoOffloadParity, MultiCellOffloadedPerCellDigestsAreDeterministic)
         cfg.n_cells = 2;
         cfg.engine = streaming_config();
         cfg.engine.io.enabled = true;
-        cfg.engine.io.source = SourceKind::kGenerator;
-        runtime::MultiCellEngine engine(cfg);
+            runtime::MultiCellEngine engine(cfg);
         std::vector<workload::PaperModel> models;
         models.reserve(2);
         for (std::size_t c = 0; c < 2; ++c) {
@@ -605,25 +303,6 @@ TEST(IoOverload, LostFramesKeepAdmissionInvariants)
     // A tiny pool, a fast tick and a slow drain: frames will be lost
     // at the source and shed at admission, but the books must still
     // balance — every tick resolves exactly once.
-    //
-    // LTE_IO_SOURCE=generator|replay selects the source under test so
-    // CI can sweep both without recompiling; replay first records a
-    // short capture, then loops it as the overloaded stream.
-    const char *source_env = std::getenv("LTE_IO_SOURCE");
-    const bool use_replay =
-        source_env != nullptr && std::string(source_env) == "replay";
-
-    TempCapture file("io_overload.iq");
-    if (use_replay) {
-        EngineConfig rec = streaming_config();
-        rec.io.enabled = true;
-        rec.io.source = SourceKind::kGenerator;
-        rec.io.record_path = file.path;
-        auto recorder = runtime::make_engine(rec);
-        workload::PaperModel rec_model(model_config());
-        (void)recorder->run(rec_model, 10);
-    }
-
     const std::size_t n = 60;
     EngineConfig cfg = streaming_config();
     cfg.pool.n_workers = 2;
@@ -634,12 +313,6 @@ TEST(IoOverload, LostFramesKeepAdmissionInvariants)
     cfg.shed_policy = runtime::ShedPolicy::kDropNewest;
     cfg.io.enabled = true;
     cfg.io.n_frames = 2;
-    if (use_replay) {
-        cfg.io.source = SourceKind::kReplay;
-        cfg.io.replay_path = file.path;
-    } else {
-        cfg.io.source = SourceKind::kGenerator;
-    }
     auto engine = runtime::make_engine(cfg);
     workload::PaperModel model(model_config());
     const RunRecord record = engine->run(model, n);

@@ -484,7 +484,6 @@ TEST(StreamingMacClosedLoop, OffloadedIoClosedLoopConserves)
     cfg.deadline_ms = 2.0;
     cfg.shed_policy = runtime::ShedPolicy::kDropOldest;
     cfg.io.enabled = true;
-    cfg.io.source = io::SourceKind::kGenerator;
     cfg.io.n_frames = 4;
     cfg.feedback = &sched;
     auto engine = runtime::make_engine(cfg);
@@ -533,7 +532,6 @@ TEST(StreamingMacClosedLoop, EnvSelectedPolicySweepConserves)
     cfg.shed_policy = runtime::ShedPolicy::kDropOldest;
     if (offload) {
         cfg.io.enabled = true;
-        cfg.io.source = io::SourceKind::kGenerator;
         cfg.io.n_frames = 4;
     }
     cfg.feedback = &sched;

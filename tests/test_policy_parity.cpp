@@ -326,6 +326,34 @@ TEST(DomainMachine, GatesSurplusDomainsAtLowLoad)
     EXPECT_EQ(result.user_latency.size(), result.user_dispatch.size());
 }
 
+TEST(DomainMachine, GatesAfterExactlyTheHysteresisStreak)
+{
+    // At low load the top domain is surplus from the first dispatch:
+    // it naps there, and gates on the kGateHysteresis-th consecutive
+    // surplus dispatch, not one later.  Its workers never took work,
+    // so nothing drains.
+    sim::SimConfig cfg = domain_config();
+    sim::Machine machine(cfg);
+    machine.set_estimator(quick_estimator(cfg));
+    workload::SteadyModel model(steady_user(20));
+    const auto result = machine.run(model, 60);
+    ASSERT_GT(result.n_domains, 1u);
+    ASSERT_GT(result.intervals.size(), mgmt::kGateHysteresis);
+    const std::size_t top = result.n_domains - 1;
+    const auto state_at = [&](std::size_t i) {
+        return static_cast<mgmt::DomainState>(
+            result.intervals[i].domains[top].state);
+    };
+    for (std::size_t i = 0; i + 1 < mgmt::kGateHysteresis; ++i) {
+        EXPECT_EQ(state_at(i), mgmt::DomainState::kNap) << "dispatch " << i;
+        EXPECT_EQ(result.intervals[i].gate_transitions, 0u);
+    }
+    EXPECT_EQ(state_at(mgmt::kGateHysteresis - 1),
+              mgmt::DomainState::kGated);
+    EXPECT_GT(result.intervals[mgmt::kGateHysteresis - 1].gate_transitions,
+              0u);
+}
+
 TEST(DomainMachine, FrequencySnapsToConfiguredRungs)
 {
     sim::SimConfig cfg = domain_config();
