@@ -485,12 +485,20 @@ apply_mmse_bias_into(const ChannelView &channel,
             simd::cscale(simd::cmul_conj(c, bias), inv);
         simd::cstore(combined.data() + sc, simd::cselect(mask, corrected, c));
     }
+    // The remainder repeats a lane's arithmetic in its order, so a
+    // subcarrier rounds the same at every vector width.
     for (; sc < n_sc; ++sc) {
         cf32 bias(0.0f, 0.0f);
         for (std::size_t a = 0; a < antennas; ++a)
             bias += weights(sc, layer, a) * channel.at(a, layer, sc);
-        if (std::norm(bias) > 1e-12f)
-            combined[sc] /= bias;
+        const float br = bias.real(), bi = bias.imag();
+        const float n2 = br * br + bi * bi;
+        if (n2 > 1e-12f) {
+            const float inv = 1.0f / std::max(n2, 1e-30f);
+            const cf32 c = combined[sc];
+            combined[sc] = cf32((c.real() * br + c.imag() * bi) * inv,
+                                (c.imag() * br - c.real() * bi) * inv);
+        }
     }
 #else
     apply_mmse_bias_scalar_into(channel, weights, layer, combined);

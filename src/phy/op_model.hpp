@@ -91,6 +91,87 @@ struct UserTaskCosts
     }
 };
 
+/** The nodes of the per-user task graph (paper Sec. IV-C). */
+enum class TaskStage : std::uint8_t {
+    kChanEst, kWeights, kDemod, kTailCb, kDecodeCb, kTailReduce
+};
+
+inline constexpr std::size_t kStageCount =
+    static_cast<std::size_t>(TaskStage::kTailReduce) + 1;
+
+/** A node and the UserTaskCosts fields with its task count (null for
+ *  the single-task joins) and the flops of one of its tasks. */
+struct TaskGraphNode
+{
+    TaskStage stage;
+    std::uint32_t UserTaskCosts::*fan_out;
+    std::uint64_t UserTaskCosts::*task_cost;
+};
+
+/**
+ * The per-user graph that both the worker pool (runtime::WorkerPool)
+ * and the discrete-event simulator (sim::Machine) walk, in graph
+ * order; each node's successor is the next row:
+ *
+ *   kChanEst ×(antennas·layers) → kWeights → kDemod ×(6·layers)
+ *     → kTailCb ×(codeblocks) [→ kDecodeCb ×(turbo blocks)]
+ *     → kTailReduce
+ *
+ * Each node counts down its fan-out; whoever finishes its last task
+ * seeds next_stage(), which skips a node with no tasks (decode in
+ * pass-through mode).
+ */
+inline constexpr TaskGraphNode kUserTaskGraph[kStageCount] = {
+    {TaskStage::kChanEst, &UserTaskCosts::n_chanest_tasks,
+     &UserTaskCosts::chanest_task},
+    {TaskStage::kWeights, nullptr, &UserTaskCosts::weights},
+    {TaskStage::kDemod, &UserTaskCosts::n_demod_tasks,
+     &UserTaskCosts::demod_task},
+    {TaskStage::kTailCb, &UserTaskCosts::n_tail_tasks,
+     &UserTaskCosts::tail_task},
+    {TaskStage::kDecodeCb, &UserTaskCosts::n_decode_tasks,
+     &UserTaskCosts::decode_task},
+    {TaskStage::kTailReduce, nullptr, &UserTaskCosts::tail_reduce},
+};
+
+static_assert(
+    [] {
+        for (std::size_t s = 0; s < kStageCount; ++s) {
+            if (static_cast<std::size_t>(kUserTaskGraph[s].stage) != s)
+                return false;
+        }
+        return true;
+    }(),
+    "kUserTaskGraph rows follow TaskStage order");
+
+/** Tasks node @p stage fans out to for a user with @p costs. */
+constexpr std::uint32_t
+fan_out(const UserTaskCosts &costs, std::size_t stage)
+{
+    const auto field = kUserTaskGraph[stage].fan_out;
+    return field == nullptr ? 1 : costs.*field;
+}
+
+/** Flops of one task of node @p stage. */
+constexpr std::uint64_t
+task_cost(const UserTaskCosts &costs, std::size_t stage)
+{
+    return costs.*kUserTaskGraph[stage].task_cost;
+}
+
+/** The node to seed once @p stage's last task is done: the next one
+ *  whose task count @p count(s) is non-zero, or kStageCount when the
+ *  user is complete.  Each executor passes the counts it holds. */
+template <class Count>
+constexpr std::size_t
+next_stage(std::size_t stage, Count count)
+{
+    do
+        ++stage;
+    while (stage < kStageCount && count(stage) == 0);
+    return stage;
+}
+
 /**
  * Flops the model charges for one n x n complex matrix inverse (the
  * per-subcarrier MMSE solve): Gauss-Jordan on [A | I] is ~2n^3

@@ -35,7 +35,7 @@ validated(const MultiCellConfig &config)
 
 /**
  * True once the job's last user finished its tail reduce.  acquire
- * pairs with the release decrement in WorkerPool::finish_user, so a
+ * pairs with the release decrement in WorkerPool::execute_task, so a
  * true return also publishes every worker's writes to the results.
  */
 bool

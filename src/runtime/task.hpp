@@ -1,15 +1,15 @@
 /**
  * @file
- * Runtime task plumbing: per-user work state, the stealable task
- * kinds of the continuation graph (channel estimation, the weight
- * join, demodulation, the per-codeblock tail, the per-codeblock
- * turbo decode and the reduce), and the per-subframe job that owns
- * everything (paper Sec. IV-C).
+ * Runtime task plumbing: per-user work state, the stealable task (one
+ * node of phy::kUserTaskGraph: channel estimation, the weight join,
+ * demodulation, the per-codeblock tail, the per-codeblock turbo decode
+ * or the reduce), and the per-subframe job that owns everything
+ * (paper Sec. IV-C).
  *
- * Stage transitions are continuation-driven: each stage counter is
- * decremented by the worker that finishes a task, and the final
- * decrement enqueues the next stage instead of releasing a blocked
- * "user thread" — no worker ever waits inside a user.
+ * Stage transitions are continuation-driven: each node's counter is
+ * decremented by the worker that finishes one of its tasks, and the
+ * final decrement enqueues the next node instead of releasing a
+ * blocked "user thread" — no worker ever waits inside a user.
  *
  * Memory model: UserWork and SubframeJob are long-lived pooled objects
  * that are re-bound every subframe via reset()/prepare().  The heavy
@@ -20,11 +20,13 @@
 #ifndef LTE_RUNTIME_TASK_HPP
 #define LTE_RUNTIME_TASK_HPP
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "common/check.hpp"
 #include "phy/op_model.hpp"
 #include "phy/params.hpp"
 #include "phy/user_processor.hpp"
@@ -41,16 +43,13 @@ struct SubframeJob;
 /**
  * Work state for one user in one subframe.  The worker that dequeues
  * this from the global queue seeds the chanest fan-out; from then on
- * the stage counters drive the continuation graph and any worker may
- * run any stage.
+ * the node counters drive the continuation graph and any worker may
+ * run any node.
  */
 struct UserWork
 {
     /** Create an unbound, poolable work state; reset() before use. */
-    explicit UserWork(const phy::ReceiverConfig &config)
-        : proc(config), n_antennas(config.n_antennas)
-    {
-    }
+    explicit UserWork(const phy::ReceiverConfig &config) : proc(config) {}
 
     /**
      * (Re)bind to a user's subframe.  Allocation-free once the
@@ -66,72 +65,49 @@ struct UserWork
         refresh_costs(level);
         parent = parent_job;
         result_slot = slot;
-        chanest_remaining.store(
-            static_cast<std::int32_t>(proc.n_chanest_tasks()),
-            std::memory_order_relaxed);
-        demod_remaining.store(
-            static_cast<std::int32_t>(proc.n_demod_tasks()),
-            std::memory_order_relaxed);
-        tail_remaining.store(
-            static_cast<std::int32_t>(proc.n_tail_tasks()),
-            std::memory_order_relaxed);
-        decode_remaining.store(
-            static_cast<std::int32_t>(proc.n_decode_tasks()),
-            std::memory_order_relaxed);
+        LTE_ASSERT(costs.n_chanest_tasks == proc.n_chanest_tasks() &&
+                       costs.n_demod_tasks == proc.n_demod_tasks() &&
+                       costs.n_tail_tasks == proc.n_tail_tasks() &&
+                       costs.n_decode_tasks == proc.n_decode_tasks(),
+                   "op-model fan-outs disagree with the processor");
+        for (std::size_t s = 0; s < phy::kStageCount; ++s) {
+            remaining[s].store(
+                static_cast<std::int32_t>(phy::fan_out(costs, s)),
+                std::memory_order_relaxed);
+        }
     }
 
     /**
      * Recompute the analytical costs for the current binding (called
      * from reset() and on degrade flips, which change the weight-join
      * cost and the decode iteration budget — but never a task count,
-     * so the stage counters loaded at reset() stay valid).
+     * so the fan-outs loaded at reset() stay valid).
      */
     void
     refresh_costs(phy::DegradeLevel level)
     {
         costs = phy::user_task_costs(
-            proc.params(), n_antennas,
+            proc.params(), proc.config().n_antennas,
             level != phy::DegradeLevel::kNone,
             phy::decode_model(proc.config(), level));
     }
 
     phy::UserProcessor proc;
-    std::size_t n_antennas;
-    /** Analytical flop counts, for deterministic activity accounting. */
+    /** Analytical flop counts and fan-outs: the pool walks the graph
+     *  and accounts deterministic activity from them. */
     phy::UserTaskCosts costs{};
     SubframeJob *parent = nullptr;
     std::size_t result_slot = 0;
-    std::atomic<std::int32_t> chanest_remaining{0};
-    std::atomic<std::int32_t> demod_remaining{0};
-    std::atomic<std::int32_t> tail_remaining{0};
-    std::atomic<std::int32_t> decode_remaining{0};
+    /** Tasks of each node (phy::kUserTaskGraph) not yet finished. */
+    std::array<std::atomic<std::int32_t>, phy::kStageCount> remaining{};
 };
 
-/**
- * A stealable unit of work: one node of the continuation graph.
- *
- *   kChanEst ×(antennas·layers) → kWeights → kDemod ×(6·layers)
- *     → kTailCb ×(codeblocks) [→ kDecodeCb ×(turbo blocks)]
- *     → kTailReduce
- *
- * The join nodes (kWeights, kTailReduce) are enqueued by whichever
- * worker performs the final decrement of the preceding stage counter.
- * The decode stage exists only in real-turbo mode; it fans the heavy
- * max-log-MAP work across the pool, one task per LTE code block.
- */
+/** A stealable unit of work: task @p index of one node of the user's
+ *  graph (phy::kUserTaskGraph). */
 struct Task
 {
-    enum class Kind : std::uint8_t {
-        kChanEst,
-        kWeights,
-        kDemod,
-        kTailCb,
-        kDecodeCb,
-        kTailReduce
-    };
-
     UserWork *work = nullptr;
-    Kind kind = Kind::kChanEst;
+    phy::TaskStage stage = phy::TaskStage::kChanEst;
     std::uint32_t index = 0;
 };
 

@@ -14,6 +14,12 @@ namespace {
 /** Seed of the per-worker victim-selection streams. */
 constexpr std::uint64_t kStealSeed = 1;
 
+/** The span each node of phy::kUserTaskGraph records. */
+constexpr obs::SpanKind kStageSpan[phy::kStageCount] = {
+    obs::SpanKind::kChanEst, obs::SpanKind::kWeights,
+    obs::SpanKind::kDemod,   obs::SpanKind::kTailCb,
+    obs::SpanKind::kDecodeCb, obs::SpanKind::kTailReduce};
+
 } // namespace
 
 double
@@ -87,7 +93,7 @@ WorkerPool::wait_idle()
 void
 WorkerPool::wait_job(const SubframeJob &job)
 {
-    // finish_user() notifies done_cv_ on every job completion (the
+    // execute_task() notifies done_cv_ on every job completion (the
     // users_remaining 1 -> 0 transition), so waiting on one job is the
     // same condition variable with a per-job predicate.
     std::unique_lock<std::mutex> lock(done_mutex_);
@@ -175,89 +181,58 @@ WorkerPool::trace(std::size_t wid, obs::SpanKind kind,
 void
 WorkerPool::execute_task(std::size_t wid, const Task &task)
 {
-    // Continuation dispatch: the worker that performs the final
-    // acq_rel decrement of a stage counter observes every sibling's
-    // writes and enqueues the next graph node into its own deque
-    // (LIFO keeps the user's data hot; thieves take it if this worker
-    // is busy).  No stage ever waits.
     const auto start = std::chrono::steady_clock::now();
     UserWork *work = task.work;
-    auto &deque = *deques_[wid];
-    switch (task.kind) {
-      case Task::Kind::kChanEst: {
+    std::uint64_t arg = task.index;
+    switch (task.stage) {
+      case phy::TaskStage::kChanEst:
         work->proc.run_chanest_task(task.index);
-        const auto end = std::chrono::steady_clock::now();
-        account(wid, start, end, work->costs.chanest_task);
-        trace(wid, obs::SpanKind::kChanEst, start, end, task.index);
-        if (work->chanest_remaining.fetch_sub(
-                1, std::memory_order_acq_rel) == 1)
-            deque.push_bottom(Task{work, Task::Kind::kWeights, 0});
         break;
-      }
-      case Task::Kind::kWeights: {
+      case phy::TaskStage::kWeights:
         work->proc.compute_weights();
-        const auto end = std::chrono::steady_clock::now();
-        account(wid, start, end, work->costs.weights);
-        trace(wid, obs::SpanKind::kWeights, start, end,
-              work->proc.params().id);
-        const auto n_demod = work->proc.n_demod_tasks();
-        for (std::size_t t = 0; t < n_demod; ++t) {
-            deque.push_bottom(Task{work, Task::Kind::kDemod,
-                                   static_cast<std::uint32_t>(t)});
-        }
+        arg = work->proc.params().id;
         break;
-      }
-      case Task::Kind::kDemod: {
+      case phy::TaskStage::kDemod:
         work->proc.run_demod_task(task.index);
-        const auto end = std::chrono::steady_clock::now();
-        account(wid, start, end, work->costs.demod_task);
-        trace(wid, obs::SpanKind::kDemod, start, end, task.index);
-        if (work->demod_remaining.fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-            const auto n_tail = work->proc.n_tail_tasks();
-            for (std::size_t t = 0; t < n_tail; ++t) {
-                deque.push_bottom(Task{work, Task::Kind::kTailCb,
-                                       static_cast<std::uint32_t>(t)});
-            }
-        }
         break;
-      }
-      case Task::Kind::kTailCb: {
+      case phy::TaskStage::kTailCb:
         work->proc.run_tail_task(task.index);
-        const auto end = std::chrono::steady_clock::now();
-        account(wid, start, end, work->costs.tail_task);
-        trace(wid, obs::SpanKind::kTailCb, start, end, task.index);
-        if (work->tail_remaining.fetch_sub(
-                1, std::memory_order_acq_rel) == 1) {
-            // Real-turbo mode interposes the decode fan-out between
-            // the tail and the reduce; otherwise close the user.
-            const auto n_decode = work->proc.n_decode_tasks();
-            if (n_decode == 0) {
-                deque.push_bottom(
-                    Task{work, Task::Kind::kTailReduce, 0});
-            } else {
-                for (std::size_t t = 0; t < n_decode; ++t) {
-                    deque.push_bottom(
-                        Task{work, Task::Kind::kDecodeCb,
-                             static_cast<std::uint32_t>(t)});
-                }
-            }
-        }
         break;
-      }
-      case Task::Kind::kDecodeCb: {
+      case phy::TaskStage::kDecodeCb:
         work->proc.run_decode_task(task.index);
-        const auto end = std::chrono::steady_clock::now();
-        account(wid, start, end, work->costs.decode_task);
-        trace(wid, obs::SpanKind::kDecodeCb, start, end, task.index);
-        if (work->decode_remaining.fetch_sub(
-                1, std::memory_order_acq_rel) == 1)
-            deque.push_bottom(Task{work, Task::Kind::kTailReduce, 0});
+        break;
+      case phy::TaskStage::kTailReduce: {
+        // Only the scalar outcome leaves the worker; the decoded bits
+        // stay in the processor's reused storage (no copy, no alloc).
+        const phy::UserResult &result = work->proc.finish_reduce();
+        work->parent->set_result(work->result_slot, result);
+        arg = result.user_id;
         break;
       }
-      case Task::Kind::kTailReduce:
-        finish_user(wid, work);
-        break;
+    }
+    const auto end = std::chrono::steady_clock::now();
+    const auto stage = static_cast<std::size_t>(task.stage);
+    account(wid, start, end, phy::task_cost(work->costs, stage));
+    trace(wid, kStageSpan[stage], start, end, arg);
+
+    // Continuation dispatch: the worker that performs the final
+    // acq_rel decrement of a node's counter observes every sibling's
+    // writes and seeds the next node into its own deque (LIFO keeps
+    // the user's data hot; thieves take it if this worker is busy).
+    // No stage ever waits.
+    if (work->remaining[stage].fetch_sub(
+            1, std::memory_order_acq_rel) != 1)
+        return;
+    const std::size_t next = phy::next_stage(
+        stage, [work](std::size_t s) { return phy::fan_out(work->costs, s); });
+    if (next < phy::kStageCount) {
+        seed(wid, work, next);
+    } else if (work->parent->users_remaining.fetch_sub(
+                   1, std::memory_order_acq_rel) == 1) {
+        // Last user of the subframe: the job is complete.
+        jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
+        std::lock_guard<std::mutex> lock(done_mutex_);
+        done_cv_.notify_all();
     }
 }
 
@@ -292,38 +267,13 @@ WorkerPool::try_help(std::size_t wid)
 }
 
 void
-WorkerPool::start_user(std::size_t wid, UserWork *work)
+WorkerPool::seed(std::size_t wid, UserWork *work, std::size_t stage)
 {
-    // Seed stage 1 (one task per (antenna, layer)) and return to the
-    // scheduling loop; the continuation graph drives everything else.
     auto &deque = *deques_[wid];
-    const auto n_chanest = work->proc.n_chanest_tasks();
-    for (std::size_t t = 0; t < n_chanest; ++t) {
-        deque.push_bottom(
-            Task{work, Task::Kind::kChanEst,
-                 static_cast<std::uint32_t>(t)});
-    }
-}
-
-void
-WorkerPool::finish_user(std::size_t wid, UserWork *work)
-{
-    const auto start = std::chrono::steady_clock::now();
-    // Only the scalar outcome leaves the worker; the decoded bits stay
-    // in the processor's reused storage (no payload copy, no alloc).
-    const phy::UserResult &result = work->proc.finish_reduce();
-    work->parent->set_result(work->result_slot, result);
-    const auto end = std::chrono::steady_clock::now();
-    account(wid, start, end, work->costs.tail_reduce);
-    trace(wid, obs::SpanKind::kTailReduce, start, end, result.user_id);
-
-    if (work->parent->users_remaining.fetch_sub(
-            1, std::memory_order_acq_rel) == 1) {
-        // Last user of the subframe: the job is complete.
-        jobs_outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-        std::lock_guard<std::mutex> lock(done_mutex_);
-        done_cv_.notify_all();
-    }
+    const auto kind = static_cast<phy::TaskStage>(stage);
+    const std::uint32_t n = phy::fan_out(work->costs, stage);
+    for (std::uint32_t t = 0; t < n; ++t)
+        deque.push_bottom(Task{work, kind, t});
 }
 
 void
@@ -349,8 +299,10 @@ WorkerPool::worker_main(std::size_t wid)
 
         // Paper order: the global user queue is checked before
         // stealing so a fresh subframe is picked up promptly.
+        // A new user seeds its first node (one task per (antenna,
+        // layer)); the continuations drive everything else.
         if (UserWork *work = try_pop_global()) {
-            start_user(wid, work);
+            seed(wid, work, 0);
             continue;
         }
         if (try_help(wid))

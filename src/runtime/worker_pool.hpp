@@ -6,12 +6,12 @@
  * Each worker owns a task deque.  The scheduling loop follows the
  * paper exactly: check the global user queue first (a new subframe
  * beats stealing), then the local deque, then steal from a random
- * victim.  A worker that dequeues a user seeds its channel-estimation
- * fan-out and moves on; every later stage is continuation-driven —
- * the worker that performs the final decrement of a stage counter
- * enqueues the next node (weight join, demod fan-out, per-codeblock
- * tail fan-out, CRC/EVM reduce), so no worker ever blocks inside a
- * user and a heavy user's tail spreads across the whole pool.
+ * victim.  A worker that dequeues a user seeds the first node of its
+ * graph (phy::kUserTaskGraph, the channel-estimation fan-out) and
+ * moves on; every later node is continuation-driven — the worker that
+ * performs the final decrement of a node's counter enqueues the next
+ * node with tasks, so no worker ever blocks inside a user and a heavy
+ * user's tail spreads across the whole pool.
  *
  * Core deactivation is emulated functionally: NAP-style deactivation
  * parks workers above the active-core watermark (they wake
@@ -153,13 +153,13 @@ class WorkerPool
     void worker_main(std::size_t wid);
     UserWork *try_pop_global();
     bool try_help(std::size_t wid);
-    /** Seed a user's chanest fan-out into @p wid's deque (no join —
-     *  the continuation graph takes over from there). */
-    void start_user(std::size_t wid, UserWork *work);
+    /** Push every task of node @p stage of @p work's graph into
+     *  @p wid's deque, in index order. */
+    void seed(std::size_t wid, UserWork *work, std::size_t stage);
+    /** Run one task's kernel, then the shared continuation: the last
+     *  task of a node seeds the next node, the last node completes
+     *  the user and, on the last user, the job. */
     void execute_task(std::size_t wid, const Task &task);
-    /** The kTailReduce node: fold the user, publish its outcome and
-     *  signal job completion on the last user. */
-    void finish_user(std::size_t wid, UserWork *work);
     void account(std::size_t wid,
                  std::chrono::steady_clock::time_point start,
                  std::chrono::steady_clock::time_point end,

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "phy/op_model.hpp"
 
 namespace lte::sim {
 
@@ -400,28 +399,15 @@ Machine::handle_dispatch(double t, workload::ParameterModel &model)
         const auto costs = phy::user_task_costs(user, n_antennas_);
         const std::uint32_t dag_idx = alloc_dag();
         Dag &dag = dags_[dag_idx];
-        dag.chanest_cycles = static_cast<double>(costs.chanest_task) *
-                             config_.cycles_per_op;
-        dag.weights_cycles = static_cast<double>(costs.weights) *
-                             config_.cycles_per_op;
-        dag.demod_cycles = static_cast<double>(costs.demod_task) *
-                           config_.cycles_per_op;
-        dag.tail_task_cycles = static_cast<double>(costs.tail_task) *
-                               config_.cycles_per_op;
-        dag.reduce_cycles = static_cast<double>(costs.tail_reduce) *
+        for (std::size_t s = 0; s < phy::kStageCount; ++s) {
+            dag.cycles[s] = static_cast<double>(phy::task_cost(costs, s)) *
                             config_.cycles_per_op;
-        dag.chanest_left = costs.n_chanest_tasks;
-        dag.demod_total = costs.n_demod_tasks;
-        dag.demod_left = costs.n_demod_tasks;
-        dag.tail_total = costs.n_tail_tasks;
-        dag.tail_left = costs.n_tail_tasks;
+            dag.left[s] = phy::fan_out(costs, s);
+        }
         dag.dispatch_time = t;
         dag.dispatch_index = static_cast<std::uint32_t>(dispatched_);
-        dag.in_use = true;
         ++active_dags_;
-
-        for (std::uint32_t i = 0; i < costs.n_chanest_tasks; ++i)
-            ready_.push_back(SimTask{dag.chanest_cycles, dag_idx, 0});
+        seed(dag_idx, 0);
     }
 
     ++dispatched_;
@@ -434,52 +420,42 @@ Machine::handle_dispatch(double t, workload::ParameterModel &model)
 }
 
 void
-Machine::complete_stage(double t, const SimTask &task)
+Machine::seed(std::uint32_t dag_idx, std::size_t stage)
+{
+    const Dag &dag = dags_[dag_idx];
+    const SimTask task{dag.cycles[stage], dag_idx,
+                       static_cast<phy::TaskStage>(stage)};
+    for (std::uint32_t i = 0; i < dag.left[stage]; ++i)
+        ready_.push_back(task);
+}
+
+void
+Machine::complete_task(double t, const SimTask &task)
 {
     Dag &dag = dags_[task.dag];
-    switch (task.stage) {
-      case 0:
-        LTE_ASSERT(dag.chanest_left > 0, "chanest underflow");
-        if (--dag.chanest_left == 0)
-            ready_.push_back(SimTask{dag.weights_cycles, task.dag, 1});
-        break;
-      case 1:
-        for (std::uint32_t i = 0; i < dag.demod_total; ++i)
-            ready_.push_back(SimTask{dag.demod_cycles, task.dag, 2});
-        break;
-      case 2:
-        LTE_ASSERT(dag.demod_left > 0, "demod underflow");
-        if (--dag.demod_left == 0) {
-            // Continuation-graph tail: one task per codeblock, folded
-            // by a reduce — the runtime's real fan-out.
-            for (std::uint32_t i = 0; i < dag.tail_total; ++i)
-                ready_.push_back(SimTask{dag.tail_task_cycles, task.dag, 3});
-        }
-        break;
-      case 3:
-        LTE_ASSERT(dag.tail_left > 0, "tail underflow");
-        if (--dag.tail_left == 0)
-            ready_.push_back(SimTask{dag.reduce_cycles, task.dag, 4});
-        break;
-      case 4:
-        dag.in_use = false;
-        result_.user_latency.push_back(
-            (t - dag.dispatch_time) / config_.delta_s);
-        result_.user_dispatch.push_back(dag.dispatch_index);
-        free_dags_.push_back(task.dag);
-        LTE_ASSERT(active_dags_ > 0, "dag underflow");
-        --active_dags_;
-        break;
-      default:
-        LTE_ASSERT(false, "unknown task stage");
+    const auto stage = static_cast<std::size_t>(task.stage);
+    LTE_ASSERT(dag.left[stage] > 0, "stage underflow");
+    if (--dag.left[stage] != 0)
+        return;
+    const std::size_t next = phy::next_stage(
+        stage, [&dag](std::size_t s) { return dag.left[s]; });
+    if (next < phy::kStageCount) {
+        seed(task.dag, next);
+        return;
     }
+    result_.user_latency.push_back((t - dag.dispatch_time) /
+                                   config_.delta_s);
+    result_.user_dispatch.push_back(dag.dispatch_index);
+    free_dags_.push_back(task.dag);
+    LTE_ASSERT(active_dags_ > 0, "dag underflow");
+    --active_dags_;
 }
 
 void
 Machine::handle_task_done(double t, std::uint32_t w)
 {
     ++result_.tasks_executed;
-    complete_stage(t, running_[w]);
+    complete_task(t, running_[w]);
 
     const bool idle_naps = config_.policy.reactive_idle;
 

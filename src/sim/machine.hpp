@@ -3,8 +3,10 @@
  * Discrete-event model of the LTE benchmark running on a TILEPro64.
  *
  * Subframes arrive every DELTA; each user expands into the paper's
- * task DAG (chanest tasks -> weights join -> demod tasks -> tail,
- * Sec. IV-C) with cycle costs from the analytical kernel op model.
+ * task DAG (Sec. IV-C), walking the same phy::kUserTaskGraph as the
+ * runtime's worker pool, with cycle costs from the analytical kernel
+ * op model.  The model prices no decode stage, so that node has no
+ * tasks and the walk skips it.
  * Ready tasks are assigned greedily: spinning workers pick up work
  * instantly; napping workers only at their next wake poll; workers
  * deactivated by the estimate (Eq. 5 watermark) take no work at all.
@@ -29,6 +31,7 @@
 
 #include "mgmt/estimator.hpp"
 #include "mgmt/power_policy.hpp"
+#include "phy/op_model.hpp"
 #include "sim/sim_config.hpp"
 #include "sim/trace.hpp"
 #include "workload/parameter_model.hpp"
@@ -67,29 +70,23 @@ class Machine
   private:
     enum class WState : std::uint8_t { kSpin, kBusy, kNapIdle, kNapDeact };
 
+    /** One user's graph in flight, per node of phy::kUserTaskGraph. */
     struct Dag
     {
         double dispatch_time = 0.0;
+        /** Cycles of one task of each node. */
+        double cycles[phy::kStageCount] = {};
+        /** Tasks of each node not yet finished (a node not yet seeded
+         *  still holds its fan-out). */
+        std::uint32_t left[phy::kStageCount] = {};
         std::uint32_t dispatch_index = 0;
-        double chanest_cycles = 0.0;
-        double weights_cycles = 0.0;
-        double demod_cycles = 0.0;
-        double tail_task_cycles = 0.0; ///< one tail codeblock
-        double reduce_cycles = 0.0;
-        std::uint32_t chanest_left = 0;
-        std::uint32_t demod_total = 0;
-        std::uint32_t demod_left = 0;
-        std::uint32_t tail_total = 0;
-        std::uint32_t tail_left = 0;
-        bool in_use = false;
     };
 
     struct SimTask
     {
         double cycles = 0.0;
         std::uint32_t dag = 0;
-        /** 0 chanest, 1 weights, 2 demod, 3 tail codeblock, 4 reduce. */
-        std::uint8_t stage = 0;
+        phy::TaskStage stage = phy::TaskStage::kChanEst;
     };
 
     struct Event
@@ -153,7 +150,9 @@ class Machine
     void apply_watermark(double t);
     void update_domains(double t, double est, SimInterval &iv);
     std::uint32_t alloc_dag();
-    void complete_stage(double t, const SimTask &task);
+    /** Queue every task of node @p stage of DAG @p dag_idx. */
+    void seed(std::uint32_t dag_idx, std::size_t stage);
+    void complete_task(double t, const SimTask &task);
 
     std::uint32_t
     domain_of(std::uint32_t w) const

@@ -25,6 +25,7 @@
 #include "phy/turbo.hpp"
 #include "phy/user_processor.hpp"
 #include "phy/zadoff_chu.hpp"
+#include "simd/simd.hpp"
 #include "tx/transmitter.hpp"
 
 namespace lte {
@@ -582,6 +583,68 @@ TEST(EndToEnd, EvmMatchesPerSymbolReferenceBitForBit)
         }
     }
 }
+
+#if !defined(__FMA__)
+// Contracted multiply-adds (native builds) round differently, so the
+// pinned digest holds only for the default portable builds.
+TEST(EndToEnd, OddPrbRealDecodeDigestPinned)
+{
+    // An odd PRB count in a slot gives 12 * PRB = 4 (mod 8)
+    // subcarriers, so the 8-lane AVX2 kernels finish every such row in
+    // their scalar remainder, while 4-lane SSE2 never reaches it.  The
+    // remainders must round like the lanes: this digest of a real
+    // decode chain is the same for SSE2 and AVX2 builds (another for
+    // LTE_SIMD=OFF).  The SNR leaves some codeblocks failing CRC, so
+    // the decoder spends its whole budget and the decoded bits follow
+    // every LLR.
+    struct Case
+    {
+        std::uint32_t prb;
+        std::uint32_t layers;
+        Modulation mod;
+    };
+    const Case cases[] = {{2, 1, Modulation::kQpsk},
+                          {7, 2, Modulation::k16Qam},
+                          {25, 1, Modulation::k64Qam},
+                          {26, 3, Modulation::kQpsk},
+                          {50, 2, Modulation::k64Qam},
+                          {99, 4, Modulation::k16Qam}};
+    ReceiverConfig rcfg;
+    rcfg.use_real_turbo = true;
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    std::size_t crc_fail = 0, crc_pass = 0;
+    for (const Case &c : cases) {
+        UserParams params;
+        params.id = c.prb;
+        params.prb = c.prb;
+        params.layers = c.layers;
+        params.mod = c.mod;
+        Rng rng(4242 + c.prb);
+        const auto realistic = channel::realistic_user_signal(
+            params, 4, 4.0, rng, /*real_turbo=*/true);
+        phy::UserProcessor proc(params, rcfg, &realistic.signal);
+        const auto result = proc.process_all();
+        for (const std::uint8_t bit : result.bits)
+            mix(bit);
+        mix(result.checksum);
+        mix(result.crc_ok);
+        mix(std::bit_cast<std::uint32_t>(result.evm_rms));
+        mix(result.decode_iterations);
+        (result.crc_ok ? crc_pass : crc_fail) += 1;
+    }
+    EXPECT_GT(crc_fail, 0u);
+    EXPECT_GT(crc_pass, 0u);
+    const std::uint64_t expected =
+        simd::enabled() ? 0xaa1f71366e19d4b5ull : 0x689d86825319cf68ull;
+    EXPECT_EQ(h, expected) << std::hex << "digest 0x" << h;
+}
+#endif
 
 TEST(EndToEnd, ChecksumDetectsBitDifferences)
 {

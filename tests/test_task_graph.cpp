@@ -19,7 +19,9 @@
  *  - the op-model tail split identity and the degraded-aware
  *    estimator built on it;
  *  - the decode-iteration ladder's single home: the op model, the
- *    estimator and the receiver all spend phy::turbo_iterations_for.
+ *    estimator and the receiver all spend phy::turbo_iterations_for;
+ *  - one graph, two executors: a traced pool run and a simulator run
+ *    of the same subframe execute exactly the op model's fan-outs.
  */
 #include <gtest/gtest.h>
 
@@ -34,6 +36,8 @@
 #include "phy/op_model.hpp"
 #include "phy/user_processor.hpp"
 #include "runtime/engine.hpp"
+#include "sim/machine.hpp"
+#include "workload/parameter_model.hpp"
 
 namespace lte::runtime {
 namespace {
@@ -281,6 +285,111 @@ TEST(TaskGraph, DecodeSpansFanOutAcrossWorkers)
     }
     EXPECT_EQ(decode_spans, 3u * 19u);
     EXPECT_GE(workers_with_decode, 2u);
+}
+
+/** One fixed subframe, forever (the simulator's parameter source). */
+class FixedModel : public workload::ParameterModel
+{
+  public:
+    explicit FixedModel(phy::SubframeParams subframe)
+        : subframe_(std::move(subframe))
+    {
+    }
+    phy::SubframeParams next_subframe() override { return subframe_; }
+    void reset() override {}
+
+  private:
+    phy::SubframeParams subframe_;
+};
+
+/** Spans of each task kind in the engine's trace. */
+std::array<std::size_t, obs::kSpanKindCount>
+count_spans(Engine &engine)
+{
+    std::array<std::size_t, obs::kSpanKindCount> count{};
+    std::vector<obs::TraceEvent> events;
+    for (std::size_t slot = 0; slot < engine.tracer()->n_slots(); ++slot) {
+        engine.tracer()->slot(slot).snapshot(events);
+        for (const auto &event : events)
+            ++count[static_cast<std::size_t>(event.kind)];
+    }
+    return count;
+}
+
+TEST(TaskGraph, PoolAndSimulatorRunTheSameGraph)
+{
+    // The worker pool and the discrete-event simulator execute one
+    // per-user graph: every node runs exactly its op-model fan-out
+    // (one task for the weight join and for the reduce), decode only
+    // in real-turbo mode.  Users span 1..4 layers, odd and even PRB
+    // counts, QPSK to 64QAM, and several tail codeblocks.
+    phy::SubframeParams sf;
+    const std::array<std::uint32_t, 4> prbs = {3, 24, 49, 100};
+    const std::array<Modulation, 4> mods = {
+        Modulation::kQpsk, Modulation::k16Qam, Modulation::k64Qam,
+        Modulation::k64Qam};
+    for (std::uint32_t u = 0; u < 4; ++u) {
+        phy::UserParams user;
+        user.id = u;
+        user.prb = prbs[u];
+        user.layers = u + 1;
+        user.mod = mods[u];
+        sf.users.push_back(user);
+    }
+
+    std::uint64_t chanest = 0, demod = 0, tail = 0, decode = 0;
+    std::uint32_t max_tail = 0;
+    for (const auto &user : sf.users) {
+        const auto costs = phy::user_task_costs(user, 4);
+        chanest += costs.n_chanest_tasks;
+        demod += costs.n_demod_tasks;
+        tail += costs.n_tail_tasks;
+        max_tail = std::max(max_tail, costs.n_tail_tasks);
+        EXPECT_EQ(costs.n_decode_tasks, 0u);
+        phy::ReceiverConfig turbo;
+        turbo.use_real_turbo = true;
+        decode += phy::user_task_costs(user, 4, false,
+                                       phy::decode_model(turbo))
+                      .n_decode_tasks;
+    }
+    ASSERT_GE(max_tail, 2u);
+    ASSERT_GT(decode, 0u);
+    const std::uint64_t n_users = sf.users.size();
+
+    auto expect_graph = [&](Engine &engine, std::uint64_t n_decode,
+                            const std::string &context) {
+        ASSERT_NE(engine.tracer(), nullptr) << context;
+        const auto count = count_spans(engine);
+        auto of = [&count](obs::SpanKind kind) {
+            return count[static_cast<std::size_t>(kind)];
+        };
+        EXPECT_EQ(of(obs::SpanKind::kChanEst), chanest) << context;
+        EXPECT_EQ(of(obs::SpanKind::kWeights), n_users) << context;
+        EXPECT_EQ(of(obs::SpanKind::kDemod), demod) << context;
+        EXPECT_EQ(of(obs::SpanKind::kTailCb), tail) << context;
+        EXPECT_EQ(of(obs::SpanKind::kDecodeCb), n_decode) << context;
+        EXPECT_EQ(of(obs::SpanKind::kTailReduce), n_users) << context;
+    };
+
+    // LTE_REAL_TURBO=1 turns the default leg into a second decode leg.
+    const EngineConfig cfg =
+        graph_config(EngineKind::kStreaming, 3, 4, /*tracing=*/true);
+    auto pass = make_engine(cfg);
+    pass->process_subframe(sf);
+    expect_graph(*pass, cfg.receiver.use_real_turbo ? decode : 0,
+                 "default receiver");
+
+    auto turbo = make_engine(
+        real_turbo_config(EngineKind::kStreaming, 3, /*tracing=*/true));
+    turbo->process_subframe(sf);
+    expect_graph(*turbo, decode, "real turbo");
+
+    // The simulator prices no decode stage, so it walks the
+    // pass-through graph.
+    FixedModel model(sf);
+    sim::Machine machine(sim::SimConfig{});
+    EXPECT_EQ(machine.run(model, 1).tasks_executed,
+              chanest + n_users + demod + tail + n_users);
 }
 
 TEST(TaskGraph, OpModelDecodeCostMonotoneInIterationBudget)
